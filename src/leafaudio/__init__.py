@@ -7,24 +7,16 @@ from .frontend import (
     ConvBank,
     FeatureMap,
     FrontendConfig,
-    PcenParams,
-    PoolingParams,
-    filter_squared_modulus,
     frontend_forward,
-    gaussian_lowpass_kernel,
-    log_compress,
-    mel_frontend_forward,
     param_count,
-    pcen_forward,
-    pool_decimate,
     renormalize_conv,
     variant_config,
     variant_name,
 )
-from .gabor import GaborBank, MelInitConfig, gabor_impulse_response, mel_matrix, project_constraints
+from .gabor import GaborBank, MelInitConfig, gabor_impulse_response, mel_matrix
 from .params import Gradients, ParamSet, init_params
 from .signal import ToneSpec, Waveform, add_noise_snr, load_wav, synth_tones
-from .autodiff import finite_diff, grad_check_report, loss_and_grad
+from .autodiff import finite_diff, grad_check_report
 from .training import AdamState, MultiHead, adam_step, bootstrap_diff, evaluate, multitask_loss, noise_sweep, train
 
 __version__ = "0.1.0"

@@ -1,24 +1,25 @@
-"""Loss and gradient computation for every frontend variant.
+"""Gradient verification for every frontend variant.
 
-The classifier is a linear head over time-averaged features; its mean
-softmax cross-entropy is differentiated in reverse mode through
+The training loss (``training.multitask_loss_and_grad``, here with one
+task) is differentiated in reverse mode through the linear head,
 compression (including the PCEN moving-average recursion), pooling,
 squared-modulus filtering, and the Gabor parametrization.  A central
-finite-difference oracle provides the independent check.
+finite-difference oracle on ``training.multitask_loss`` provides the
+independent check.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from . import tape
-from .errors import BadRate, NonFiniteLoss
-from .frontend import FrontendConfig, features_graph
+from .errors import NonFiniteLoss
+from .frontend import FrontendConfig
 from .params import Gradients, ParamSet, init_params
 from .signal import FRONTEND_RATE, ToneSpec, Waveform, add_noise_snr, synth_tones
+from .training import MultiHead, multitask_loss, multitask_loss_and_grad
 
 GRADCHECK_VARIANTS = (
     ("gabor", "log"),
@@ -28,71 +29,6 @@ GRADCHECK_VARIANTS = (
     ("mel", "spcen"),
     ("mel", "log"),
 )
-
-
-def batch_arrays(batch: Sequence[tuple[Waveform, int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Stack an equal-length batch into (B, T) samples and (B,) labels."""
-    if not batch:
-        raise ValueError("batch must be non-empty")
-    lengths = {len(x.samples) for x, _ in batch}
-    if len(lengths) != 1:
-        raise ValueError("batch waveforms must share one length")
-    for x, _ in batch:
-        if x.sample_rate != FRONTEND_RATE:
-            raise BadRate(f"frontend requires {FRONTEND_RATE} Hz input, got {x.sample_rate} Hz")
-    xs = np.stack([x.samples for x, _ in batch])
-    labels = np.asarray([y for _, y in batch], dtype=np.int64)
-    return xs, labels
-
-
-def loss_graph(xs: np.ndarray, labels: np.ndarray, params, cfg: FrontendConfig,
-               head_prefix: str = "head"):
-    """Build the loss graph; returns (loss Var, name -> leaf Var).
-
-    ``params`` may hold arrays or existing leaf Vars (reused as-is, which
-    lets several losses share one parameter set in a single graph).
-    """
-    leaves = {
-        name: value if isinstance(value, tape.Var) else tape.leaf(value)
-        for name, value in params.items()
-    }
-    feats = features_graph(xs.astype(leaves_dtype(leaves)), leaves, cfg)
-    pooled = tape.reduce_mean(feats, axis=2)
-    logits = tape.matmul(pooled, leaves[f"{head_prefix}_weights"]) + leaves[f"{head_prefix}_bias"]
-    loss = tape.softmax_cross_entropy(logits, labels, reduction="mean")
-    return loss, leaves
-
-
-def leaves_dtype(leaves) -> np.dtype:
-    for leaf in leaves.values():
-        return tape._value(leaf).dtype
-    return np.dtype(np.float64)
-
-
-def loss_and_grad(batch: Sequence[tuple[Waveform, int]], params: ParamSet,
-                  cfg: FrontendConfig) -> tuple[float, Gradients]:
-    """Mean cross-entropy over the batch and its exact reverse-mode gradient."""
-    xs, labels = batch_arrays(batch)
-    loss, leaves = loss_graph(xs, labels, params, cfg)
-    value = float(loss.value)
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"loss evaluated to {value}")
-    tape.backward(loss)
-    grads = Gradients({
-        name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
-        for name, leaf in leaves.items()
-    })
-    return value, grads
-
-
-def batch_loss(batch: Sequence[tuple[Waveform, int]], params: ParamSet, cfg: FrontendConfig) -> float:
-    """Forward-only batch loss (used by the finite-difference oracle)."""
-    xs, labels = batch_arrays(batch)
-    loss, _ = loss_graph(xs, labels, params, cfg)
-    value = float(loss.value)
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"loss evaluated to {value}")
-    return value
 
 
 def finite_diff(loss_fn: Callable[[ParamSet], float], params: ParamSet,
@@ -137,8 +73,9 @@ def gradcheck_config(n_filters: int = 6, filter_len: int = 65) -> FrontendConfig
 
 
 def synthetic_batch(seed: int, batch_size: int = 2, duration_s: float = 0.1,
-                    num_classes: int = 3) -> list[tuple[Waveform, int]]:
-    """Noisy random tones; broadband content keeps every channel's gradient live."""
+                    num_classes: int = 3) -> list[tuple[Waveform, int, int]]:
+    """Noisy random tones as single-task (waveform, label, 0) triples;
+    broadband content keeps every channel's gradient live."""
     rng = np.random.default_rng(seed)
     batch = []
     for i in range(batch_size):
@@ -147,7 +84,7 @@ def synthetic_batch(seed: int, batch_size: int = 2, duration_s: float = 0.1,
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         x = synth_tones(ToneSpec((freq,), (amp,), duration_s, phases=(phase,)), FRONTEND_RATE)
         x = add_noise_snr(x, 10.0, seed=int(rng.integers(2 ** 31)))
-        batch.append((x, int(rng.integers(num_classes))))
+        batch.append((x, int(rng.integers(num_classes)), 0))
     return batch
 
 
@@ -181,8 +118,10 @@ def grad_check_report(cfg: FrontendConfig | None = None, seed: int = 0,
         variant_cfg = replace(base, filtering=filtering, compression=compression)
         params = perturbed_params(variant_cfg, num_classes=3, seed=seed)
         batch = synthetic_batch(seed + 1)
-        _, analytic = loss_and_grad(batch, params, variant_cfg)
-        numeric = finite_diff(lambda p: batch_loss(batch, p, variant_cfg), params, h_rel=h_rel)
+        _, analytic, _, _ = multitask_loss_and_grad(batch, params, variant_cfg, n_tasks=1,
+                                                    dtype=np.float64)
+        numeric = finite_diff(lambda p: multitask_loss(batch, MultiHead(p, variant_cfg, (3,))),
+                              params, h_rel=h_rel)
         errors = relative_errors(analytic, numeric)
         for group in params:
             rows.append({

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -19,16 +20,16 @@ from .autodiff import grad_check_report
 from .errors import LeafError
 from .frontend import (
     FrontendConfig,
-    default_pcen,
     frontend_forward,
     mel_config_for,
-    mel_frontend_forward,
     param_count,
+    pooled_graph,
+    require_frontend_rate,
     variant_config,
     variant_name,
 )
 from .gabor import SQRT_2LOG2
-from .params import ParamSet, init_params
+from .params import ParamSet, frontend_param_values, init_params
 from .signal import load_wav
 from .tasks import make_task
 from .training import MultiHead, evaluate, noise_sweep, train
@@ -121,9 +122,15 @@ def build_config(args, name=None) -> FrontendConfig:
 
 
 def _load_or_init_params(args, cfg, num_classes=2) -> ParamSet:
-    if getattr(args, "model", None):
-        return leafio.load_params(args.model)
-    return init_params(cfg, num_classes)
+    """The --model snapshot, checked against the variant; else the init."""
+    if not getattr(args, "model", None):
+        return init_params(cfg, num_classes)
+    params = leafio.load_params(args.model)
+    frontend = ParamSet({k: v for k, v in params.items() if not k.startswith("head")})
+    frontend.require_congruent(frontend_param_values(cfg),
+                               what=f"frontend parameters in {args.model} (--frontend "
+                                    f"{variant_name(cfg)}, --filters {cfg.n_filters})")
+    return params
 
 
 def cmd_extract(args) -> int:
@@ -135,17 +142,10 @@ def cmd_extract(args) -> int:
         for ch, r in enumerate(correlations):
             print(f"{ch},{r:.6f}")
         return 0
-    if cfg.filtering == "mel":
-        mel_cfg = mel_config_for(cfg)
-        if args.config:
-            mel_cfg = leafio.apply_mel_config(leafio.parse_config_file(args.config), mel_cfg)
-        compression = cfg.compression
-        fm = mel_frontend_forward(wav, mel_cfg, compression=compression,
-                                  pcen=default_pcen(cfg.n_filters) if compression != "log" else None,
-                                  hop=cfg.pool_stride)
-    else:
-        params = _load_or_init_params(args, cfg)
-        fm = frontend_forward(wav, params, cfg)
+    mel_cfg = None
+    if args.config:
+        mel_cfg = leafio.apply_mel_config(leafio.parse_config_file(args.config), mel_config_for(cfg))
+    fm = frontend_forward(wav, _load_or_init_params(args, cfg), cfg, mel_cfg)
     print(f"frontend={variant_name(cfg)} n_filters={cfg.n_filters} "
           f"learnable_params={param_count(cfg)} frames={fm.n_frames} channels={fm.n_channels}")
     if args.out:
@@ -155,18 +155,16 @@ def cmd_extract(args) -> int:
 
 
 def mel_equivalence_correlations(cfg: FrontendConfig, wav) -> np.ndarray:
-    """Per-channel Pearson correlation of leaf-init vs mel features."""
-    from .frontend import default_pooling, filter_squared_modulus, mel_power_features, pool_decimate
-    from .gabor import gabor_params_from_mels
-
-    gabor_cfg = FrontendConfig(**{**cfg.__dict__, "filtering": "gabor"})
-    bank = gabor_params_from_mels(mel_config_for(gabor_cfg), gabor_cfg.filter_len)
-    pooled = pool_decimate(filter_squared_modulus(wav, bank),
-                           default_pooling(gabor_cfg.n_filters), gabor_cfg)
-    mel = mel_power_features(wav.samples[None], mel_config_for(gabor_cfg), gabor_cfg.pool_stride)[0]
-    out = np.zeros(gabor_cfg.n_filters)
-    for ch in range(gabor_cfg.n_filters):
-        a, b = pooled.values[:, ch], mel[:, ch]
+    """Per-channel Pearson correlation of leaf-init vs mel features, both
+    taken before compression."""
+    require_frontend_rate(wav)
+    xs = wav.samples[None]
+    gabor_cfg = replace(cfg, filtering="gabor")
+    leaf = pooled_graph(xs, frontend_param_values(gabor_cfg), gabor_cfg).value[0]
+    mel = pooled_graph(xs, {}, replace(cfg, filtering="mel")).value[0]
+    out = np.zeros(cfg.n_filters)
+    for ch in range(cfg.n_filters):
+        a, b = leaf[ch], mel[ch]
         denom = a.std() * b.std()
         out[ch] = float(np.corrcoef(a, b)[0, 1]) if denom > 0 else 0.0
     return out
@@ -192,12 +190,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = build_config(args)
-    params = leafio.load_params(args.model)
+    params = _load_or_init_params(args, cfg)
     task = make_task(args.task, task_id=args.task_index, snr_db=args.snr_db)
     counts = {}
     for key in params:
         if key.startswith("head") and key.endswith("_bias"):
-            counts[int(key[4:-5] or 0)] = params[key].size
+            counts[int(key[4:-5])] = params[key].size
     class_counts = tuple(counts[k] for k in sorted(counts))
     model = MultiHead(params, cfg, class_counts)
     ev = evaluate(model, task, args.n, args.seed, task_index=args.task_index)

@@ -29,10 +29,6 @@ class DegenerateTriangle(LeafError):
     """Two mel-filter breakpoints collapsed onto the same FFT bin."""
 
 
-class NegativeInput(LeafError):
-    """Compression input must be non-negative."""
-
-
 class ZeroFilter(LeafError):
     """Cannot l2-normalize an all-zero filter kernel."""
 

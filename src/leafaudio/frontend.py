@@ -6,22 +6,22 @@ and log / PCEN / sPCEN compression.  The mel baseline replaces the first
 two stages with an STFT power spectrogram projected on triangular mel
 filters.
 
-Every stage is written once, over tape variables, so the same code serves
-eager feature extraction and gradient-based training.  Eager entry points
-accept and return plain arrays wrapped in the domain types.
+Every stage is written once, over tape variables, in ``features_graph``;
+training differentiates it and ``frontend_forward``, the one eager entry
+point, evaluates it on a single waveform.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tape
-from .errors import BadRate, NegativeInput, ZeroFilter
+from .errors import BadRate, ZeroFilter
 from .gabor import MEL_ANALYSIS_WIN, GaborBank, MelInitConfig, mel_matrix
 from .signal import FRONTEND_RATE, Waveform
 
@@ -74,50 +74,8 @@ def mel_config_for(cfg: FrontendConfig) -> MelInitConfig:
     return MelInitConfig(n_filters=cfg.n_filters, sample_rate=cfg.sample_rate)
 
 
-@dataclass(frozen=True)
-class PoolingParams:
-    """Per-channel lowpass width fractions (w_n)."""
-
-    widths: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "widths", np.asarray(self.widths, dtype=np.float64))
-
-
 def pool_width_bounds(pool_len: int) -> tuple[float, float]:
     return 2.0 / pool_len, 0.5
-
-
-def default_pooling(n_filters: int) -> PoolingParams:
-    return PoolingParams(np.full(n_filters, 0.4))
-
-
-@dataclass(frozen=True)
-class PcenParams:
-    """Per-channel PCEN parameters; the applied exponent is 1/root."""
-
-    alpha: np.ndarray
-    delta: np.ndarray
-    root: np.ndarray
-    smooth: np.ndarray
-    eps: float = PCEN_EPS
-
-    def __post_init__(self):
-        for name in ("alpha", "delta", "root", "smooth"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
-        if not (self.alpha.shape == self.delta.shape == self.root.shape == self.smooth.shape):
-            raise ValueError("PCEN parameter vectors must share one shape")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
-
-
-def default_pcen(n_filters: int) -> PcenParams:
-    return PcenParams(
-        alpha=np.full(n_filters, PCEN_ALPHA_INIT),
-        delta=np.full(n_filters, PCEN_DELTA_INIT),
-        root=np.full(n_filters, PCEN_ROOT_INIT),
-        smooth=np.full(n_filters, PCEN_SMOOTH_INIT),
-    )
 
 
 @dataclass(frozen=True)
@@ -259,25 +217,30 @@ def mel_power_features(xs: np.ndarray, mel_cfg: MelInitConfig, hop: int) -> np.n
     return power @ mel_matrix(mel_cfg).T
 
 
+def pooled_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig, mel_cfg: MelInitConfig | None = None):
+    """Pre-compression energies (B, N, M): filtering and pooling, or the mel
+    projection at the same frame rate."""
+    if cfg.filtering == "mel":
+        mel_cfg = mel_cfg or mel_config_for(cfg)
+        feats = mel_power_features(xs.astype(np.float64), mel_cfg, cfg.pool_stride)
+        return tape.constant(np.ascontiguousarray(feats.transpose(0, 2, 1)).astype(xs.dtype))
+    if cfg.filtering == "gabor":
+        kernels = gabor_kernel_graph(leaves["eta"], leaves["sigma"], cfg.filter_len)
+    else:
+        kernels = leaves["conv_kernels"]
+    squared = squared_modulus_graph(xs, kernels)
+    pool_kernels = pool_kernel_graph(leaves["pool_widths"], cfg.pool_len)
+    return tape.depthwise_pool(squared, pool_kernels, cfg.pool_stride)
+
+
 def features_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig, mel_cfg: MelInitConfig | None = None):
     """Pre-classifier features (B, N, M) for any frontend variant.
 
     ``leaves`` maps parameter names to Vars (or arrays, treated as
     constants): eta/sigma or conv_kernels, pool_widths, and pcen_* as the
-    variant requires.
+    variant requires.  ``mel_cfg`` overrides the mel variant's design grid.
     """
-    if cfg.filtering == "mel":
-        mel_cfg = mel_cfg or mel_config_for(cfg)
-        feats = mel_power_features(xs.astype(np.float64), mel_cfg, cfg.pool_stride)
-        pooled = tape.constant(np.ascontiguousarray(feats.transpose(0, 2, 1)).astype(xs.dtype))
-    else:
-        if cfg.filtering == "gabor":
-            kernels = gabor_kernel_graph(leaves["eta"], leaves["sigma"], cfg.filter_len)
-        else:
-            kernels = leaves["conv_kernels"]
-        squared = squared_modulus_graph(xs, kernels)
-        pool_kernels = pool_kernel_graph(leaves["pool_widths"], cfg.pool_len)
-        pooled = tape.depthwise_pool(squared, pool_kernels, cfg.pool_stride)
+    pooled = pooled_graph(xs, leaves, cfg, mel_cfg)
     if cfg.compression == "log":
         return log_graph(pooled)
     if cfg.compression == "spcen":
@@ -287,77 +250,17 @@ def features_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig, mel_cfg
     return pcen_graph(pooled, leaves["pcen_alpha"], leaves["pcen_delta"], leaves["pcen_root"], smooth)
 
 
-# -- eager single-clip operations ------------------------------------------
-
-
-def _require_frontend_rate(x: Waveform) -> None:
+def require_frontend_rate(x: Waveform) -> None:
     if x.sample_rate != FRONTEND_RATE:
         raise BadRate(f"frontend requires {FRONTEND_RATE} Hz input, got {x.sample_rate} Hz")
 
 
-def filter_squared_modulus(x: Waveform, bank: GaborBank | ConvBank) -> np.ndarray:
-    """Squared-modulus filterbank output at the input rate, (T, N)."""
-    _require_frontend_rate(x)
-    if isinstance(bank, GaborBank):
-        kernels = gabor_kernel_graph(bank.center_freqs, bank.inv_bandwidths, bank.filter_len).value
-    else:
-        kernels = bank.kernels
-    out = squared_modulus_graph(x.samples[None, :], kernels)
-    return out.value[0].T.copy()
-
-
-def gaussian_lowpass_kernel(width: float, pool_len: int) -> np.ndarray:
-    """Gaussian pooling kernel with sigma_t = width * (pool_len - 1) / 2."""
-    return pool_kernel_graph(np.array([float(width)]), pool_len).value[0]
-
-
-def pool_decimate(f: np.ndarray, pool: PoolingParams, cfg: FrontendConfig) -> FeatureMap:
-    """Depthwise lowpass + decimation of a (T, N) matrix to a FeatureMap."""
-    f = np.asarray(f)
-    kernels = pool_kernel_graph(pool.widths, cfg.pool_len).value
-    pooled = tape.depthwise_pool(np.ascontiguousarray(f.T)[None], kernels, cfg.pool_stride)
-    return FeatureMap(pooled.value[0].T.copy(), cfg.frame_rate)
-
-
-def log_compress(feature_map: FeatureMap) -> FeatureMap:
-    """Elementwise ln(x + 1e-6)."""
-    if np.any(feature_map.values < 0):
-        raise NegativeInput("log compression requires non-negative features")
-    return FeatureMap(np.log(feature_map.values + LOG_FLOOR), feature_map.frame_rate)
-
-
-def pcen_forward(feature_map: FeatureMap, params: PcenParams) -> FeatureMap:
-    """PCEN compression of a (M, N) feature map."""
-    if np.any(feature_map.values < 0):
-        raise NegativeInput("PCEN requires non-negative features")
-    feats = np.ascontiguousarray(feature_map.values.T)[None]
-    out = pcen_graph(feats, params.alpha, params.delta, params.root, params.smooth, eps=params.eps)
-    return FeatureMap(out.value[0].T.copy(), feature_map.frame_rate)
-
-
-def frontend_forward(x: Waveform, params: Mapping, cfg: FrontendConfig) -> FeatureMap:
-    """Full frontend: filtering, pooling, compression, per the config."""
-    _require_frontend_rate(x)
-    out = features_graph(x.samples[None, :], params, cfg)
+def frontend_forward(x: Waveform, params: Mapping, cfg: FrontendConfig,
+                     mel_cfg: MelInitConfig | None = None) -> FeatureMap:
+    """Full frontend on one waveform: filtering, pooling, compression."""
+    require_frontend_rate(x)
+    out = features_graph(x.samples[None, :], params, cfg, mel_cfg)
     return FeatureMap(out.value[0].T.copy(), cfg.frame_rate)
-
-
-def mel_frontend_forward(
-    x: Waveform,
-    cfg: MelInitConfig,
-    compression: str = "log",
-    pcen: PcenParams | None = None,
-    hop: int = 160,
-) -> FeatureMap:
-    """Mel-filterbank baseline: STFT power -> mel projection -> compression."""
-    _require_frontend_rate(x)
-    feats = mel_power_features(x.samples[None, :], cfg, hop)
-    fm = FeatureMap(feats[0], x.sample_rate / hop)
-    if compression == "log":
-        return log_compress(fm)
-    if compression not in COMPRESSIONS:
-        raise ValueError(f"compression must be one of {COMPRESSIONS}")
-    return pcen_forward(fm, pcen or default_pcen(cfg.n_filters))
 
 
 VARIANT_NAMES = {

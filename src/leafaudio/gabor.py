@@ -167,19 +167,6 @@ def gabor_impulse_response(bank: GaborBank, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * eta * t) * envelope
 
 
-def gabor_real_imag(bank: GaborBank, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Channel n as the two real filters of the 2N-real-filter scheme."""
-    phi = gabor_impulse_response(bank, n)
-    return phi.real.copy(), phi.imag.copy()
-
-
-def project_constraints(bank: GaborBank) -> GaborBank:
-    """Clamp eta to [0, 1/2] and sigma to its allowed band.  Idempotent."""
-    eta = np.clip(bank.center_freqs, 0.0, 0.5)
-    sigma = np.clip(bank.inv_bandwidths, SIGMA_MIN, sigma_max(bank.filter_len))
-    return GaborBank(eta, sigma, bank.filter_len)
-
-
 def frequency_response(filt: np.ndarray, n_points: int) -> np.ndarray:
     """Squared magnitude of the zero-padded n_points-point DFT."""
     filt = np.asarray(filt)

@@ -2,8 +2,9 @@
 
 A ParamSet maps parameter names to real vectors/matrices.  Frontend keys
 depend on the variant (eta/sigma or conv_kernels, pool_widths, pcen_*);
-classifier heads are ``head_weights``/``head_bias`` for a single task and
-``head{k}_weights``/``head{k}_bias`` under multi-task training.
+task k's linear classifier head is ``head{k}_weights``/``head{k}_bias``,
+so a single-task model has ``head0_*``.  ``constraint_bounds`` is the one
+table of allowed ranges that ``project_params`` clamps into.
 """
 
 from __future__ import annotations
@@ -103,31 +104,32 @@ def frontend_param_values(cfg: FrontendConfig, dtype=np.float64) -> dict[str, np
     return {k: v.astype(dtype) for k, v in values.items()}
 
 
-def head_param_values(n_features: int, num_classes: int, dtype=np.float64, prefix: str = "head") -> dict:
-    """Zero-initialized linear head (uniform softmax before training)."""
-    return {
-        f"{prefix}_weights": np.zeros((n_features, num_classes), dtype=dtype),
-        f"{prefix}_bias": np.zeros(num_classes, dtype=dtype),
-    }
+def init_multitask_params(cfg: FrontendConfig, class_counts: list[int], dtype=np.float64) -> ParamSet:
+    """Shared frontend with one zero-initialized linear head per task
+    (uniform softmax before training)."""
+    values = frontend_param_values(cfg, dtype)
+    for k, n_classes in enumerate(class_counts):
+        values[f"head{k}_weights"] = np.zeros((cfg.n_filters, n_classes), dtype=dtype)
+        values[f"head{k}_bias"] = np.zeros(n_classes, dtype=dtype)
+    return ParamSet(values)
 
 
 def init_params(cfg: FrontendConfig, num_classes: int, dtype=np.float64) -> ParamSet:
-    """Frontend plus a single linear head over time-averaged features."""
-    values = frontend_param_values(cfg, dtype)
-    values.update(head_param_values(cfg.n_filters, num_classes, dtype))
-    return ParamSet(values)
+    """Frontend plus one head: the single-task case of init_multitask_params."""
+    return init_multitask_params(cfg, [num_classes], dtype)
 
 
-def init_multitask_params(cfg: FrontendConfig, class_counts: list[int], dtype=np.float64) -> ParamSet:
-    """Shared frontend with one head per task."""
-    values = frontend_param_values(cfg, dtype)
-    for k, n_classes in enumerate(class_counts):
-        values.update(head_param_values(cfg.n_filters, n_classes, dtype, prefix=f"head{k}"))
-    return ParamSet(values)
-
-
-FRONTEND_KEYS = ("eta", "sigma", "conv_kernels", "pool_widths",
-                 "pcen_alpha", "pcen_delta", "pcen_root", "pcen_smooth")
+def constraint_bounds(cfg: FrontendConfig) -> dict[str, tuple[float, float | None]]:
+    """Allowed (low, high) range of every clamped parameter, by name."""
+    return {
+        "eta": (0.0, 0.5),
+        "sigma": (SIGMA_MIN, sigma_max(cfg.filter_len)),
+        "pool_widths": pool_width_bounds(cfg.pool_len),
+        "pcen_alpha": (0.0, 1.0),
+        "pcen_delta": (0.0, None),
+        "pcen_root": (1.0, None),
+        "pcen_smooth": (0.0, 1.0),
+    }
 
 
 def project_params(params: ParamSet, cfg: FrontendConfig) -> ParamSet:
@@ -136,25 +138,13 @@ def project_params(params: ParamSet, cfg: FrontendConfig) -> ParamSet:
     Applied after each optimizer step; gradients themselves are always for
     the unprojected function.
     """
-    low_w, high_w = pool_width_bounds(cfg.pool_len)
+    bounds = constraint_bounds(cfg)
     out = {}
     for key, value in params.items():
-        if key == "eta":
-            out[key] = np.clip(value, 0.0, 0.5)
-        elif key == "sigma":
-            out[key] = np.clip(value, SIGMA_MIN, sigma_max(cfg.filter_len))
-        elif key == "pool_widths":
-            out[key] = np.clip(value, low_w, high_w)
-        elif key == "conv_kernels":
+        if key == "conv_kernels":  # unit l2 norm per kernel
             out[key] = renormalize_conv(ConvBank(value)).kernels.astype(value.dtype)
-        elif key == "pcen_alpha":
-            out[key] = np.clip(value, 0.0, 1.0)
-        elif key == "pcen_delta":
-            out[key] = np.clip(value, 0.0, None)
-        elif key == "pcen_root":
-            out[key] = np.clip(value, 1.0, None)
-        elif key == "pcen_smooth":
-            out[key] = np.clip(value, 0.0, 1.0)
+        elif key in bounds:
+            out[key] = np.clip(value, *bounds[key])
         else:
             out[key] = value.copy()
     return ParamSet(out)

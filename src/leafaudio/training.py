@@ -8,16 +8,15 @@ runs in a fixed order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tape
-from .autodiff import loss_graph
 from .errors import LengthMismatch, NonFiniteLoss, ShapeMismatch, UnknownTask
-from .frontend import FrontendConfig, features_graph
+from .frontend import FrontendConfig, features_graph, require_frontend_rate, variant_name
 from .params import Gradients, ParamSet, init_multitask_params, project_params
-from .tasks import TaskSpec, generate_example, sample_batch, test_set
+from .tasks import TaskSpec, sample_batch, test_set
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -99,8 +98,8 @@ def multitask_graph(xs: np.ndarray, labels: np.ndarray, task_ids: np.ndarray,
                     params, cfg: FrontendConfig, n_tasks: int):
     """Kronecker-masked multi-task loss: each example feeds only its own head.
 
-    The total is the batch mean of per-example own-head cross-entropies, so
-    a single-task batch reduces exactly to the single-task loss.
+    The total is the batch mean of per-example own-head cross-entropies;
+    with one task it is the plain mean cross-entropy of head 0.
     """
     if np.any(task_ids >= n_tasks) or np.any(task_ids < 0):
         raise UnknownTask("batch contains a task id with no head")
@@ -123,21 +122,31 @@ def multitask_graph(xs: np.ndarray, labels: np.ndarray, task_ids: np.ndarray,
     return loss, leaves
 
 
-def multitask_loss(batch, model: MultiHead) -> float:
-    """Batch loss of (Waveform, label, task_id) triples under the model."""
-    xs = np.stack([x.samples for x, _, _ in batch])
+def stack_batch(batch, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(B, T) samples, labels and task ids of (Waveform, label, task_id) triples."""
+    if not batch:
+        raise ValueError("batch must be non-empty")
+    if len({len(x.samples) for x, _, _ in batch}) != 1:
+        raise ValueError("batch waveforms must share one length")
+    for x, _, _ in batch:
+        require_frontend_rate(x)
+    xs = np.stack([x.samples for x, _, _ in batch]).astype(dtype)
     labels = np.asarray([y for _, y, _ in batch])
     task_ids = np.asarray([k for _, _, k in batch])
-    loss, _ = multitask_graph(xs.astype(np.float64), labels, task_ids, model.params,
-                              model.cfg, model.n_tasks)
+    return xs, labels, task_ids
+
+
+def multitask_loss(batch, model: MultiHead) -> float:
+    """Batch loss of (Waveform, label, task_id) triples under the model."""
+    xs, labels, task_ids = stack_batch(batch, np.float64)
+    loss, _ = multitask_graph(xs, labels, task_ids, model.params, model.cfg, model.n_tasks)
     return float(loss.value)
 
 
 def multitask_loss_and_grad(batch, params: ParamSet, cfg: FrontendConfig, n_tasks: int,
                             dtype=np.float32):
-    xs = np.stack([x.samples for x, _, _ in batch]).astype(dtype)
-    labels = np.asarray([y for _, y, _ in batch])
-    task_ids = np.asarray([k for _, _, k in batch])
+    """Batch loss and its exact reverse-mode gradient; also returns labels, task ids."""
+    xs, labels, task_ids = stack_batch(batch, dtype)
     loss, leaves = multitask_graph(xs, labels, task_ids, params, cfg, n_tasks)
     value = float(loss.value)
     if not np.isfinite(value):
@@ -148,6 +157,19 @@ def multitask_loss_and_grad(batch, params: ParamSet, cfg: FrontendConfig, n_task
         for name, leaf in leaves.items()
     })
     return value, grads, labels, task_ids
+
+
+def task_logits(xs: np.ndarray, task_ids: np.ndarray, params, cfg: FrontendConfig) -> dict:
+    """Eager features -> time mean -> own-head logits.
+
+    Returns ``{k: (rows, logits)}`` for every task id k in ``task_ids``.
+    """
+    pooled = features_graph(xs, dict(params), cfg).value.mean(axis=2)
+    out = {}
+    for k in np.unique(task_ids):
+        rows = np.nonzero(task_ids == k)[0]
+        out[int(k)] = rows, pooled[rows] @ params[f"head{k}_weights"] + params[f"head{k}_bias"]
+    return out
 
 
 def head_grad_sparsity_ok(grads: Gradients, task_ids: np.ndarray, n_tasks: int) -> bool:
@@ -203,7 +225,7 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
         state, params = adam_step(state, params, grads, cfg, trainable=trainable)
         steps_run = step
         if step % log_every == 0 or step == steps:
-            accs = _batch_accuracies(batch, params, cfg, len(tasks), dtype)
+            accs = _batch_accuracies(batch, params, cfg, dtype)
             for k in range(len(tasks)):
                 metrics.append({
                     "step": step, "task_id": k, "loss": loss,
@@ -224,20 +246,10 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
     return TrainResult(model, metrics, snapshots, steps_run, sparsity_ok)
 
 
-def _batch_accuracies(batch, params, cfg, n_tasks, dtype):
-    xs = np.stack([x.samples for x, _, _ in batch]).astype(dtype)
-    labels = np.asarray([y for _, y, _ in batch])
-    task_ids = np.asarray([k for _, _, k in batch])
-    feats = features_graph(xs, dict(params), cfg)
-    pooled = feats.value.mean(axis=2)
-    out = {}
-    for k in range(n_tasks):
-        rows = np.nonzero(task_ids == k)[0]
-        if rows.size == 0:
-            continue
-        logits = pooled[rows] @ params[f"head{k}_weights"] + params[f"head{k}_bias"]
-        out[k] = float(np.mean(logits.argmax(axis=1) == labels[rows]))
-    return out
+def _batch_accuracies(batch, params, cfg, dtype):
+    xs, labels, task_ids = stack_batch(batch, dtype)
+    return {k: float(np.mean(logits.argmax(axis=1) == labels[rows]))
+            for k, (rows, logits) in task_logits(xs, task_ids, params, cfg).items()}
 
 
 @dataclass(frozen=True)
@@ -254,15 +266,17 @@ def _split_windows(samples: np.ndarray, window: int) -> list[np.ndarray]:
     return [samples[w * window: (w + 1) * window] for w in range(len(samples) // window)]
 
 
+def _window_logits(windows, model: MultiHead, task_index: int) -> np.ndarray:
+    """Head logits of equal-length windows, computed in the head's dtype."""
+    xs = np.stack(windows).astype(model.head(task_index)[0].dtype)
+    return task_logits(xs, np.full(len(xs), task_index), model.params, model.cfg)[task_index][1]
+
+
 def clip_logits(model: MultiHead, waveform, task_index: int = 0,
                 window: int | None = None) -> np.ndarray:
     """Head logits for one clip, averaged over its one-second windows."""
-    weights, bias = model.head(task_index)
     window = window or round(WINDOW_S * waveform.sample_rate)
-    xs = np.stack(_split_windows(waveform.samples, window)).astype(weights.dtype)
-    feats = features_graph(xs, dict(model.params), model.cfg)
-    logits = feats.value.mean(axis=2) @ weights + bias
-    return logits.mean(axis=0)
+    return _window_logits(_split_windows(waveform.samples, window), model, task_index).mean(axis=0)
 
 
 def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
@@ -274,7 +288,6 @@ def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
     """
     examples = test_set(task, n_examples, seed)
     window = round(WINDOW_S * task.sample_rate)
-    weights, bias = model.head(task_index)
     correct = 0
     for start in range(0, len(examples), batch_clips):
         chunk = examples[start: start + batch_clips]
@@ -283,9 +296,7 @@ def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
             for piece in _split_windows(wav.samples, window):
                 windows.append(piece)
                 owners.append(i)
-        xs = np.stack(windows).astype(weights.dtype)
-        feats = features_graph(xs, dict(model.params), model.cfg)
-        logits = feats.value.mean(axis=2) @ weights + bias
+        logits = _window_logits(windows, model, task_index)
         owners = np.asarray(owners)
         for i, (_, label) in enumerate(chunk):
             avg = logits[owners == i].mean(axis=0)
@@ -319,11 +330,9 @@ def noise_sweep(task: TaskSpec, snr_list, variants: list[FrontendConfig], seed: 
                 eval_clips: int = 300, n_seeds: int = 3) -> list[dict]:
     """Train and evaluate each variant at each SNR, noise in both phases.
 
-    Returns rows ``{"variant", "snr_db", "accuracies", "mean_accuracy",
-    "ci95"}`` with one accuracy per seed.
+    Returns rows ``{"variant", "snr_db", "accuracies", "mean_accuracy"}``
+    with one accuracy per seed.
     """
-    from .frontend import variant_name
-
     rows = []
     for cfg in variants:
         for snr in snr_list:
@@ -339,6 +348,5 @@ def noise_sweep(task: TaskSpec, snr_list, variants: list[FrontendConfig], seed: 
                 "snr_db": float(snr),
                 "accuracies": accs,
                 "mean_accuracy": float(np.mean(accs)),
-                "ci95": float(1.96 * np.sqrt(np.mean(accs) * (1 - np.mean(accs)) / (n_seeds * eval_clips))),
             })
     return rows

@@ -5,20 +5,16 @@ import pytest
 
 from leafaudio import tape
 from leafaudio.autodiff import (
-    batch_loss,
     finite_diff,
     grad_check_report,
     gradcheck_config,
-    loss_and_grad,
-    loss_graph,
     perturbed_params,
     relative_errors,
     synthetic_batch,
 )
 from leafaudio.errors import NonFiniteLoss
-from leafaudio.frontend import FrontendConfig
 from leafaudio.params import ParamSet, init_params
-from leafaudio.signal import Waveform
+from leafaudio.training import MultiHead, multitask_graph, multitask_loss, multitask_loss_and_grad, stack_batch
 
 CFG = gradcheck_config()
 
@@ -27,19 +23,29 @@ def small_batch(seed=7, n=4, num_classes=3):
     return synthetic_batch(seed, batch_size=n, num_classes=num_classes)
 
 
+def loss_and_grad(batch, params):
+    """Single-task loss and gradient in float64."""
+    loss, grads, _, _ = multitask_loss_and_grad(batch, params, CFG, 1, dtype=np.float64)
+    return loss, grads
+
+
+def batch_loss(batch, params):
+    return multitask_loss(batch, MultiHead(params, CFG, (3,)))
+
+
 class TestLossValues:
     def test_zero_head_gives_uniform_loss(self):
         params = init_params(CFG, num_classes=3)
         batch = small_batch(n=6)
-        loss, grads = loss_and_grad(batch, params, CFG)
+        loss, grads = loss_and_grad(batch, params)
         np.testing.assert_allclose(loss, np.log(3.0), rtol=1e-12)
-        assert abs(grads["head_bias"].sum()) < 1e-12
+        assert abs(grads["head0_bias"].sum()) < 1e-12
 
     def test_duplicating_batch_preserves_loss_and_grads(self):
         params = perturbed_params(CFG, num_classes=3, seed=1)
         batch = small_batch(n=3)
-        loss_a, grads_a = loss_and_grad(batch, params, CFG)
-        loss_b, grads_b = loss_and_grad(batch + batch, params, CFG)
+        loss_a, grads_a = loss_and_grad(batch, params)
+        loss_b, grads_b = loss_and_grad(batch + batch, params)
         np.testing.assert_allclose(loss_b, loss_a, rtol=1e-12)
         for name in grads_a:
             np.testing.assert_allclose(grads_b[name], grads_a[name], rtol=1e-9, atol=1e-12)
@@ -47,22 +53,22 @@ class TestLossValues:
     def test_deterministic(self):
         params = perturbed_params(CFG, num_classes=3, seed=2)
         batch = small_batch(n=2)
-        loss_a, grads_a = loss_and_grad(batch, params, CFG)
-        loss_b, grads_b = loss_and_grad(batch, params, CFG)
+        loss_a, grads_a = loss_and_grad(batch, params)
+        loss_b, grads_b = loss_and_grad(batch, params)
         assert loss_a == loss_b
         for name in grads_a:
             np.testing.assert_allclose(grads_a[name], grads_b[name], atol=1e-12)
 
     def test_non_finite_loss_raises(self):
         params = init_params(CFG, num_classes=3)
-        bad = ParamSet({k: (np.full_like(v, np.nan) if k == "head_bias" else v)
+        bad = ParamSet({k: (np.full_like(v, np.nan) if k == "head0_bias" else v)
                         for k, v in params.items()})
         with pytest.raises(NonFiniteLoss):
-            loss_and_grad(small_batch(n=2), bad, CFG)
+            loss_and_grad(small_batch(n=2), bad)
 
     def test_all_grads_finite(self):
         params = perturbed_params(CFG, num_classes=3, seed=3)
-        _, grads = loss_and_grad(small_batch(n=3), params, CFG)
+        _, grads = loss_and_grad(small_batch(n=3), params)
         for name in grads:
             assert np.all(np.isfinite(grads[name])), name
 
@@ -93,8 +99,8 @@ class TestGradAgreement:
     def test_leaf_loss_matches_finite_differences(self):
         params = perturbed_params(CFG, num_classes=3, seed=5)
         batch = small_batch(seed=6, n=2)
-        _, analytic = loss_and_grad(batch, params, CFG)
-        numeric = finite_diff(lambda p: batch_loss(batch, p, CFG), params, h_rel=1e-5)
+        _, analytic = loss_and_grad(batch, params)
+        numeric = finite_diff(lambda p: batch_loss(batch, p), params, h_rel=1e-5)
         errors = np.concatenate([e.ravel() for e in relative_errors(analytic, numeric).values()])
         assert errors.max() < 1e-3
         assert np.mean(errors < 1e-4) >= 0.99
@@ -105,16 +111,16 @@ class TestGradAgreement:
         # the h -> 0 limit of the central differences
         params = perturbed_params(CFG, num_classes=3, seed=5)
         batch = small_batch(seed=6, n=2)
-        _, analytic = loss_and_grad(batch, params, CFG)
+        _, analytic = loss_and_grad(batch, params)
         a = analytic["eta"][2]
         flat = params.astype(np.float64).flat()  # eta occupies the first N slots
         errs = []
         for h in (1e-3, 1e-4, 1e-5):
             probe = flat.copy()
             probe[2] = flat[2] + h
-            hi = batch_loss(batch, params.with_flat(probe), CFG)
+            hi = batch_loss(batch, params.with_flat(probe))
             probe[2] = flat[2] - h
-            lo = batch_loss(batch, params.with_flat(probe), CFG)
+            lo = batch_loss(batch, params.with_flat(probe))
             errs.append(abs((hi - lo) / (2 * h) - a))
         assert errs[0] / errs[1] > 30
         assert errs[1] / errs[2] > 30
@@ -123,20 +129,18 @@ class TestGradAgreement:
         params = perturbed_params(CFG, num_classes=3, seed=8)
         batch_a = small_batch(seed=9, n=2)
         batch_b = small_batch(seed=10, n=2)
-        from leafaudio.autodiff import batch_arrays
-
-        xs_a, y_a = batch_arrays(batch_a)
-        xs_b, y_b = batch_arrays(batch_b)
+        xs_a, y_a, k_a = stack_batch(batch_a, np.float64)
+        xs_b, y_b, k_b = stack_batch(batch_b, np.float64)
         a, b = 0.7, -1.3
 
-        loss_a, leaves = loss_graph(xs_a, y_a, params, CFG)
-        loss_b, _ = loss_graph(xs_b, y_b, leaves, CFG)
+        loss_a, leaves = multitask_graph(xs_a, y_a, k_a, params, CFG, 1)
+        loss_b, _ = multitask_graph(xs_b, y_b, k_b, leaves, CFG, 1)
         combined = a * loss_a + b * loss_b
         tape.backward(combined)
         combined_grads = {k: v.grad.copy() for k, v in leaves.items()}
 
-        _, grads_a = loss_and_grad(batch_a, params, CFG)
-        _, grads_b = loss_and_grad(batch_b, params, CFG)
+        _, grads_a = loss_and_grad(batch_a, params)
+        _, grads_b = loss_and_grad(batch_b, params)
         for name in combined_grads:
             np.testing.assert_allclose(
                 combined_grads[name], a * grads_a[name] + b * grads_b[name],
@@ -155,20 +159,20 @@ class TestGradCheckReport:
         by_variant = {}
         for row in report:
             by_variant.setdefault(row["variant"], set()).add(row["param_group"])
-        gabor_groups = {"eta", "sigma", "pool_widths", "head_weights", "head_bias"}
+        gabor_groups = {"eta", "sigma", "pool_widths", "head0_weights", "head0_bias"}
         assert by_variant["gabor/log"] == gabor_groups
         assert by_variant["gabor/pcen"] == gabor_groups | {"pcen_alpha", "pcen_delta", "pcen_root"}
         assert by_variant["gabor/spcen"] == gabor_groups | {
             "pcen_alpha", "pcen_delta", "pcen_root", "pcen_smooth"}
         assert by_variant["normalized_conv/spcen"] == {
             "conv_kernels", "pool_widths", "pcen_alpha", "pcen_delta", "pcen_root",
-            "pcen_smooth", "head_weights", "head_bias"}
+            "pcen_smooth", "head0_weights", "head0_bias"}
         assert by_variant["mel/spcen"] == {
-            "pcen_alpha", "pcen_delta", "pcen_root", "pcen_smooth", "head_weights", "head_bias"}
+            "pcen_alpha", "pcen_delta", "pcen_root", "pcen_smooth", "head0_weights", "head0_bias"}
 
     def test_mel_log_has_only_head_parameters(self, report):
         groups = {r["param_group"] for r in report if r["variant"] == "mel/log"}
-        assert groups == {"head_weights", "head_bias"}
+        assert groups == {"head0_weights", "head0_bias"}
 
     def test_all_errors_below_tolerance(self, report):
         for row in report:

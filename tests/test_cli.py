@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from leafaudio.cli import main
-from leafaudio.signal import ToneSpec, synth_tones
+from leafaudio.frontend import frontend_forward, variant_config
+from leafaudio.io import load_params, read_feature_file, save_params
+from leafaudio.params import ParamSet, init_params
+from leafaudio.signal import ToneSpec, load_wav, synth_tones
 
 
 @pytest.fixture
@@ -62,6 +65,55 @@ class TestExtract:
         code = main(["extract", "--input", str(path)])
         assert code == 1
         assert "NotWav" in capsys.readouterr().err
+
+
+class TestSnapshots:
+    LEAF6 = ["--frontend", "leaf", "--filters", "6", "--filter-len", "65"]
+
+    @pytest.fixture
+    def leaf6(self, tmp_path):
+        path = tmp_path / "leaf6"
+        save_params(path, init_params(variant_config("leaf", n_filters=6, filter_len=65), 3))
+        return path
+
+    def test_extract_uses_mel_pcen_snapshot(self, tone_wav, tmp_path):
+        cfg = variant_config("mel-pcen")
+        values = dict(init_params(cfg, 2))
+        values["pcen_alpha"] = values["pcen_alpha"] - 0.08
+        save_params(tmp_path / "m", ParamSet(values))
+        init_out, model_out = tmp_path / "init.leaf", tmp_path / "model.leaf"
+        args = ["extract", "--input", str(tone_wav), "--frontend", "mel-pcen"]
+        assert main(args + ["--out", str(init_out)]) == 0
+        assert main(args + ["--model", str(tmp_path / "m"), "--out", str(model_out)]) == 0
+        assert model_out.read_bytes() != init_out.read_bytes()
+        expected = frontend_forward(load_wav(tone_wav), load_params(tmp_path / "m"), cfg).values
+        np.testing.assert_array_equal(read_feature_file(model_out).values, expected.astype(np.float32))
+
+    def test_matching_snapshot_evaluates(self, leaf6, capsys):
+        code = main(["eval", "--model", str(leaf6), "--n", "4"] + self.LEAF6)
+        assert code == 0
+        assert "accuracy=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [
+        ["--frontend", "mel"],
+        ["--frontend", "leaf-log"],
+        ["--frontend", "mel-pcen"],
+        ["--frontend", "convnorm"],
+        ["--frontend", "leaf", "--filters", "8"],
+    ], ids=["mel", "leaf-log", "mel-pcen", "convnorm", "filters"])
+    def test_mismatched_snapshot_is_shape_mismatch(self, leaf6, flags, capsys):
+        code = main(["eval", "--model", str(leaf6), "--n", "4", "--filters", "6",
+                     "--filter-len", "65"] + flags)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ShapeMismatch:")
+
+    def test_extract_and_inspect_share_the_check(self, leaf6, tone_wav, capsys):
+        assert main(["extract", "--input", str(tone_wav), "--model", str(leaf6),
+                     "--frontend", "leaf"]) == 1
+        assert main(["inspect", "--model", str(leaf6), "--frontend", "convnorm",
+                     "--filters", "6", "--filter-len", "65"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and all(line.startswith("ShapeMismatch:") for line in err)
 
 
 class TestUsageErrors:

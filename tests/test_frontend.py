@@ -6,36 +6,67 @@ import numpy as np
 import pytest
 
 from leafaudio import tape
-from leafaudio.errors import BadRate, NegativeInput, ZeroFilter
+from leafaudio.errors import BadRate, ZeroFilter
 from leafaudio.frontend import (
     ConvBank,
-    FeatureMap,
     FrontendConfig,
-    PcenParams,
-    PoolingParams,
-    conv_bank_from_gabor,
-    default_pcen,
-    default_pooling,
-    filter_squared_modulus,
     frontend_forward,
-    gaussian_lowpass_kernel,
-    log_compress,
+    gabor_kernel_graph,
+    log_graph,
     mel_config_for,
-    mel_frontend_forward,
     param_count,
-    pcen_forward,
-    pool_decimate,
+    pcen_graph,
+    pool_kernel_graph,
+    pooled_graph,
     renormalize_conv,
+    squared_modulus_graph,
+    variant_config,
 )
-from leafaudio.gabor import GaborBank, gabor_impulse_response, gabor_params_from_mels, mel_matrix
-from leafaudio.params import init_params
+from leafaudio.gabor import GaborBank, gabor_impulse_response, mel_matrix
+from leafaudio.params import frontend_param_values, init_params
 from leafaudio.signal import ToneSpec, Waveform, synth_tones
 
 CFG = FrontendConfig()
+MEL = variant_config("mel")
 
 
 def tone(freq, duration=1.0, amp=1.0, phase=0.0, rate=16000):
     return synth_tones(ToneSpec((freq,), (amp,), duration, phases=(phase,)), rate)
+
+
+def squared_modulus(samples, kernels):
+    """(T, N) squared-modulus filterbank output of one clip."""
+    return squared_modulus_graph(np.asarray(samples)[None, :], kernels).value[0].T
+
+
+def gabor_kernels(bank: GaborBank):
+    return gabor_kernel_graph(bank.center_freqs, bank.inv_bandwidths, bank.filter_len).value
+
+
+def lowpass_kernel(width, pool_len=401):
+    return pool_kernel_graph(np.array([float(width)]), pool_len).value[0]
+
+
+def pool(f, widths, cfg=CFG):
+    """Depthwise Gaussian lowpass + decimation of a (T, N) matrix to (M, N)."""
+    kernels = pool_kernel_graph(np.asarray(widths, dtype=np.float64), cfg.pool_len).value
+    return tape.depthwise_pool(np.ascontiguousarray(f.T)[None], kernels, cfg.pool_stride).value[0].T
+
+
+def pcen(values, alpha, delta, root, smooth, eps=1e-6):
+    """PCEN of a (M, N) feature matrix."""
+    return pcen_graph(np.ascontiguousarray(values.T)[None], alpha, delta, root, smooth, eps).value[0].T
+
+
+def init_pcen(n):
+    """(alpha, delta, root, smooth) at the frontend's initialization."""
+    values = frontend_param_values(variant_config("mel-pcen", n_filters=n))
+    return tuple(values[k] for k in ("pcen_alpha", "pcen_delta", "pcen_root", "pcen_smooth"))
+
+
+def leaf_pooled(x: Waveform, cfg=CFG):
+    """(M, N) pre-compression energies of the initialized Gabor frontend."""
+    return pooled_graph(x.samples[None, :], frontend_param_values(cfg), cfg).value[0].T
 
 
 class TestFilterSquaredModulus:
@@ -47,7 +78,7 @@ class TestFilterSquaredModulus:
         x = np.zeros(n)
         x[center] = 1.0
         bank = GaborBank(np.array([0.05, 0.25, 0.45]), np.array([30.0, 30.0, 50.0]), 401)
-        out = filter_squared_modulus(Waveform(x, 16000), bank)
+        out = squared_modulus(x, gabor_kernels(bank))
         t = np.arange(n) - center
         support = np.abs(t) <= 200  # kernel reaches +-(W-1)/2 around the impulse
         for ch, sigma in enumerate([30.0, 30.0, 50.0]):
@@ -59,7 +90,7 @@ class TestFilterSquaredModulus:
 
     def test_zero_input(self):
         bank = GaborBank(np.array([0.1]), np.array([20.0]), 101)
-        out = filter_squared_modulus(Waveform(np.zeros(500), 16000), bank)
+        out = squared_modulus(np.zeros(500), gabor_kernels(bank))
         np.testing.assert_allclose(out, 0.0, atol=1e-20)
 
     def test_tone_envelope_matches_complex_dot_oracle(self):
@@ -67,7 +98,7 @@ class TestFilterSquaredModulus:
         # complex correlation evaluated independently per time step
         x = tone(0.25 * 16000, duration=0.25)
         bank = GaborBank(np.array([0.25]), np.array([40.0]), 401)
-        out = filter_squared_modulus(x, bank)[:, 0]
+        out = squared_modulus(x.samples, gabor_kernels(bank))[:, 0]
         phi = gabor_impulse_response(bank, 0)
         half = 200
         interior = slice(401, len(x.samples) - 401)
@@ -84,7 +115,7 @@ class TestFilterSquaredModulus:
         x = rng.standard_normal(50)
         kernels = rng.standard_normal((4, 9))
         kernels /= np.linalg.norm(kernels, axis=1, keepdims=True)
-        out = filter_squared_modulus(Waveform(x, 16000), ConvBank(kernels))
+        out = squared_modulus(x, kernels)
 
         def correlate_same(sig, k):
             h = (len(k) - 1) // 2
@@ -101,19 +132,18 @@ class TestFilterSquaredModulus:
             np.testing.assert_allclose(out[:, n], oracle, atol=1e-12)
 
     def test_bad_rate(self):
-        bank = GaborBank(np.array([0.1]), np.array([20.0]), 101)
         with pytest.raises(BadRate):
-            filter_squared_modulus(Waveform(np.zeros(100), 8000), bank)
+            frontend_forward(Waveform(np.zeros(100), 8000), init_params(CFG, 2), CFG)
 
 
 class TestGaussianLowpassKernel:
     def test_even_and_positive(self):
-        k = gaussian_lowpass_kernel(0.2, 401)
+        k = lowpass_kernel(0.2, 401)
         assert np.all(k > 0)
         np.testing.assert_allclose(k, k[::-1], rtol=1e-15)
 
     def test_center_value_at_default_width(self):
-        k = gaussian_lowpass_kernel(0.4, 401)
+        k = lowpass_kernel(0.4, 401)
         np.testing.assert_allclose(k[200], 1.0 / (math.sqrt(2 * math.pi) * 80.0), rtol=1e-12)
         np.testing.assert_allclose(k[200], 4.9867785e-3, rtol=1e-6)
 
@@ -121,35 +151,31 @@ class TestGaussianLowpassKernel:
         # truncation at +-(P-1)/2 keeps the sum within 1e-3 of 1 up to
         # w ~ 0.3; at the 0.4 init width the deficit is ~1.2e-2
         for w, expected in [(0.05, 1.0), (0.1, 1.0), (0.2, 0.999999463), (0.3, 0.999167346)]:
-            assert abs(gaussian_lowpass_kernel(w, 401).sum() - expected) < 1e-6
-        assert abs(gaussian_lowpass_kernel(0.4, 401).sum() - 0.987798632) < 1e-6
+            assert abs(lowpass_kernel(w, 401).sum() - expected) < 1e-6
+        assert abs(lowpass_kernel(0.4, 401).sum() - 0.987798632) < 1e-6
 
 
 class TestPoolDecimate:
     def test_constant_column_passes_kernel_sum(self):
         f = np.full((4000, 2), 3.0)
-        pool = PoolingParams(np.array([0.4, 0.1]))
-        fm = pool_decimate(f, pool, CFG)
-        interior = fm.values[5:-5]
+        interior = pool(f, [0.4, 0.1])[5:-5]
         for ch, w in enumerate([0.4, 0.1]):
-            ksum = gaussian_lowpass_kernel(w, 401).sum()
+            ksum = lowpass_kernel(w, 401).sum()
             np.testing.assert_allclose(interior[:, ch], 3.0 * ksum, rtol=1e-10)
         # near-unit kernel sum keeps constants within ~1.3% at w = 0.4
         assert np.all(np.abs(interior / 3.0 - 1.0) < 0.02)
 
     def test_frame_count_and_rate(self):
         f = np.zeros((16000, 3))
-        fm = pool_decimate(f, PoolingParams(np.full(3, 0.4)), CFG)
-        assert fm.values.shape == (100, 3)
-        assert fm.frame_rate == 100.0
+        assert pool(f, np.full(3, 0.4)).shape == (100, 3)
+        assert CFG.frame_rate == 100.0
 
     def test_matches_naive_convolution_oracle(self):
         rng = np.random.default_rng(3)
         t, p, stride = 700, 401, 160
         f = np.linspace(0.0, 1.0, t)[:, None] + 0.1 * rng.standard_normal((t, 1))
-        pool = PoolingParams(np.array([0.23]))
-        fm = pool_decimate(f, pool, CFG)
-        k = gaussian_lowpass_kernel(0.23, p)
+        pooled = pool(f, [0.23])
+        k = lowpass_kernel(0.23, p)
         h = (p - 1) // 2
         m = -(-t // stride)
         oracle = np.zeros(m)
@@ -158,69 +184,58 @@ class TestPoolDecimate:
                 u = center + j - h
                 if 0 <= u < t:
                     oracle[idx] += f[u, 0] * k[j]
-        np.testing.assert_allclose(fm.values[:, 0], oracle, atol=1e-10)
+        np.testing.assert_allclose(pooled[:, 0], oracle, atol=1e-10)
 
 
 class TestLogCompress:
     def test_values(self):
-        fm = FeatureMap(np.array([[0.0, 1.0 - 1e-6]]), 100.0)
-        out = log_compress(fm)
-        np.testing.assert_allclose(out.values[0, 0], math.log(1e-6), rtol=1e-12)
-        assert abs(out.values[0, 1]) < 1e-9
+        out = log_graph(np.array([[0.0, 1.0 - 1e-6]])).value
+        np.testing.assert_allclose(out[0, 0], math.log(1e-6), rtol=1e-12)
+        assert abs(out[0, 1]) < 1e-9
 
     def test_monotone(self):
         rng = np.random.default_rng(0)
         a = rng.uniform(0, 10, 50)
         b = a + rng.uniform(1e-6, 1.0, 50)
-        fa = log_compress(FeatureMap(a[None], 100.0)).values
-        fb = log_compress(FeatureMap(b[None], 100.0)).values
+        fa = log_graph(a[None]).value
+        fb = log_graph(b[None]).value
         assert np.all(fb > fa)
-
-    def test_negative_input(self):
-        with pytest.raises(NegativeInput):
-            log_compress(FeatureMap(np.array([[-0.1]]), 100.0))
 
 
 class TestPcenForward:
     def test_identity_parameters(self):
         rng = np.random.default_rng(1)
         values = rng.uniform(0.0, 4.0, (30, 5))
-        p = PcenParams(np.zeros(5), np.zeros(5), np.ones(5), np.full(5, 0.3))
-        out = pcen_forward(FeatureMap(values, 100.0), p)
-        np.testing.assert_array_equal(out.values, values)
+        out = pcen(values, np.zeros(5), np.zeros(5), np.ones(5), np.full(5, 0.3))
+        np.testing.assert_array_equal(out, values)
 
     def test_zero_input_zero_output(self):
-        p = default_pcen(4)
-        out = pcen_forward(FeatureMap(np.zeros((20, 4)), 100.0), p)
-        np.testing.assert_allclose(out.values, 0.0, atol=1e-15)
+        out = pcen(np.zeros((20, 4)), *init_pcen(4))
+        np.testing.assert_allclose(out, 0.0, atol=1e-15)
 
     def test_constant_input_closed_form(self):
         # (1/(1+1e-6)^0.96 + 2)^0.5 - 2^0.5 evaluated at 50-digit precision
-        p = PcenParams(np.full(3, 0.96), np.full(3, 2.0), np.full(3, 2.0), np.full(3, 0.04))
-        out = pcen_forward(FeatureMap(np.ones((50, 3)), 100.0), p)
-        np.testing.assert_allclose(out.values, 0.31783696806790245, rtol=1e-12)
+        p = (np.full(3, 0.96), np.full(3, 2.0), np.full(3, 2.0), np.full(3, 0.04))
+        out = pcen(np.ones((50, 3)), *p)
+        np.testing.assert_allclose(out, 0.31783696806790245, rtol=1e-12)
 
     def test_scaling_up_never_decreases_output(self):
         rng = np.random.default_rng(5)
         values = rng.uniform(0.0, 3.0, (40, 6))
-        p = PcenParams(
+        p = (
             rng.uniform(0.0, 0.99, 6), rng.uniform(0.0, 3.0, 6),
             rng.uniform(1.0, 4.0, 6), rng.uniform(0.01, 0.9, 6),
         )
-        base = pcen_forward(FeatureMap(values, 100.0), p).values
-        scaled = pcen_forward(FeatureMap(1.7 * values, 100.0), p).values
+        base = pcen(values, *p)
+        scaled = pcen(1.7 * values, *p)
         assert np.all(scaled >= base - 1e-12)
 
     def test_no_nan_inf_for_nonnegative_input(self):
         rng = np.random.default_rng(6)
         values = np.abs(rng.standard_normal((60, 8))) * 1e3
         values[0] = 0.0
-        out = pcen_forward(FeatureMap(values, 100.0), default_pcen(8))
-        assert np.all(np.isfinite(out.values))
-
-    def test_negative_input(self):
-        with pytest.raises(NegativeInput):
-            pcen_forward(FeatureMap(np.array([[-1.0]]), 100.0), default_pcen(1))
+        out = pcen(values, *init_pcen(8))
+        assert np.all(np.isfinite(out))
 
 
 class TestFrontendForward:
@@ -237,12 +252,9 @@ class TestFrontendForward:
         assert fm.frame_rate == 100.0
 
     def test_tone_peaks_at_nearest_center(self):
-        bank = gabor_params_from_mels(mel_config_for(CFG), 401)
-        x = tone(1000.0)
-        squared = filter_squared_modulus(x, bank)
-        pooled = pool_decimate(squared, default_pooling(40), CFG)
-        profile = pooled.values.mean(axis=0)
-        nearest = int(np.argmin(np.abs(bank.center_freqs * 16000 - 1000.0)))
+        eta = frontend_param_values(CFG)["eta"]
+        profile = leaf_pooled(tone(1000.0)).mean(axis=0)
+        nearest = int(np.argmin(np.abs(eta * 16000 - 1000.0)))
         assert int(profile.argmax()) == nearest
 
     def test_deterministic(self):
@@ -255,15 +267,11 @@ class TestFrontendForward:
     def test_shift_quasi_invariance(self):
         # eta = 0.1 tone shifted by up to 8 samples: interior pooled outputs
         # move by < 1% relative
-        cfg = CFG
-        bank = gabor_params_from_mels(mel_config_for(cfg), 401)
-        pool = default_pooling(40)
         base = None
         x = synth_tones(ToneSpec((1600.0,), (1.0,), 1.2, phases=(0.0,)), 16000)
         for shift in (0, 3, 8):
             shifted = Waveform(x.samples[shift: shift + 16000], 16000)
-            fm = pool_decimate(filter_squared_modulus(shifted, bank), pool, cfg)
-            interior = fm.values[10:-10]
+            interior = leaf_pooled(shifted)[10:-10]
             if base is None:
                 base = interior
             else:
@@ -273,13 +281,13 @@ class TestFrontendForward:
 
 class TestMelFrontend:
     def test_zero_input_log(self):
-        fm = mel_frontend_forward(Waveform(np.zeros(16000), 16000), mel_config_for(CFG))
+        fm = frontend_forward(Waveform(np.zeros(16000), 16000), init_params(MEL, 2), MEL)
         np.testing.assert_allclose(fm.values, math.log(1e-6), rtol=1e-9)
         assert fm.values.shape == (100, 40)
 
     def test_tone_argmax_channel(self):
-        mel_cfg = mel_config_for(CFG)
-        fm = mel_frontend_forward(tone(1000.0), mel_cfg)
+        mel_cfg = mel_config_for(MEL)
+        fm = frontend_forward(tone(1000.0), init_params(MEL, 2), MEL)
         profile = fm.values.mean(axis=0)
         rows = mel_matrix(mel_cfg)
         target_bin = round(1000 / 16000 * 512)
@@ -287,13 +295,14 @@ class TestMelFrontend:
         assert int(profile.argmax()) == expected
 
     def test_spcen_compression(self):
-        fm = mel_frontend_forward(tone(500.0, 0.5), mel_config_for(CFG), compression="spcen")
+        cfg = variant_config("mel-pcen")
+        fm = frontend_forward(tone(500.0, 0.5), init_params(cfg, 2), cfg)
         assert fm.values.shape == (50, 40)
         assert np.all(np.isfinite(fm.values))
 
     def test_bad_rate(self):
         with pytest.raises(BadRate):
-            mel_frontend_forward(Waveform(np.zeros(8000), 8000), mel_config_for(CFG))
+            frontend_forward(Waveform(np.zeros(8000), 8000), init_params(MEL, 2), MEL)
 
 
 class TestParamCount:
@@ -333,8 +342,8 @@ class TestRenormalizeConv:
         rng = np.random.default_rng(4)
         kernels = rng.standard_normal((4, 101))
         x = tone(900.0, duration=0.05)
-        a = filter_squared_modulus(x, renormalize_conv(ConvBank(kernels)))
-        b = filter_squared_modulus(x, renormalize_conv(ConvBank(10.0 * kernels)))
+        a = squared_modulus(x.samples, renormalize_conv(ConvBank(kernels)).kernels)
+        b = squared_modulus(x.samples, renormalize_conv(ConvBank(10.0 * kernels)).kernels)
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
 

@@ -17,11 +17,11 @@ from leafaudio.gabor import (
     frequency_response,
     gabor_impulse_response,
     gabor_params_from_mels,
-    gabor_real_imag,
     mel_matrix,
-    project_constraints,
     sigma_max,
 )
+from leafaudio.frontend import FrontendConfig, gabor_kernel_graph
+from leafaudio.params import ParamSet, project_params
 
 
 def mel_oracle_breakpoints(n_filters, fmin, fmax):
@@ -96,9 +96,10 @@ class TestImpulseResponse:
         assert phi[center].imag == 0.0
 
     def test_even_real_odd_imag(self):
-        bank = GaborBank(np.array([0.123, 0.4]), np.array([12.0, 30.0]), 101)
+        # kernel rows 2n and 2n+1 are channel n's real and imaginary filters
+        kernels = gabor_kernel_graph(np.array([0.123, 0.4]), np.array([12.0, 30.0]), 101).value
         for n in range(2):
-            re, im = gabor_real_imag(bank, n)
+            re, im = kernels[2 * n], kernels[2 * n + 1]
             np.testing.assert_allclose(re, re[::-1], atol=1e-15)
             np.testing.assert_allclose(im, -im[::-1], atol=1e-15)
 
@@ -109,29 +110,34 @@ class TestImpulseResponse:
         assert spectrum.argmax() == round(0.25 * 1024)
 
 
+def project_bank(eta, sigma, filter_len=401):
+    """(eta, sigma) after the optimizer's constraint projection."""
+    cfg = FrontendConfig(filter_len=filter_len)
+    out = project_params(ParamSet({"eta": np.asarray(eta, dtype=float),
+                                   "sigma": np.asarray(sigma, dtype=float)}), cfg)
+    return out["eta"], out["sigma"]
+
+
 class TestProjectConstraints:
     def test_eta_clamp(self):
-        bank = GaborBank(np.array([0.7, -0.2]), np.array([100.0, 100.0]), 401)
-        out = project_constraints(bank)
-        np.testing.assert_array_equal(out.center_freqs, [0.5, 0.0])
+        eta, _ = project_bank([0.7, -0.2], [100.0, 100.0])
+        np.testing.assert_array_equal(eta, [0.5, 0.0])
 
     def test_sigma_clamp_lower(self):
-        bank = GaborBank(np.array([0.1]), np.array([1.0]), 401)
-        out = project_constraints(bank)
-        np.testing.assert_allclose(out.inv_bandwidths[0], 4.0 * math.sqrt(2.0 * math.log(2.0)))
+        _, sigma = project_bank([0.1], [1.0])
+        np.testing.assert_allclose(sigma[0], 4.0 * math.sqrt(2.0 * math.log(2.0)))
 
     def test_in_range_bank_unchanged_bit_exact(self):
-        bank = GaborBank(np.array([0.1, 0.3]), np.array([50.0, 200.0]), 401)
-        out = project_constraints(bank)
-        assert np.array_equal(out.center_freqs, bank.center_freqs)
-        assert np.array_equal(out.inv_bandwidths, bank.inv_bandwidths)
+        eta, sigma = np.array([0.1, 0.3]), np.array([50.0, 200.0])
+        out_eta, out_sigma = project_bank(eta, sigma)
+        assert np.array_equal(out_eta, eta)
+        assert np.array_equal(out_sigma, sigma)
 
     def test_idempotent(self):
-        bank = GaborBank(np.array([-3.0, 9.9]), np.array([0.01, 1e6]), 401)
-        once = project_constraints(bank)
-        twice = project_constraints(once)
-        assert np.array_equal(once.center_freqs, twice.center_freqs)
-        assert np.array_equal(once.inv_bandwidths, twice.inv_bandwidths)
+        once = project_bank([-3.0, 9.9], [0.01, 1e6])
+        twice = project_bank(*once)
+        assert np.array_equal(once[0], twice[0])
+        assert np.array_equal(once[1], twice[1])
 
     @given(
         st.lists(st.floats(-1e9, 1e9, allow_nan=False), min_size=1, max_size=8),
@@ -140,10 +146,9 @@ class TestProjectConstraints:
     @settings(max_examples=100, deadline=None)
     def test_invariants_hold_for_arbitrary_input(self, eta, sigma):
         n = min(len(eta), len(sigma))
-        bank = GaborBank(np.array(eta[:n]), np.array(sigma[:n]), 401)
-        out = project_constraints(bank)
-        assert np.all((out.center_freqs >= 0.0) & (out.center_freqs <= 0.5))
-        assert np.all((out.inv_bandwidths >= SIGMA_MIN) & (out.inv_bandwidths <= sigma_max(401)))
+        out_eta, out_sigma = project_bank(eta[:n], sigma[:n])
+        assert np.all((out_eta >= 0.0) & (out_eta <= 0.5))
+        assert np.all((out_sigma >= SIGMA_MIN) & (out_sigma <= sigma_max(401)))
 
 
 class TestFrequencyResponse:

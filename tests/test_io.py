@@ -82,9 +82,9 @@ class TestSnapshots:
             load_params(tmp_path / "snap")
 
     def test_matrix_shape_preserved(self, tmp_path):
-        params = ParamSet({"head_weights": np.ones((5, 3), dtype=np.float32)})
+        params = ParamSet({"head0_weights": np.ones((5, 3), dtype=np.float32)})
         save_params(tmp_path / "m", params)
-        assert load_params(tmp_path / "m")["head_weights"].shape == (5, 3)
+        assert load_params(tmp_path / "m")["head0_weights"].shape == (5, 3)
 
 
 class TestConfigFile:

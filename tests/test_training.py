@@ -5,10 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
-from leafaudio.autodiff import loss_and_grad, perturbed_params
-from leafaudio.errors import LengthMismatch, ShapeMismatch, UnknownTask
+from leafaudio.autodiff import perturbed_params
+from leafaudio.errors import BadRate, LengthMismatch, ShapeMismatch, UnknownTask
 from leafaudio.frontend import FrontendConfig, variant_config
 from leafaudio.params import ParamSet, init_multitask_params
+from leafaudio.signal import Waveform
 from leafaudio.tasks import TaskSpec, generate_example, make_task, sample_batch
 from leafaudio.training import (
     AdamState,
@@ -37,7 +38,7 @@ def micro_task(name="pitch", snr_db=30.0, task_id=0, duration_s=0.1, num_classes
 
 class TestAdam:
     def test_zero_gradient_leaves_params_unchanged(self):
-        params = ParamSet({"head_weights": np.ones((3, 2)), "head_bias": np.zeros(2)})
+        params = ParamSet({"head0_weights": np.ones((3, 2)), "head0_bias": np.zeros(2)})
         grads = ParamSet({k: np.zeros_like(v) for k, v in params.items()})
         state = init_adam(params, lr=0.1)
         state2, params2 = adam_step(state, params, grads, MICRO)
@@ -46,40 +47,40 @@ class TestAdam:
             np.testing.assert_array_equal(params2[k], params[k])
 
     def test_first_step_moves_by_lr_times_sign(self):
-        params = ParamSet({"head_bias": np.array([1.0, -2.0, 3.0])})
-        grads = ParamSet({"head_bias": np.array([0.5, -0.1, 2.0])})
+        params = ParamSet({"head0_bias": np.array([1.0, -2.0, 3.0])})
+        grads = ParamSet({"head0_bias": np.array([0.5, -0.1, 2.0])})
         state = init_adam(params, lr=1e-3)
         _, params2 = adam_step(state, params, grads, MICRO)
-        delta = params2["head_bias"] - params["head_bias"]
-        np.testing.assert_allclose(delta, -1e-3 * np.sign(grads["head_bias"]), rtol=1e-6)
+        delta = params2["head0_bias"] - params["head0_bias"]
+        np.testing.assert_allclose(delta, -1e-3 * np.sign(grads["head0_bias"]), rtol=1e-6)
 
     def test_quadratic_bowl_converges_and_matches_reference(self):
         # independent inline ADAM oracle run side by side
-        params = ParamSet({"head_bias": np.array([1.0, 1.0])})
+        params = ParamSet({"head0_bias": np.array([1.0, 1.0])})
         state = init_adam(params, lr=0.1)
         theta_ref = np.array([1.0, 1.0])
         m = np.zeros(2)
         v = np.zeros(2)
         for t in range(1, 201):
-            g = 2.0 * params["head_bias"]
-            state, params = adam_step(state, params, grads=ParamSet({"head_bias": g}), cfg=MICRO)
+            g = 2.0 * params["head0_bias"]
+            state, params = adam_step(state, params, grads=ParamSet({"head0_bias": g}), cfg=MICRO)
             g_ref = 2.0 * theta_ref
             m = 0.9 * m + 0.1 * g_ref
             v = 0.999 * v + 0.001 * g_ref ** 2
             theta_ref = theta_ref - 0.1 * (m / (1 - 0.9 ** t)) / (np.sqrt(v / (1 - 0.999 ** t)) + 1e-8)
-            np.testing.assert_allclose(params["head_bias"], theta_ref, atol=1e-12)
-        assert np.all(np.abs(params["head_bias"]) < 1e-2)
+            np.testing.assert_allclose(params["head0_bias"], theta_ref, atol=1e-12)
+        assert np.all(np.abs(params["head0_bias"]) < 1e-2)
 
     def test_projection_applied_after_step(self):
-        params = ParamSet({"eta": np.array([0.4999]), "head_bias": np.zeros(1)})
-        grads = ParamSet({"eta": np.array([-1.0]), "head_bias": np.zeros(1)})
+        params = ParamSet({"eta": np.array([0.4999]), "head0_bias": np.zeros(1)})
+        grads = ParamSet({"eta": np.array([-1.0]), "head0_bias": np.zeros(1)})
         state = init_adam(params, lr=0.1)
         _, params2 = adam_step(state, params, grads, MICRO)
         assert params2["eta"][0] == 0.5  # clamped back into range
 
     def test_shape_mismatch(self):
-        params = ParamSet({"head_bias": np.zeros(3)})
-        grads = ParamSet({"head_bias": np.zeros(4)})
+        params = ParamSet({"head0_bias": np.zeros(3)})
+        grads = ParamSet({"head0_bias": np.zeros(4)})
         state = init_adam(params, lr=0.1)
         with pytest.raises(ShapeMismatch):
             adam_step(state, params, grads, MICRO)
@@ -95,23 +96,6 @@ def triples(task, n, seed, task_index=0):
 
 
 class TestMultitaskLoss:
-    def test_single_task_reduces_to_batch_loss(self):
-        task = micro_task()
-        batch3 = triples(task, 5, seed=1)
-        params_multi = init_multitask_params(MICRO, [task.num_classes])
-        rng = np.random.default_rng(2)
-        jitter = {k: v + 0.01 * rng.standard_normal(v.shape) for k, v in params_multi.items()}
-        params_multi = ParamSet(jitter)
-        model = MultiHead(params_multi, MICRO, (task.num_classes,))
-        multi = multitask_loss(batch3, model)
-
-        single_params = ParamSet({
-            (k.replace("head0_", "head_") if k.startswith("head0_") else k): v
-            for k, v in params_multi.items()
-        })
-        single, _ = loss_and_grad([(x, y) for x, y, _ in batch3], single_params, MICRO)
-        np.testing.assert_allclose(multi, single, rtol=1e-9)
-
     def test_two_task_split_recompute(self):
         t0 = micro_task("pitch", task_id=0)
         t1 = micro_task("am", task_id=1, duration_s=0.1)
@@ -143,6 +127,25 @@ class TestMultitaskLoss:
         params = init_multitask_params(MICRO, [t0.num_classes])
         batch = triples(t0, 2, seed=7, task_index=3)
         with pytest.raises(UnknownTask):
+            multitask_loss_and_grad(batch, params, MICRO, 1)
+
+    @pytest.mark.parametrize("case, error", [
+        ("empty", ValueError),
+        ("unequal_lengths", ValueError),
+        ("rate_8k", BadRate),
+    ])
+    def test_batch_input_validation(self, case, error):
+        t0 = micro_task()
+        params = init_multitask_params(MICRO, [t0.num_classes])
+        batch = triples(t0, 2, seed=8)
+        (x, y, k) = batch[1]
+        if case == "empty":
+            batch = []
+        elif case == "unequal_lengths":
+            batch[1] = (Waveform(x.samples[:-1], x.sample_rate), y, k)
+        else:
+            batch[1] = (Waveform(x.samples, 8000), y, k)
+        with pytest.raises(error):
             multitask_loss_and_grad(batch, params, MICRO, 1)
 
 
@@ -203,11 +206,8 @@ class TestEvaluate:
     def test_two_second_clip_averages_identical_windows(self):
         task = micro_task(duration_s=0.1)
         params = perturbed_params(MICRO, num_classes=task.num_classes, seed=23)
-        values = {k.replace("head_", "head0_"): v for k, v in params.items()}
-        model = MultiHead(ParamSet(values), MICRO, (task.num_classes,))
+        model = MultiHead(params, MICRO, (task.num_classes,))
         wav = generate_example(task, 1, seed=29)
-        from leafaudio.signal import Waveform
-
         doubled = Waveform(np.tile(wav.samples, 2), wav.sample_rate)
         one = clip_logits(model, wav, window=len(wav.samples))
         two = clip_logits(model, doubled, window=len(wav.samples))
@@ -251,6 +251,7 @@ class TestNoiseSweep:
         rows = noise_sweep(task, [np.inf, 0.0], variants, seed=31,
                            steps=6, batch_size=4, lr=1e-3, eval_clips=20, n_seeds=1)
         assert len(rows) == 2
+        assert set(rows[0]) == {"variant", "snr_db", "accuracies", "mean_accuracy"}
         assert rows[0]["variant"] == "leaf"
         assert rows[0]["snr_db"] == np.inf
         assert len(rows[0]["accuracies"]) == 1
