@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as leafio
 from .autodiff import grad_check_report
-from .errors import LeafError
+from .errors import LeafError, ShapeMismatch
 from .frontend import (
     FrontendConfig,
     frontend_forward,
@@ -126,10 +126,14 @@ def _load_or_init_params(args, cfg, num_classes=2) -> ParamSet:
     if not getattr(args, "model", None):
         return init_params(cfg, num_classes)
     params = leafio.load_params(args.model)
+    flags = f"--frontend {variant_name(cfg)}, --filters {cfg.n_filters}"
     frontend = ParamSet({k: v for k, v in params.items() if not k.startswith("head")})
     frontend.require_congruent(frontend_param_values(cfg),
-                               what=f"frontend parameters in {args.model} (--frontend "
-                                    f"{variant_name(cfg)}, --filters {cfg.n_filters})")
+                               what=f"frontend parameters in {args.model} ({flags})")
+    for key, value in params.items():
+        if key.startswith("head") and key.endswith("_weights") and value.shape[0] != cfg.n_filters:
+            raise ShapeMismatch(f"{key} in {args.model} has {value.shape[0]} rows, "
+                                f"not one per channel ({flags})")
     return params
 
 
@@ -144,7 +148,9 @@ def cmd_extract(args) -> int:
         return 0
     mel_cfg = None
     if args.config:
-        mel_cfg = leafio.apply_mel_config(leafio.parse_config_file(args.config), mel_config_for(cfg))
+        # the grid has one filter per channel of cfg, where --filters wins over the file
+        mel_cfg = replace(leafio.apply_mel_config(leafio.parse_config_file(args.config), mel_config_for(cfg)),
+                          n_filters=cfg.n_filters)
     fm = frontend_forward(wav, _load_or_init_params(args, cfg), cfg, mel_cfg)
     print(f"frontend={variant_name(cfg)} n_filters={cfg.n_filters} "
           f"learnable_params={param_count(cfg)} frames={fm.n_frames} channels={fm.n_channels}")

@@ -2,9 +2,10 @@
 
 The learnable frontend is squared-modulus Gabor (or free-kernel) filtering
 at the input rate, per-channel Gaussian lowpass pooling with decimation,
-and log / PCEN / sPCEN compression.  The mel baseline replaces the first
-two stages with an STFT power spectrogram projected on triangular mel
-filters.
+and log / PCEN / sPCEN compression.  The first two stages are one tape
+op, ``tape.filter_pool``; the PCEN smoother is another, ``tape.ema``.  The
+mel baseline replaces the first two stages with an STFT power spectrogram
+projected on triangular mel filters.
 
 Every stage is written once, over tape variables, in ``features_graph``;
 training differentiates it and ``frontend_forward``, the one eager entry
@@ -170,26 +171,13 @@ def pool_kernel_graph(widths, pool_len):
     return _gaussian_rows(sigma_t, t)
 
 
-def squared_modulus_graph(xs, kernels):
-    """|x * phi|^2 via 2N real correlations and pairwise square-sums."""
-    corr = tape.bank_correlate(xs, kernels)
-    return tape.paired_square_sum(corr)
-
-
 def log_graph(feats):
     return tape.log(feats + LOG_FLOOR)
 
 
 def pcen_graph(feats, alpha, delta, root, smooth, eps=PCEN_EPS):
-    """PCEN over (B, N, M) features with backprop through the EMA."""
-    n_frames = tape._value(feats).shape[2]
-    state = feats[:, :, 0]
-    frames = [state]
-    one_minus = 1.0 - smooth
-    for t in range(1, n_frames):
-        state = one_minus * state + smooth * feats[:, :, t]
-        frames.append(state)
-    ema = tape.stack(frames, axis=-1)
+    """PCEN over (B, N, M) features, smoothed by one ``tape.ema`` node."""
+    ema = tape.ema(feats, smooth)
     n = np.shape(tape._value(alpha))[0]
     alpha_col = tape.reshape(alpha, (n, 1))
     delta_col = tape.reshape(delta, (n, 1))
@@ -228,9 +216,8 @@ def pooled_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig, mel_cfg: 
         kernels = gabor_kernel_graph(leaves["eta"], leaves["sigma"], cfg.filter_len)
     else:
         kernels = leaves["conv_kernels"]
-    squared = squared_modulus_graph(xs, kernels)
     pool_kernels = pool_kernel_graph(leaves["pool_widths"], cfg.pool_len)
-    return tape.depthwise_pool(squared, pool_kernels, cfg.pool_stride)
+    return tape.filter_pool(xs, kernels, pool_kernels, cfg.pool_stride)
 
 
 def features_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig, mel_cfg: MelInitConfig | None = None):

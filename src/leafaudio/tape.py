@@ -9,13 +9,22 @@ Only the operations this package needs exist here.  Operands that are not
 ``Var`` (python scalars, numpy arrays) are treated as constants and never
 become graph nodes, which both keeps graphs small and preserves the float32
 dtype of training graphs under NEP-50 promotion rules.
+
+Two fused primitives carry the frontend's cost, each one node with a
+hand-written adjoint: :func:`filter_pool` (FFT filterbank, squared modulus
+and strided pooling; its correlations are kept only while its kernels are
+differentiated) and :func:`ema` (the PCEN moving average over all frames).
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as _fft
+
+FFT_BLOCK = 16384
 
 __all__ = [
     "Var",
@@ -32,9 +41,8 @@ __all__ = [
     "reduce_mean",
     "reshape",
     "stack",
-    "bank_correlate",
-    "paired_square_sum",
-    "depthwise_pool",
+    "filter_pool",
+    "ema",
     "softmax_cross_entropy",
 ]
 
@@ -361,114 +369,176 @@ def matmul(a, b):
 # -- DSP primitives -------------------------------------------------------
 
 
-def bank_correlate(x, kernels):
-    """Same-padded cross-correlation of a signal batch with a filter bank.
+def _block_layout(n_samples, width):
+    """(FFT length, output span per block, block count) for overlap-save.
 
-    ``x`` has shape (B, T), ``kernels`` (C, W) with W odd; the result has
-    shape (B, C, T) with ``out[b, c, t] = sum_j x[b, t+j-h] * k[c, j]`` for
-    ``h = (W-1)//2`` and zero padding outside the signal.  Computed by FFT
-    with enough zero padding that the circular product equals the linear
-    correlation exactly.
+    A signal that fits ``FFT_BLOCK`` is one block at the shortest fast
+    length that keeps the circular correlation free of wrap-around.  A
+    longer one is cut into blocks of ``FFT_BLOCK`` samples whose spans of
+    valid output tile the signal; each block carries its own halos.
     """
-    vx, vk = _value(x), _value(kernels)
+    half = (width - 1) // 2
+    size = _fft.next_fast_len(max(n_samples + half, width), real=True)
+    # a kernel wider than half a block gets a longer block, so spans stay > W
+    block = max(FFT_BLOCK, _fft.next_fast_len(2 * width, real=True))
+    if size <= block:
+        return size, n_samples, 1
+    span = block - (width - 1)
+    return block, span, -(-n_samples // span)
+
+
+def filter_pool(x, kernels, pool_kernels, stride):
+    """Squared-modulus filterbank followed by depthwise lowpass pooling.
+
+    ``x`` (B, T) is a constant signal batch.  ``kernels`` (2N, W) holds the
+    real and imaginary parts of complex filter n in rows 2n and 2n+1, and
+    ``pool_kernels`` (N, P) one lowpass kernel per channel; W and P are
+    odd.  With h = (W-1)/2, hp = (P-1)/2 and zeros outside the signal::
+
+        corr[b, c, t] = sum_j x[b, t + j - h] * kernels[c, j]
+        energy[b, n, t] = corr[b, 2n, t]**2 + corr[b, 2n+1, t]**2
+        out[b, n, m] = sum_p energy[b, n, m*stride + p - hp] * pool_kernels[n, p]
+
+    for m < M = ceil(T / stride); the result has shape (B, N, M).  The
+    correlation is an FFT product, exact up to rounding, taken block by
+    block (overlap-save) when T exceeds ``FFT_BLOCK``.  Only ``kernels``
+    and ``pool_kernels`` are differentiated.
+    """
+    if _live(x):
+        raise ValueError("filter_pool does not differentiate its signal; pass x as a constant")
+    vx, vk, vp = _value(x), _value(kernels), _value(pool_kernels)
     batch, n_samples = vx.shape
     n_kernels, width = vk.shape
-    if width % 2 != 1:
+    n, pool_width = vp.shape
+    if width % 2 != 1 or pool_width % 2 != 1:
         raise ValueError("kernel length must be odd")
-    half = (width - 1) // 2
-    # L >= T + h already keeps every used lag of the circular correlation
-    # free of wrap-around (alias terms need L <= T + h - 1 to reach support)
-    size = _fft.next_fast_len(max(n_samples + half, width), real=True)
-    xf = _fft.rfft(vx, size, axis=-1)
-    # kernel laid out circularly with its center at index 0, so the product
-    # yields out[t] at array index t with no final roll
+    if n_kernels != 2 * n:
+        raise ValueError(f"{n_kernels} filter kernels do not pair with {n} pooling kernels")
+    half, pool_half = (width - 1) // 2, (pool_width - 1) // 2
+    size, span, n_blocks = _block_layout(n_samples, width)
+    dtype = np.result_type(vx.dtype, vk.dtype, np.float32)
+
+    # block i holds x[i*span - h : i*span + size - h], rotated left by h so
+    # that output i*span + r lands at index r against a centered kernel
+    padded = np.zeros((batch, (n_blocks - 1) * span + size), dtype=vx.dtype)
+    padded[:, half: half + n_samples] = vx
+    frames = sliding_window_view(padded, size, axis=1)[:, ::span]
+    blocks = np.empty((batch, n_blocks, size), dtype=vx.dtype)
+    blocks[..., : size - half] = frames[..., half:]
+    blocks[..., size - half:] = frames[..., :half]
+    xf = _fft.rfft(blocks, axis=-1)
+    # rows reordered to [all real; all imaginary], so that the two halves
+    # are contiguous slabs; each kernel laid out circularly with its center
+    # at index 0
+    split = np.concatenate([vk[0::2], vk[1::2]])
     shifted = np.zeros((n_kernels, size), dtype=vk.dtype)
-    shifted[:, : width - half] = vk[:, half:]
-    shifted[:, size - half:] = vk[:, :half]
-    kf = _fft.rfft(shifted, axis=-1)
-    full = _fft.irfft(xf[:, None, :] * np.conj(kf)[None, :, :], size, axis=-1)
-    out = full[..., :n_samples]
+    shifted[:, : width - half] = split[:, half:]
+    shifted[:, size - half:] = split[:, :half]
+    kf_conj = np.conj(_fft.rfft(shifted, axis=-1))
 
-    def vjp(g):
-        gf = _fft.rfft(g, size, axis=-1)
-        gk = gx = None
-        if _live(kernels):
-            spec = np.einsum("bf,bcf->cf", xf, np.conj(gf))
-            dk_full = _fft.irfft(spec, size, axis=-1)
-            gk = np.concatenate([dk_full[:, size - half:], dk_full[:, : width - half]], axis=-1)
-            gk = gk.astype(vk.dtype, copy=False)
-        if _live(x):
-            spec = np.einsum("bcf,cf->bf", gf, kf)
-            dx_full = _fft.irfft(spec, size, axis=-1)
-            gx = dx_full[:, :n_samples].astype(vx.dtype, copy=False)
-        return gx, gk
+    live = _live(kernels) or _live(pool_kernels)
+    energy = np.zeros((batch, n, n_samples + pool_width - 1), dtype=dtype)
+    corrs = []  # per (batch row, block), kept for the kernel gradient
+    for b in range(batch):
+        for i in range(n_blocks):
+            corr = _fft.irfft(xf[b, i] * kf_conj, size, axis=-1)
+            start = i * span
+            keep = min(span, n_samples - start)
+            dest = energy[b, :, pool_half + start: pool_half + start + keep]
+            np.multiply(corr[:n, :keep], corr[:n, :keep], out=dest)
+            dest += corr[n:, :keep] * corr[n:, :keep]
+            if live:
+                corrs.append(corr)
 
-    return _node(out, (x, kernels), vjp)
-
-
-def paired_square_sum(corr):
-    """Squared l2-pooling over adjacent channel pairs.
-
-    ``corr`` has shape (B, 2N, T); channel pairs (2n, 2n+1) act as the real
-    and imaginary parts of one complex channel, so the output (B, N, T) is
-    their squared modulus.  Fused so the backward pass scatters straight
-    into one gradient buffer.
-    """
-    vc = _value(corr)
-    even = vc[:, 0::2, :]
-    odd = vc[:, 1::2, :]
-    out = even * even
-    out += odd * odd
-
-    def vjp(g):
-        acc = np.empty_like(vc)
-        acc[:, 0::2, :] = g * even
-        acc[:, 1::2, :] = g * odd
-        acc *= 2.0
-        return (acc,)
-
-    return _node(out, (corr,), vjp)
-
-
-def depthwise_pool(signal, kernels, stride):
-    """Per-channel same-padded correlation followed by decimation.
-
-    ``signal`` has shape (B, N, T), ``kernels`` (N, P) with P odd.  Channel n
-    is correlated with kernel n under zero padding and sampled at indices
-    0, stride, 2*stride, ...; the output has shape (B, N, M) with
-    ``M = ceil(T / stride)``.
-    """
-    vf, vk = _value(signal), _value(kernels)
-    batch, n_channels, n_samples = vf.shape
-    _, width = vk.shape
-    if width % 2 != 1:
-        raise ValueError("kernel length must be odd")
-    half = (width - 1) // 2
     n_frames = -(-n_samples // stride)
-    padded = np.zeros((batch, n_channels, n_samples + width - 1), dtype=vf.dtype)
-    padded[..., half: half + n_samples] = vf
-    windows = sliding_window_view(padded, width, axis=2)[:, :, ::stride][:, :, :n_frames]
-    out = np.einsum("bnmp,np->bnm", windows, vk)
+    windows = sliding_window_view(energy, pool_width, axis=2)[:, :, ::stride][:, :, :n_frames]
+    out = np.einsum("bnmp,np->bnm", windows, vp)
 
     def vjp(g):
-        gk = gf = None
+        gk = gp = None
+        if _live(pool_kernels):
+            gp = np.einsum("bnm,bnmp->np", g, windows)
         if _live(kernels):
-            gk = np.einsum("bnm,bnmp->np", g, windows)
-        if _live(signal):
-            # scatter g[m] * k[j] into position m*stride + j, blockwise: with
-            # q = m*stride + j = (m + dj)*stride + r the writes per dj are
-            # contiguous (B, N, M, stride) panels instead of strided columns
-            n_blocks = -(-(n_samples + width - 1) // stride)
-            blocks = np.zeros((batch, n_channels, n_blocks + 1, stride), dtype=vf.dtype)
-            g4 = g[:, :, :, None]
-            for dj in range(-(-width // stride)):
-                chunk = vk[:, dj * stride: (dj + 1) * stride]
-                blocks[:, :, dj: dj + n_frames, : chunk.shape[1]] += g4 * chunk[None, :, None, :]
-            acc = blocks.reshape(batch, n_channels, -1)
-            gf = acc[..., half: half + n_samples]
-        return gf, gk
+            d_energy = _transposed_pool(g, vp, stride, n_samples, dtype)
+            spec = None
+            gf = np.empty((batch, n_kernels, size // 2 + 1), dtype=np.result_type(dtype, np.complex64))
+            for i in range(n_blocks):
+                start = i * span
+                keep = min(span, n_samples - start)
+                # 2 g corr, written into a zero-tailed buffer of FFT length
+                d_corr = np.zeros((n_kernels, size), dtype=dtype)
+                for b in range(batch):
+                    corr, d_e = corrs[b * n_blocks + i], d_energy[b, :, start: start + keep]
+                    np.multiply(d_e, corr[:n, :keep], out=d_corr[:n, :keep])
+                    np.multiply(d_e, corr[n:, :keep], out=d_corr[n:, :keep])
+                    d_corr *= 2.0
+                    gf[b] = _fft.rfft(d_corr, axis=-1)
+                term = np.einsum("bf,bcf->cf", xf[:, i], np.conjugate(gf, out=gf))
+                spec = term if spec is None else spec + term
+            dk_full = _fft.irfft(spec, size, axis=-1)
+            d_split = np.concatenate([dk_full[:, size - half:], dk_full[:, : width - half]], axis=-1)
+            gk = np.empty_like(vk)
+            gk[0::2], gk[1::2] = d_split[:n], d_split[n:]
+        return None, gk, gp
 
-    return _node(out, (signal, kernels), vjp)
+    return _node(out, (x, kernels, pool_kernels), vjp)
+
+
+def _transposed_pool(g, pool_kernels, stride, n_samples, dtype):
+    """Adjoint of strided pooling: (B, N, M) frame grads to (B, N, T)."""
+    batch, n_channels, n_frames = g.shape
+    width = pool_kernels.shape[1]
+    half = (width - 1) // 2
+    # scatter g[m] * k[j] into position m*stride + j, blockwise: with
+    # q = m*stride + j = (m + dj)*stride + r the writes per dj are
+    # contiguous (B, N, M, stride) panels instead of strided columns
+    n_blocks = -(-(n_samples + width - 1) // stride)
+    blocks = np.zeros((batch, n_channels, n_blocks + 1, stride), dtype=dtype)
+    g4 = g[:, :, :, None]
+    for dj in range(-(-width // stride)):
+        chunk = pool_kernels[:, dj * stride: (dj + 1) * stride]
+        blocks[:, :, dj: dj + n_frames, : chunk.shape[1]] += g4 * chunk[None, :, None, :]
+    return blocks.reshape(batch, n_channels, -1)[..., half: half + n_samples]
+
+
+def ema(feats, smooth):
+    """Per-channel exponential moving average along the last axis.
+
+    ``feats`` has shape (..., N, M) and ``smooth`` (N,)::
+
+        out[..., 0] = feats[..., 0]
+        out[..., t] = (1 - smooth) * out[..., t-1] + smooth * feats[..., t]
+
+    The adjoint runs the same recurrence backwards in time.
+    """
+    vf, vs = _value(feats), _value(smooth)
+    keep = 1.0 - vs
+    n_frames = vf.shape[-1]
+    out = np.empty(vf.shape, dtype=np.result_type(vf, vs))
+    out[..., 0] = vf[..., 0]
+    for t in range(1, n_frames):
+        out[..., t] = keep * out[..., t - 1] + vs * vf[..., t]
+
+    def vjp(g):
+        adj = np.empty_like(out)  # d root / d out[..., t], all paths summed
+        adj[..., -1] = g[..., -1]
+        for t in range(n_frames - 1, 0, -1):
+            adj[..., t - 1] = g[..., t - 1] + adj[..., t] * keep
+        gf = gs = None
+        if _live(feats):
+            gf = adj * vs[:, None]
+            gf[..., 0] = adj[..., 0]
+        if _live(smooth) and n_frames > 1:
+            # d/d(1 - s) summed late to early, then d/ds early to late: the
+            # order of a graph with one node per frame, so float32 gradients
+            # keep the bits of that graph
+            d_keep = functools.reduce(np.add, (
+                _unbroadcast(adj[..., t] * out[..., t - 1], vs.shape) for t in range(n_frames - 1, 0, -1)))
+            gs = functools.reduce(np.add, (
+                _unbroadcast(adj[..., t] * vf[..., t], vs.shape) for t in range(1, n_frames)), -d_keep)
+        return gf, gs
+
+    return _node(out, (feats, smooth), vjp)
 
 
 def softmax_cross_entropy(logits, labels, reduction="mean"):

@@ -107,6 +107,13 @@ class TestSnapshots:
         assert code == 1
         assert capsys.readouterr().err.startswith("ShapeMismatch:")
 
+    def test_mel_snapshot_head_rows_are_checked(self, tmp_path, capsys):
+        save_params(tmp_path / "mel8", init_params(variant_config("mel", n_filters=8), 3))
+        code = main(["eval", "--model", str(tmp_path / "mel8"), "--n", "4", "--frontend", "mel",
+                     "--filters", "6"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("ShapeMismatch:")
+
     def test_extract_and_inspect_share_the_check(self, leaf6, tone_wav, capsys):
         assert main(["extract", "--input", str(tone_wav), "--model", str(leaf6),
                      "--frontend", "leaf"]) == 1
@@ -239,3 +246,14 @@ class TestConfigPrecedence:
         out = capsys.readouterr().out
         assert "n_filters=12" in out  # flag wins over config file
         assert "learnable_params=36" in out  # 3N for gabor+log
+
+    @pytest.mark.parametrize("variant", ["mel", "mel-pcen"])
+    def test_filters_flag_sets_the_mel_grid(self, variant, tone_wav, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n_filters=10\nfmax=7000\n")
+        out = tmp_path / "mel.leaf"
+        code = main(["extract", "--input", str(tone_wav), "--config", str(cfg),
+                     "--frontend", variant, "--filters", "12", "--out", str(out)])
+        assert code == 0
+        assert "n_filters=12" in capsys.readouterr().out
+        assert read_feature_file(out).n_channels == 12

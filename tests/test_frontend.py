@@ -1,6 +1,7 @@
 """Tests for filtering, pooling, compression, and the mel baseline."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from leafaudio.frontend import (
     pool_kernel_graph,
     pooled_graph,
     renormalize_conv,
-    squared_modulus_graph,
     variant_config,
 )
 from leafaudio.gabor import GaborBank, gabor_impulse_response, mel_matrix
@@ -35,8 +35,9 @@ def tone(freq, duration=1.0, amp=1.0, phase=0.0, rate=16000):
 
 
 def squared_modulus(samples, kernels):
-    """(T, N) squared-modulus filterbank output of one clip."""
-    return squared_modulus_graph(np.asarray(samples)[None, :], kernels).value[0].T
+    """(T, N) squared-modulus filterbank output of one clip (identity pooling)."""
+    n = np.shape(kernels)[0] // 2
+    return tape.filter_pool(np.asarray(samples)[None, :], kernels, np.ones((n, 1)), 1).value[0].T
 
 
 def gabor_kernels(bank: GaborBank):
@@ -48,9 +49,20 @@ def lowpass_kernel(width, pool_len=401):
 
 
 def pool(f, widths, cfg=CFG):
-    """Depthwise Gaussian lowpass + decimation of a (T, N) matrix to (M, N)."""
+    """Depthwise Gaussian lowpass + decimation of a (T, N) matrix to (M, N).
+
+    The width-1 kernel pair (1, 0) applied to sqrt(f) leaves energy f, one
+    channel per call; pooling is linear, so signed f pools as f+ - f-.
+    """
     kernels = pool_kernel_graph(np.asarray(widths, dtype=np.float64), cfg.pool_len).value
-    return tape.depthwise_pool(np.ascontiguousarray(f.T)[None], kernels, cfg.pool_stride).value[0].T
+    unit = np.array([[1.0], [0.0]])
+
+    def nonnegative(part):
+        return np.stack([tape.filter_pool(np.sqrt(part[:, c])[None], unit, kernels[c: c + 1],
+                                          cfg.pool_stride).value[0, 0]
+                         for c in range(f.shape[1])], axis=1)
+
+    return nonnegative(np.maximum(f, 0.0)) - nonnegative(np.maximum(-f, 0.0))
 
 
 def pcen(values, alpha, delta, root, smooth, eps=1e-6):
@@ -277,6 +289,20 @@ class TestFrontendForward:
             else:
                 rel = np.abs(interior - base) / (np.abs(base).max())
                 assert rel.max() < 0.01
+
+    def test_long_clip_peak_memory(self):
+        # 10 s at float64: the filter stage works block by block, so no
+        # (2N, T) correlation or (2N, T/2) spectrum is held at once
+        params = frontend_param_values(CFG)
+        x = Waveform(0.1 * np.random.default_rng(0).standard_normal(160000), 16000)
+        tracemalloc.start()
+        try:
+            fm = frontend_forward(x, params, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fm.values.shape == (1000, 40)
+        assert peak <= 300 * 2 ** 20
 
 
 class TestMelFrontend:

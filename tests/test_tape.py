@@ -1,8 +1,9 @@
 """Unit tests for the reverse-mode engine.
 
 Every operation's vjp is checked against central finite differences on
-random inputs; the FFT convolution primitives are additionally checked
-against naive O(T*W) loops.
+random inputs; the fused filter-pool primitive is additionally checked
+against naive O(T*W) loops and np.correlate, the moving average against
+a frame-by-frame loop.
 """
 
 import numpy as np
@@ -145,43 +146,45 @@ def direct_correlate_same(x, k):
     return out
 
 
+def identity_pool(n, dtype=np.float64):
+    """Pooling kernels and stride that make filter_pool return |x * phi|^2."""
+    return np.ones((n, 1), dtype=dtype), 1
+
+
+def paired_with_zero(k):
+    """(C, W) kernels -> (2C, W) pairs (k_c, 0), so channel c is corr(x, k_c)^2."""
+    pairs = np.zeros((2 * k.shape[0], k.shape[1]), dtype=k.dtype)
+    pairs[0::2] = k
+    return pairs
+
+
 class TestBankCorrelate:
+    """The correlation stage of filter_pool, isolated by identity pooling."""
+
     def test_matches_direct_oracle(self):
         x = RNG.standard_normal((2, 37))
         k = RNG.standard_normal((3, 9))
-        out = tape.bank_correlate(tape.constant(x), tape.constant(k)).value
+        out = tape.filter_pool(tape.constant(x), tape.constant(paired_with_zero(k)), *identity_pool(3)).value
         for b in range(2):
             for c in range(3):
-                np.testing.assert_allclose(out[b, c], direct_correlate_same(x[b], k[c]), atol=1e-12)
+                np.testing.assert_allclose(out[b, c], direct_correlate_same(x[b], k[c]) ** 2, atol=1e-12)
 
     def test_kernel_gradient(self):
         x = RNG.standard_normal((2, 23))
-        k = RNG.standard_normal((2, 7))
+        k = RNG.standard_normal((4, 7))
         weights = RNG.standard_normal((2, 2, 23))
 
         def loss(kv):
-            return tape.reduce_sum(tape.bank_correlate(tape.constant(x), kv) * weights)
+            return tape.reduce_sum(tape.filter_pool(x, kv, *identity_pool(2)) * weights)
 
         _, analytic = tape_grad(loss, k)
         numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), k)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
-    def test_signal_gradient(self):
-        x = RNG.standard_normal((2, 19))
-        k = RNG.standard_normal((3, 5))
-        weights = RNG.standard_normal((2, 3, 19))
-
-        def loss(xv):
-            return tape.reduce_sum(tape.bank_correlate(xv, tape.constant(k)) * weights)
-
-        _, analytic = tape_grad(loss, x)
-        numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), x)
-        np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
-
     def test_preserves_float32(self):
         x = RNG.standard_normal((1, 50)).astype(np.float32)
         k = RNG.standard_normal((2, 11)).astype(np.float32)
-        out = tape.bank_correlate(tape.constant(x), tape.constant(k))
+        out = tape.filter_pool(tape.constant(x), tape.constant(k), *identity_pool(1, np.float32))
         assert out.value.dtype == np.float32
 
 
@@ -199,39 +202,158 @@ def direct_pool(f, k, stride):
     return out
 
 
+UNIT_PAIR = np.array([[1.0], [0.0]])
+
+
+def pool_via_filter(f, k, stride):
+    """Depthwise pooling of f (B, N, T) through filter_pool.
+
+    The width-1 pair (1, 0) applied to sqrt(f) leaves energy f, so each
+    channel is one call; pooling is linear, so signed f pools as f+ - f-.
+    """
+    def nonnegative(part):
+        return np.stack([tape.filter_pool(np.sqrt(part[:, c]), UNIT_PAIR, k[c: c + 1], stride).value[:, 0]
+                         for c in range(f.shape[1])], axis=1)
+
+    return nonnegative(np.maximum(f, 0.0)) - nonnegative(np.maximum(-f, 0.0))
+
+
 class TestDepthwisePool:
+    """The pooling stage of filter_pool."""
+
     def test_matches_direct_oracle(self):
         f = RNG.standard_normal((2, 3, 41))
         k = RNG.standard_normal((3, 7))
-        out = tape.depthwise_pool(tape.constant(f), tape.constant(k), 5).value
+        out = pool_via_filter(f, k, 5)
         np.testing.assert_allclose(out, direct_pool(f, k, 5), atol=1e-12)
 
     def test_frame_count(self):
         f = np.zeros((1, 1, 16000))
         k = np.ones((1, 3))
-        out = tape.depthwise_pool(tape.constant(f), tape.constant(k), 160).value
+        out = pool_via_filter(f, k, 160)
         assert out.shape == (1, 1, 100)
-        out = tape.depthwise_pool(tape.constant(np.zeros((1, 1, 16001))), tape.constant(k), 160).value
+        out = pool_via_filter(np.zeros((1, 1, 16001)), k, 160)
         assert out.shape == (1, 1, 101)
 
     def test_gradients(self):
-        f = RNG.standard_normal((2, 2, 23))
+        # energies x^2 and 0.34 x^2 from width-1 pairs; the filter-kernel
+        # gradient runs through the transposed pooling
+        x = RNG.standard_normal((2, 23))
+        pairs = np.array([[1.0], [0.0], [0.5], [0.3]])
         k = RNG.standard_normal((2, 5))
         weights = RNG.standard_normal((2, 2, 5))
 
-        def loss_f(fv):
-            return tape.reduce_sum(tape.depthwise_pool(fv, tape.constant(k), 5) * weights)
+        def loss_pairs(pv):
+            return tape.reduce_sum(tape.filter_pool(x, pv, tape.constant(k), 5) * weights)
 
         def loss_k(kv):
-            return tape.reduce_sum(tape.depthwise_pool(tape.constant(f), kv, 5) * weights)
+            return tape.reduce_sum(tape.filter_pool(x, tape.constant(pairs), kv, 5) * weights)
 
-        _, analytic = tape_grad(loss_f, f)
-        numeric = numeric_grad(lambda a: float(loss_f(tape.constant(a)).value), f)
+        _, analytic = tape_grad(loss_pairs, pairs)
+        numeric = numeric_grad(lambda a: float(loss_pairs(tape.constant(a)).value), pairs)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
         _, analytic = tape_grad(loss_k, k)
         numeric = numeric_grad(lambda a: float(loss_k(tape.constant(a)).value), k)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+
+
+def direct_filter_pool(x, kernels, pool_kernels, stride):
+    """Plain-numpy oracle: np.correlate, square-sum, pooling at kept frames."""
+    h = (kernels.shape[1] - 1) // 2
+    hp = (pool_kernels.shape[1] - 1) // 2
+    m = -(-x.shape[1] // stride)
+    corr = np.array([[np.correlate(np.pad(row, h), k, "valid") for k in kernels] for row in x])
+    energy = corr[:, 0::2] ** 2 + corr[:, 1::2] ** 2
+    return np.array([[np.correlate(np.pad(e, hp), pk, "valid")[::stride][:m]
+                      for e, pk in zip(row, pool_kernels)] for row in energy])
+
+
+def unit_rows(rng, shape):
+    k = rng.standard_normal(shape)
+    return k / np.linalg.norm(k, axis=1, keepdims=True)
+
+
+def filter_pool_inputs(rng, n_samples, width, pool_width, n=2, batch=2):
+    x = 0.1 * rng.standard_normal((batch, n_samples))
+    pool_kernels = rng.uniform(0.1, 1.0, (n, pool_width))
+    return x, unit_rows(rng, (2 * n, width)), pool_kernels / pool_kernels.sum(axis=1, keepdims=True)
+
+
+class TestFilterPool:
+    SPAN = tape.FFT_BLOCK - 400  # output samples per block at W = 401
+
+    @pytest.mark.parametrize("n_samples, n_blocks", [
+        (150, 1),  # shorter than the kernel
+        (16000, 1),
+        (tape.FFT_BLOCK - 200 - 1, 1),
+        (tape.FFT_BLOCK - 200, 1),
+        (tape.FFT_BLOCK - 200 + 1, 2),
+        (3 * SPAN + 17, 4),
+    ])
+    def test_matches_direct_oracle(self, n_samples, n_blocks):
+        assert tape._block_layout(n_samples, 401)[2] == n_blocks
+        x, kernels, pool_kernels = filter_pool_inputs(np.random.default_rng(n_samples), n_samples, 401, 401)
+        out = tape.filter_pool(x, kernels, pool_kernels, 160).value
+        assert out.shape == (2, 2, -(-n_samples // 160))
+        np.testing.assert_allclose(out, direct_filter_pool(x, kernels, pool_kernels, 160), atol=1e-12)
+
+    @pytest.mark.parametrize("n_samples", [300, 2 * (tape.FFT_BLOCK - 8) + 17])
+    def test_gradients(self, n_samples):
+        rng = np.random.default_rng(n_samples)
+        x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, 5, n=1)
+        weights = rng.standard_normal((2, 1, -(-n_samples // 3)))
+
+        def loss_kernels(kv):
+            return tape.reduce_sum(tape.filter_pool(x, kv, pool_kernels, 3) * weights)
+
+        def loss_pool(pv):
+            return tape.reduce_sum(tape.filter_pool(x, kernels, pv, 3) * weights)
+
+        for loss, value in ((loss_kernels, kernels), (loss_pool, pool_kernels)):
+            _, analytic = tape_grad(loss, value)
+            numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), value)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+
+    def test_float32_in_float32_out(self):
+        x, kernels, pool_kernels = filter_pool_inputs(RNG, 2000, 41, 21)
+        out = tape.filter_pool(x.astype(np.float32), tape.leaf(kernels.astype(np.float32)),
+                               tape.leaf(pool_kernels.astype(np.float32)), 10)
+        assert out.value.dtype == np.float32
+        tape.backward(tape.reduce_sum(out))
+        assert out.parents[1].grad.dtype == out.parents[2].grad.dtype == np.float32
+
+    def test_live_signal_raises(self):
+        x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
+        with pytest.raises(ValueError):
+            tape.filter_pool(tape.leaf(x), kernels, pool_kernels, 4)
+
+
+def ema_loop(f, s):
+    """Frame-by-frame moving average, the recurrence written out."""
+    out = np.empty_like(f)
+    state = f[..., 0]
+    out[..., 0] = state
+    for t in range(1, f.shape[-1]):
+        state = (1.0 - s) * state + s * f[..., t]
+        out[..., t] = state
+    return out
+
+
+class TestEma:
+    def test_matches_frame_loop(self):
+        f = RNG.uniform(0.0, 3.0, (2, 4, 30))
+        s = RNG.uniform(0.01, 0.9, 4)
+        np.testing.assert_array_equal(tape.ema(f, s).value, ema_loop(f, s))
+        f32, s32 = f.astype(np.float32), s.astype(np.float32)
+        np.testing.assert_array_equal(tape.ema(f32, s32).value, ema_loop(f32, s32))
+
+    def test_gradients(self):
+        f = RNG.uniform(0.0, 3.0, (2, 3, 12))
+        s = RNG.uniform(0.05, 0.9, 3)
+        weights = RNG.standard_normal((2, 3, 12))
+        check_op(lambda v: tape.reduce_sum(tape.ema(v, s) * weights), f)
+        check_op(lambda v: tape.reduce_sum(tape.ema(f, v) * weights), s)
 
 
 class TestSoftmaxCrossEntropy:
@@ -287,17 +409,21 @@ class TestBackward:
 
 
 class TestPairedSquareSum:
+    """The square-sum stage of filter_pool: width-1 kernels w give c = w x."""
+
     def test_value_and_gradient(self):
         rng = np.random.default_rng(17)
-        c = rng.standard_normal((2, 4, 9))
-        out = tape.paired_square_sum(tape.constant(c)).value
+        x = rng.standard_normal((2, 9))
+        w = rng.standard_normal((4, 1))
+        c = w[None, :, :] * x[:, None, :]
+        out = tape.filter_pool(x, w, *identity_pool(2)).value
         np.testing.assert_allclose(out, c[:, 0::2] ** 2 + c[:, 1::2] ** 2, rtol=1e-12)
 
         weights = rng.standard_normal((2, 2, 9))
 
         def loss(v):
-            return tape.reduce_sum(tape.paired_square_sum(v) * weights)
+            return tape.reduce_sum(tape.filter_pool(x, v, *identity_pool(2)) * weights)
 
-        _, analytic = tape_grad(loss, c)
-        numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), c)
+        _, analytic = tape_grad(loss, w)
+        numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), w)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
