@@ -28,7 +28,6 @@ from .frontend import (
     variant_config,
     variant_name,
 )
-from .gabor import SQRT_2LOG2
 from .params import ParamSet, frontend_param_values, init_params
 from .signal import load_wav
 from .tasks import make_task
@@ -230,10 +229,11 @@ def cmd_inspect(args) -> int:
 
     eta, sigma = col("eta"), col("sigma")
     if args.what == "filters":
-        print("channel,center_hz,sigma,fwhm")
+        print("channel,center_hz,sigma,fwhm_hz")
         for ch in range(n):
             center = eta[ch] * rate if eta is not None else ""
-            fwhm = 2.0 * SQRT_2LOG2 / sigma[ch] if sigma is not None else ""
+            # half-power width in Hz of the power response exp(-(2 pi sigma f)^2)
+            fwhm = math.sqrt(math.log(2.0)) * rate / (math.pi * float(sigma[ch])) if sigma is not None else ""
             print(f"{ch},{center},{sigma[ch] if sigma is not None else ''},{fwhm}")
         return 0
     print("channel,center_hz,sigma,pool_width,alpha,delta,root,smooth")

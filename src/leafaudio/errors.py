@@ -37,6 +37,10 @@ class ShapeMismatch(LeafError):
     """Parameter, gradient, or optimizer-state shapes disagree."""
 
 
+class CorruptSnapshot(LeafError, ValueError):
+    """Snapshot directory lacks a file, or a file disagrees with its manifest."""
+
+
 class UnknownTask(LeafError):
     """Batch example refers to a task id with no matching head."""
 

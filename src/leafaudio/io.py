@@ -3,7 +3,9 @@
 Feature file layout (little-endian): magic ``LEAF``, u32 version = 1,
 u32 frame count M, u32 channel count N, u32 frame rate, then M*N float32
 values in time-major order.  Snapshots store each parameter vector in the
-same container (frame rate 0) plus a manifest of name, length, and CRC32.
+same container (frame rate 0) plus a manifest of name, length, and CRC32;
+a missing file or a block that disagrees with the manifest fails to load
+with ``CorruptSnapshot``.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CorruptSnapshot
 from .frontend import FeatureMap, FrontendConfig
 from .gabor import MelInitConfig
 from .params import ParamSet
@@ -79,20 +82,36 @@ def save_params(directory, params: ParamSet) -> None:
 
 
 def load_params(directory) -> ParamSet:
+    """Read a snapshot; a missing or damaged file raises CorruptSnapshot."""
     directory = Path(directory)
-    manifest = (directory / "manifest.txt").read_text().strip().splitlines()
+    # a damaged byte decodes to U+FFFD, so its line fails one of the checks below
+    manifest = _read_snapshot_file(directory / "manifest.txt").decode(errors="replace")
     values = {}
-    for line in manifest:
-        name, length, checksum = line.split(",")
+    for line in manifest.strip().splitlines():
+        try:
+            name, length, checksum = line.split(",")
+            length = int(length)
+        except ValueError:
+            raise CorruptSnapshot(f"{directory / 'manifest.txt'}: malformed line {line!r}") from None
         path = directory / f"{name}.leaf"
-        payload = path.read_bytes()[HEADER.size:]
+        payload = _read_snapshot_file(path)[HEADER.size:]
         if f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}" != checksum:
-            raise ValueError(f"{path}: checksum mismatch")
-        value = _read_array(path)
-        if value.size != int(length):
-            raise ValueError(f"{path}: length mismatch")
+            raise CorruptSnapshot(f"{path}: checksum mismatch")
+        try:
+            value = _read_array(path)
+        except ValueError as err:  # a damaged header; the checksum covers the payload only
+            raise CorruptSnapshot(str(err)) from None
+        if value.size != length:
+            raise CorruptSnapshot(f"{path}: length mismatch")
         values[name] = value
     return ParamSet(values)
+
+
+def _read_snapshot_file(path) -> bytes:
+    try:
+        return Path(path).read_bytes()
+    except FileNotFoundError:
+        raise CorruptSnapshot(f"{path}: missing") from None
 
 
 def parse_config_file(path) -> dict:

@@ -14,6 +14,15 @@ Two fused primitives carry the frontend's cost, each one node with a
 hand-written adjoint: :func:`filter_pool` (FFT filterbank, squared modulus
 and strided pooling; its correlations are kept only while its kernels are
 differentiated) and :func:`ema` (the PCEN moving average over all frames).
+
+The kernel adjoint of :func:`filter_pool` works one batch row at a time.
+The row's frame gradient, times the 2 of d|z|^2, is spread back over the
+samples by the transposed pooling, one batched matmul over the channels.
+Then, one FFT block at a time, ``2 g corr`` is written into one reused
+FFT-length buffer and transformed, and its spectrum times the conjugate
+input spectrum is added into a single (2N, F) accumulator.  One inverse
+FFT of the sum gives the kernel gradient.  No full-rate array spans more
+than one row, apart from the correlations the forward pass keeps.
 """
 
 from __future__ import annotations
@@ -459,23 +468,25 @@ def filter_pool(x, kernels, pool_kernels, stride):
         if _live(pool_kernels):
             gp = np.einsum("bnm,bnmp->np", g, windows)
         if _live(kernels):
-            d_energy = _transposed_pool(g, vp, stride, n_samples, dtype)
-            spec = None
-            gf = np.empty((batch, n_kernels, size // 2 + 1), dtype=np.result_type(dtype, np.complex64))
-            for i in range(n_blocks):
-                start = i * span
-                keep = min(span, n_samples - start)
-                # 2 g corr, written into a zero-tailed buffer of FFT length
-                d_corr = np.zeros((n_kernels, size), dtype=dtype)
-                for b in range(batch):
-                    corr, d_e = corrs[b * n_blocks + i], d_energy[b, :, start: start + keep]
+            # the kernel gradient's spectrum is the sum over rows and blocks
+            # of xf conj(rfft(d corr)), accumulated as its conjugate:
+            # conj(a) b = conj(a conj(b)) exactly
+            spec = np.zeros((n_kernels, size // 2 + 1), dtype=np.result_type(dtype, np.complex64))
+            d_corr = np.zeros((n_kernels, size), dtype=dtype)  # zero past ``keep``
+            for b in range(batch):
+                # d corr = 2 d_energy corr; the 2 is folded into g (exact)
+                d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, dtype)[0]
+                for i in range(n_blocks):
+                    start = i * span
+                    keep = min(span, n_samples - start)
+                    d_corr[:, keep:span] = 0.0  # a short last block: clear the previous block's tail
+                    corr, d_e = corrs[b * n_blocks + i], d_energy[:, start: start + keep]
                     np.multiply(d_e, corr[:n, :keep], out=d_corr[:n, :keep])
                     np.multiply(d_e, corr[n:, :keep], out=d_corr[n:, :keep])
-                    d_corr *= 2.0
-                    gf[b] = _fft.rfft(d_corr, axis=-1)
-                term = np.einsum("bf,bcf->cf", xf[:, i], np.conjugate(gf, out=gf))
-                spec = term if spec is None else spec + term
-            dk_full = _fft.irfft(spec, size, axis=-1)
+                    term = _fft.rfft(d_corr, axis=-1)
+                    term *= np.conj(xf[b, i])
+                    spec += term
+            dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
             d_split = np.concatenate([dk_full[:, size - half:], dk_full[:, : width - half]], axis=-1)
             gk = np.empty_like(vk)
             gk[0::2], gk[1::2] = d_split[:n], d_split[n:]
@@ -485,20 +496,28 @@ def filter_pool(x, kernels, pool_kernels, stride):
 
 
 def _transposed_pool(g, pool_kernels, stride, n_samples, dtype):
-    """Adjoint of strided pooling: (B, N, M) frame grads to (B, N, T)."""
+    """Adjoint of strided pooling: (B, N, M) frame grads to (B, N, T).
+
+    Frame m reads haloed energy m*stride + p, so position c*stride + r
+    takes sum_j g[c - j] * k[j*stride + r], with the kernel zero-padded to
+    J = ceil(P / stride) panels of ``stride`` taps.  Each stride-wide
+    output panel c is the lag window (g[c], g[c-1], ..., g[c-J+1]) times
+    the (J, stride) kernel panels: one batched (B, N, Q, J) @ (N, J, stride)
+    matmul.  The Q panels cover both the last frame's reach, M + J - 1,
+    and the haloed signal, which is the longer one when P < stride.
+    """
     batch, n_channels, n_frames = g.shape
     width = pool_kernels.shape[1]
     half = (width - 1) // 2
-    # scatter g[m] * k[j] into position m*stride + j, blockwise: with
-    # q = m*stride + j = (m + dj)*stride + r the writes per dj are
-    # contiguous (B, N, M, stride) panels instead of strided columns
-    n_blocks = -(-(n_samples + width - 1) // stride)
-    blocks = np.zeros((batch, n_channels, n_blocks + 1, stride), dtype=dtype)
-    g4 = g[:, :, :, None]
-    for dj in range(-(-width // stride)):
-        chunk = pool_kernels[:, dj * stride: (dj + 1) * stride]
-        blocks[:, :, dj: dj + n_frames, : chunk.shape[1]] += g4 * chunk[None, :, None, :]
-    return blocks.reshape(batch, n_channels, -1)[..., half: half + n_samples]
+    taps = -(-width // stride)
+    n_panels = max(n_frames + taps - 1, -(-(n_samples + half) // stride))
+    lagged = np.zeros((batch, n_channels, n_panels + taps - 1), dtype=dtype)
+    lagged[..., taps - 1: taps - 1 + n_frames] = g
+    lags = np.ascontiguousarray(sliding_window_view(lagged, taps, axis=2)[..., ::-1])
+    panels = np.zeros((n_channels, taps * stride), dtype=dtype)
+    panels[:, :width] = pool_kernels
+    d_energy = np.matmul(lags, panels.reshape(n_channels, taps, stride))
+    return d_energy.reshape(batch, n_channels, -1)[..., half: half + n_samples]
 
 
 def ema(feats, smooth):

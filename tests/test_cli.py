@@ -7,6 +7,7 @@ import pytest
 
 from leafaudio.cli import main
 from leafaudio.frontend import frontend_forward, variant_config
+from leafaudio.gabor import GaborBank, frequency_response, gabor_impulse_response
 from leafaudio.io import load_params, read_feature_file, save_params
 from leafaudio.params import ParamSet, init_params
 from leafaudio.signal import ToneSpec, load_wav, synth_tones
@@ -122,6 +123,19 @@ class TestSnapshots:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("ShapeMismatch:") for line in err)
 
+    @pytest.mark.parametrize("damage", ["missing block", "flipped byte"])
+    def test_damaged_snapshot_is_corrupt_snapshot(self, leaf6, damage, capsys):
+        block = leaf6 / "eta.leaf"
+        if damage == "missing block":
+            block.unlink()
+        else:
+            blob = bytearray(block.read_bytes())
+            blob[-1] ^= 0xFF
+            block.write_bytes(bytes(blob))
+        code = main(["inspect", "--model", str(leaf6)] + self.LEAF6)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("CorruptSnapshot:")
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self):
@@ -169,8 +183,18 @@ class TestInspect:
         code = main(["inspect", "--frontend", "leaf", "--what", "filters"])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[0] == "channel,center_hz,sigma,fwhm"
+        assert lines[0] == "channel,center_hz,sigma,fwhm_hz"
         assert len(lines) == 41
+
+    def test_fwhm_is_the_half_power_width_in_hz(self, capsys):
+        assert main(["inspect", "--frontend", "leaf", "--what", "filters"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
+        n_points = 2 ** 18
+        for ch, center_hz, sigma, fwhm_hz in rows:
+            bank = GaborBank(np.array([float(center_hz) / 16000]), np.array([float(sigma)]), 401)
+            power = frequency_response(gabor_impulse_response(bank, 0), n_points)
+            measured_hz = (power >= 0.5 * power.max()).sum() * 16000 / n_points
+            np.testing.assert_allclose(float(fwhm_hz), measured_hz, rtol=0.02, err_msg=f"channel {ch}")
 
     def test_params_view_header(self, capsys):
         code = main(["inspect", "--frontend", "leaf", "--what", "params"])

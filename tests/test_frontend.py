@@ -23,8 +23,10 @@ from leafaudio.frontend import (
     variant_config,
 )
 from leafaudio.gabor import GaborBank, gabor_impulse_response, mel_matrix
-from leafaudio.params import frontend_param_values, init_params
+from leafaudio.params import frontend_param_values, init_multitask_params, init_params
 from leafaudio.signal import ToneSpec, Waveform, synth_tones
+from leafaudio.tasks import make_task, sample_batch
+from leafaudio.training import multitask_loss_and_grad
 
 CFG = FrontendConfig()
 MEL = variant_config("mel")
@@ -303,6 +305,21 @@ class TestFrontendForward:
             tracemalloc.stop()
         assert fm.values.shape == (1000, 40)
         assert peak <= 300 * 2 ** 20
+
+    def test_train_step_peak_memory(self):
+        # one leaf step, B=16, 1 s, float32: besides the kept correlations
+        # the backward holds one row's energy gradient and FFT buffers, not
+        # a (B, 2N, F) spectrum or per-panel (B, N, M, stride) products
+        cfg = variant_config("leaf")
+        batch = sample_batch([make_task("pitch")], 16, seed=0, step=0)
+        params = init_multitask_params(cfg, [make_task("pitch").num_classes], dtype=np.float32)
+        tracemalloc.start()
+        try:
+            multitask_loss_and_grad(batch, params, cfg, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 224 * 2 ** 20
 
 
 class TestMelFrontend:

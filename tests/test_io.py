@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from leafaudio.errors import CorruptSnapshot
 from leafaudio.frontend import FeatureMap, FrontendConfig
 from leafaudio.gabor import MelInitConfig
 from leafaudio.io import (
@@ -80,6 +81,30 @@ class TestSnapshots:
         target.write_bytes(bytes(blob))
         with pytest.raises(ValueError):
             load_params(tmp_path / "snap")
+
+    @pytest.mark.parametrize("damage", [
+        "missing manifest", "missing block", "malformed line", "length", "payload byte",
+        "header byte", "manifest byte",
+    ])
+    def test_damage_is_corrupt_snapshot(self, damage, tmp_path):
+        save_params(tmp_path, ParamSet({"eta": np.linspace(0, 0.5, 8, dtype=np.float32)}))
+        manifest, block = tmp_path / "manifest.txt", tmp_path / "eta.leaf"
+        if damage == "missing manifest":
+            manifest.unlink()
+        elif damage == "missing block":
+            block.unlink()
+        elif damage == "malformed line":
+            manifest.write_text(manifest.read_text().replace(",8,", ",eight,"))
+        elif damage == "length":
+            manifest.write_text(manifest.read_text().replace(",8,", ",9,"))
+        else:
+            target, at = {"payload byte": (block, -1), "header byte": (block, 0),
+                          "manifest byte": (manifest, 0)}[damage]
+            blob = bytearray(target.read_bytes())
+            blob[at] ^= 0xFF
+            target.write_bytes(bytes(blob))
+        with pytest.raises(CorruptSnapshot):
+            load_params(tmp_path)
 
     def test_matrix_shape_preserved(self, tmp_path):
         params = ParamSet({"head0_weights": np.ones((5, 3), dtype=np.float32)})

@@ -2,8 +2,8 @@
 
 Every operation's vjp is checked against central finite differences on
 random inputs; the fused filter-pool primitive is additionally checked
-against naive O(T*W) loops and np.correlate, the moving average against
-a frame-by-frame loop.
+against naive O(T*W) loops and np.correlate, its pooling adjoint against
+an np.add.at scatter, the moving average against a frame-by-frame loop.
 """
 
 import numpy as np
@@ -298,17 +298,23 @@ class TestFilterPool:
         assert out.shape == (2, 2, -(-n_samples // 160))
         np.testing.assert_allclose(out, direct_filter_pool(x, kernels, pool_kernels, 160), atol=1e-12)
 
-    @pytest.mark.parametrize("n_samples", [300, 2 * (tape.FFT_BLOCK - 8) + 17])
-    def test_gradients(self, n_samples):
+    @pytest.mark.parametrize("n_samples, pool_width, stride", [
+        pytest.param(300, 5, 3, id="300"),
+        # three blocks, the last keeping 17 samples: a stale backward tail shows
+        pytest.param(2 * (tape.FFT_BLOCK - 8) + 17, 5, 3, id="32769"),
+        # the haloed signal reaches past the last frame's pooling window
+        pytest.param(96, 3, 8, id="pool-narrower-than-stride"),
+    ])
+    def test_gradients(self, n_samples, pool_width, stride):
         rng = np.random.default_rng(n_samples)
-        x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, 5, n=1)
-        weights = rng.standard_normal((2, 1, -(-n_samples // 3)))
+        x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width, n=1)
+        weights = rng.standard_normal((2, 1, -(-n_samples // stride)))
 
         def loss_kernels(kv):
-            return tape.reduce_sum(tape.filter_pool(x, kv, pool_kernels, 3) * weights)
+            return tape.reduce_sum(tape.filter_pool(x, kv, pool_kernels, stride) * weights)
 
         def loss_pool(pv):
-            return tape.reduce_sum(tape.filter_pool(x, kernels, pv, 3) * weights)
+            return tape.reduce_sum(tape.filter_pool(x, kernels, pv, stride) * weights)
 
         for loss, value in ((loss_kernels, kernels), (loss_pool, pool_kernels)):
             _, analytic = tape_grad(loss, value)
@@ -327,6 +333,35 @@ class TestFilterPool:
         x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
         with pytest.raises(ValueError):
             tape.filter_pool(tape.leaf(x), kernels, pool_kernels, 4)
+
+
+def scatter_transposed_pool(g, pool_kernels, stride, n_samples):
+    """np.add.at oracle of the pooling adjoint: frame m's gradient times
+    k[p] lands on haloed energy sample m*stride + p."""
+    batch, n, n_frames = g.shape
+    width = pool_kernels.shape[1]
+    d_energy = np.zeros((batch, n, n_samples + width - 1))
+    where = np.arange(n_frames)[:, None] * stride + np.arange(width)
+    np.add.at(d_energy, (slice(None), slice(None), where), g[..., None] * pool_kernels[:, None, :])
+    half = (width - 1) // 2
+    return d_energy[..., half: half + n_samples]
+
+
+class TestTransposedPool:
+    """The pooling adjoint inside filter_pool's backward."""
+
+    @pytest.mark.parametrize("pool_width, stride, n_samples", [
+        (3, 160, 1600),  # P < stride and T % stride == 0
+        (5, 5, 23),
+        (11, 3, 40),
+        (401, 160, 16000),
+    ])
+    def test_matches_scatter_oracle(self, pool_width, stride, n_samples):
+        rng = np.random.default_rng(pool_width)
+        g = rng.standard_normal((2, 3, -(-n_samples // stride)))
+        k = rng.standard_normal((3, pool_width))
+        out = tape._transposed_pool(g, k, stride, n_samples, np.float64)
+        np.testing.assert_allclose(out, scatter_transposed_pool(g, k, stride, n_samples), rtol=0, atol=1e-12)
 
 
 def ema_loop(f, s):
