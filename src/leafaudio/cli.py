@@ -21,7 +21,6 @@ from .errors import LeafError, ShapeMismatch
 from .frontend import (
     FrontendConfig,
     frontend_forward,
-    mel_config_for,
     param_count,
     pooled_graph,
     require_frontend_rate,
@@ -29,7 +28,7 @@ from .frontend import (
     variant_name,
 )
 from .params import ParamSet, frontend_param_values, init_params
-from .signal import load_wav
+from .signal import FRONTEND_RATE, load_wav
 from .tasks import make_task
 from .training import MultiHead, evaluate, noise_sweep, train
 
@@ -103,21 +102,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(args, name=None) -> FrontendConfig:
+def build_config(args) -> FrontendConfig:
     """Defaults, overridden by --config file keys, overridden by flags."""
-    cfg = variant_config(name or args.frontend or "leaf")
-    if getattr(args, "config", None):
+    cfg = FrontendConfig()
+    if args.config:
         cfg = leafio.apply_config(leafio.parse_config_file(args.config), cfg)
     overrides = {}
+    if args.frontend is not None:
+        variant = variant_config(args.frontend)
+        overrides.update(filtering=variant.filtering, compression=variant.compression)
     if args.filters is not None:
         overrides["n_filters"] = args.filters
-    if getattr(args, "filter_len", None) is not None:
+    if args.filter_len is not None:
         overrides["filter_len"] = args.filter_len
-    if getattr(args, "stride", None) is not None:
+    if args.stride is not None:
         overrides["pool_stride"] = args.stride
-    if overrides:
-        cfg = FrontendConfig(**{**cfg.__dict__, **overrides})
-    return cfg
+    return replace(cfg, **overrides)
 
 
 def _load_or_init_params(args, cfg, num_classes=2) -> ParamSet:
@@ -145,12 +145,7 @@ def cmd_extract(args) -> int:
         for ch, r in enumerate(correlations):
             print(f"{ch},{r:.6f}")
         return 0
-    mel_cfg = None
-    if args.config:
-        # the grid has one filter per channel of cfg, where --filters wins over the file
-        mel_cfg = replace(leafio.apply_mel_config(leafio.parse_config_file(args.config), mel_config_for(cfg)),
-                          n_filters=cfg.n_filters)
-    fm = frontend_forward(wav, _load_or_init_params(args, cfg), cfg, mel_cfg)
+    fm = frontend_forward(wav, _load_or_init_params(args, cfg), cfg)
     print(f"frontend={variant_name(cfg)} n_filters={cfg.n_filters} "
           f"learnable_params={param_count(cfg)} frames={fm.n_frames} channels={fm.n_channels}")
     if args.out:
@@ -222,7 +217,7 @@ def cmd_inspect(args) -> int:
     cfg = build_config(args)
     params = _load_or_init_params(args, cfg)
     n = cfg.n_filters
-    rate = cfg.sample_rate
+    rate = FRONTEND_RATE
 
     def col(key):
         return params[key] if key in params else None

@@ -9,7 +9,10 @@ projected on triangular mel filters.
 
 Every stage is written once, over tape variables, in ``features_graph``;
 training differentiates it and ``frontend_forward``, the one eager entry
-point, evaluates it on a single waveform.
+point, evaluates it on a single waveform.  One ``FrontendConfig`` holds
+every setting, the mel design grid included: the mel baseline and the
+Gabor initialization read the same fmin, fmax and n_fft.  The input rate
+is fixed at ``signal.FRONTEND_RATE``.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tape
 from .errors import BadRate, ZeroFilter
-from .gabor import MEL_ANALYSIS_WIN, GaborBank, MelInitConfig, mel_matrix
+from .gabor import MEL_ANALYSIS_WIN, GaborBank, mel_matrix
 from .signal import FRONTEND_RATE, Waveform
 
 LOG_FLOOR = 1e-6
@@ -43,7 +46,8 @@ FILTERINGS = ("gabor", "normalized_conv", "mel")
 
 @dataclass(frozen=True)
 class FrontendConfig:
-    """Sizes and variant switches shared by all frontends."""
+    """Sizes, variant switches and the mel design grid shared by all
+    frontends."""
 
     n_filters: int = 40
     filter_len: int = 401
@@ -51,7 +55,9 @@ class FrontendConfig:
     pool_stride: int = 160
     compression: str = "spcen"
     filtering: str = "gabor"
-    sample_rate: int = 16000
+    fmin: float = 60.0
+    fmax: float = 7800.0
+    n_fft: int = 512
 
     def __post_init__(self):
         if self.filter_len % 2 != 1:
@@ -64,15 +70,14 @@ class FrontendConfig:
             raise ValueError(f"compression must be one of {COMPRESSIONS}")
         if self.filtering not in FILTERINGS:
             raise ValueError(f"filtering must be one of {FILTERINGS}")
+        if not (0 <= self.fmin < self.fmax <= FRONTEND_RATE / 2):
+            raise ValueError(f"need 0 <= fmin < fmax <= {FRONTEND_RATE // 2}")
+        if self.n_fft <= 0 or self.n_fft & (self.n_fft - 1):
+            raise ValueError("n_fft must be a power of two")
 
     @property
     def frame_rate(self) -> float:
-        return self.sample_rate / self.pool_stride
-
-
-def mel_config_for(cfg: FrontendConfig) -> MelInitConfig:
-    """Design grid used both for mel baselines and Gabor initialization."""
-    return MelInitConfig(n_filters=cfg.n_filters, sample_rate=cfg.sample_rate)
+        return FRONTEND_RATE / self.pool_stride
 
 
 def pool_width_bounds(pool_len: int) -> tuple[float, float]:
@@ -199,18 +204,17 @@ def stft_power(xs: np.ndarray, n_fft: int, hop: int, win_length: int = STFT_WIN_
     return np.abs(spectrum) ** 2
 
 
-def mel_power_features(xs: np.ndarray, mel_cfg: MelInitConfig, hop: int) -> np.ndarray:
-    """STFT power projected on the mel filterbank, (B, M, N)."""
-    power = stft_power(xs, mel_cfg.n_fft, hop)
-    return power @ mel_matrix(mel_cfg).T
+def mel_power_features(xs: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
+    """STFT power at hop ``pool_stride`` projected on the mel filterbank, (B, M, N)."""
+    power = stft_power(xs, cfg.n_fft, cfg.pool_stride)
+    return power @ mel_matrix(cfg).T
 
 
-def pooled_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig, mel_cfg: MelInitConfig | None = None):
+def pooled_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig):
     """Pre-compression energies (B, N, M): filtering and pooling, or the mel
     projection at the same frame rate."""
     if cfg.filtering == "mel":
-        mel_cfg = mel_cfg or mel_config_for(cfg)
-        feats = mel_power_features(xs.astype(np.float64), mel_cfg, cfg.pool_stride)
+        feats = mel_power_features(xs.astype(np.float64), cfg)
         return tape.constant(np.ascontiguousarray(feats.transpose(0, 2, 1)).astype(xs.dtype))
     if cfg.filtering == "gabor":
         kernels = gabor_kernel_graph(leaves["eta"], leaves["sigma"], cfg.filter_len)
@@ -220,14 +224,14 @@ def pooled_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig, mel_cfg: 
     return tape.filter_pool(xs, kernels, pool_kernels, cfg.pool_stride)
 
 
-def features_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig, mel_cfg: MelInitConfig | None = None):
+def features_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig):
     """Pre-classifier features (B, N, M) for any frontend variant.
 
     ``leaves`` maps parameter names to Vars (or arrays, treated as
     constants): eta/sigma or conv_kernels, pool_widths, and pcen_* as the
-    variant requires.  ``mel_cfg`` overrides the mel variant's design grid.
+    variant requires.
     """
-    pooled = pooled_graph(xs, leaves, cfg, mel_cfg)
+    pooled = pooled_graph(xs, leaves, cfg)
     if cfg.compression == "log":
         return log_graph(pooled)
     if cfg.compression == "spcen":
@@ -242,11 +246,10 @@ def require_frontend_rate(x: Waveform) -> None:
         raise BadRate(f"frontend requires {FRONTEND_RATE} Hz input, got {x.sample_rate} Hz")
 
 
-def frontend_forward(x: Waveform, params: Mapping, cfg: FrontendConfig,
-                     mel_cfg: MelInitConfig | None = None) -> FeatureMap:
+def frontend_forward(x: Waveform, params: Mapping, cfg: FrontendConfig) -> FeatureMap:
     """Full frontend on one waveform: filtering, pooling, compression."""
     require_frontend_rate(x)
-    out = features_graph(x.samples[None, :], params, cfg, mel_cfg)
+    out = features_graph(x.samples[None, :], params, cfg)
     return FeatureMap(out.value[0].T.copy(), cfg.frame_rate)
 
 

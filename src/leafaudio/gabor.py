@@ -8,19 +8,32 @@ Gaussian of unit peak centered at eta_n.
 
 Initialization matches a triangular mel filterbank: each channel's center
 comes from the triangle's peak bin and its sigma from the triangle's full
-width at half maximum on the design grid.
+width at half maximum on the design grid.  The grid (n_filters, fmin,
+fmax, n_fft) and filter_len are read from a ``frontend.FrontendConfig``,
+the same config the mel baseline uses; the sample rate is
+``signal.FRONTEND_RATE``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateTriangle
+from .signal import FRONTEND_RATE
+
+if TYPE_CHECKING:
+    from .frontend import FrontendConfig
 
 SQRT_2LOG2 = math.sqrt(2.0 * math.log(2.0))
+# The sigma range [4 sqrt(2 ln 2), 2W sqrt(2 ln 2)] is the image of a nominal
+# response FWHM in [1/2, 1/W] under sigma = 2 sqrt(2 ln 2) / fwhm, a convention
+# that treats the response's standard deviation as 1/sigma (the physical
+# width of the implemented kernel is 2 pi smaller): fwhm = 1/2 gives the
+# widest allowed filter, fwhm = 1/W the narrowest.
 SIGMA_MIN = 4.0 * SQRT_2LOG2
 
 
@@ -51,23 +64,6 @@ class GaborBank:
         return len(self.center_freqs)
 
 
-@dataclass(frozen=True)
-class MelInitConfig:
-    """Design grid for the triangular mel filterbank."""
-
-    n_filters: int = 40
-    sample_rate: int = 16000
-    fmin: float = 60.0
-    fmax: float = 7800.0
-    n_fft: int = 512
-
-    def __post_init__(self):
-        if not (0 <= self.fmin < self.fmax <= self.sample_rate / 2):
-            raise ValueError("need 0 <= fmin < fmax <= sample_rate/2")
-        if self.n_fft <= 0 or self.n_fft & (self.n_fft - 1):
-            raise ValueError("n_fft must be a power of two")
-
-
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
@@ -76,19 +72,19 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_breakpoints(cfg: MelInitConfig) -> np.ndarray:
+def mel_breakpoints(cfg: FrontendConfig) -> np.ndarray:
     """The N+2 triangle breakpoint frequencies, equally spaced in mel."""
     mels = np.linspace(hz_to_mel(cfg.fmin), hz_to_mel(cfg.fmax), cfg.n_filters + 2)
     return mel_to_hz(mels)
 
 
-def mel_matrix(cfg: MelInitConfig) -> np.ndarray:
+def mel_matrix(cfg: FrontendConfig) -> np.ndarray:
     """Triangular mel filterbank sampled on the FFT-bin grid.
 
     Returns an (N, n_fft/2+1) matrix; each row is peak-normalized to 1.
     """
     breaks = mel_breakpoints(cfg)
-    bin_hz = cfg.sample_rate / cfg.n_fft
+    bin_hz = FRONTEND_RATE / cfg.n_fft
     nearest = np.round(breaks / bin_hz).astype(int)
     if np.any(np.diff(nearest) == 0):
         raise DegenerateTriangle("adjacent mel breakpoints fall on the same FFT bin")
@@ -106,19 +102,6 @@ def mel_matrix(cfg: MelInitConfig) -> np.ndarray:
     return out
 
 
-def fwhm_to_sigma(fwhm_norm: float) -> float:
-    """Constraint-bookkeeping map between a nominal response FWHM and sigma.
-
-    This is the convention under which the sigma range [4*sqrt(2 ln 2),
-    2W*sqrt(2 ln 2)] corresponds exactly to FWHM in [1/W, 1/2]:
-    fwhm = 1/2 gives the widest allowed filter and fwhm = 1/W the
-    narrowest.  Note it treats the response's standard deviation as
-    1/sigma; the physical DTFT width of the implemented kernel is 2*pi
-    smaller, which is why initialization (below) uses the physical map.
-    """
-    return 2.0 * SQRT_2LOG2 / fwhm_norm
-
-
 MEL_ANALYSIS_WIN = 400  # Hann analysis window of the mel baseline, samples
 
 
@@ -130,7 +113,7 @@ def hann_power_fwhm(win_length: int = MEL_ANALYSIS_WIN, oversample: int = 64) ->
     return 2.0 * float((spectrum >= 0.5 * spectrum.max()).sum()) / grid
 
 
-def gabor_params_from_mels(cfg: MelInitConfig, filter_len: int) -> GaborBank:
+def gabor_params_from_mels(cfg: FrontendConfig) -> GaborBank:
     """One Gabor filter per mel triangle, matched so that the frontends'
     pre-compression outputs agree at initialization.
 
@@ -140,17 +123,15 @@ def gabor_params_from_mels(cfg: MelInitConfig, filter_len: int) -> GaborBank:
     the mel pipeline's own Hann analysis window; without the window term
     the low channels come out visibly narrower than their mel counterparts.
     """
-    if filter_len % 2 != 1:
-        raise ValueError("filter_len must be odd")
     mel_matrix(cfg)  # validates grid support / degeneracy
     breaks = mel_breakpoints(cfg)
-    centers = breaks[1:-1] / cfg.sample_rate
+    centers = breaks[1:-1] / FRONTEND_RATE
     # peak-normalized triangle crosses 1/2 midway up each side
-    fwhm_triangle = (breaks[2:] - breaks[:-2]) / (2.0 * cfg.sample_rate)
+    fwhm_triangle = (breaks[2:] - breaks[:-2]) / (2.0 * FRONTEND_RATE)
     fwhm_effective = np.sqrt(fwhm_triangle ** 2 + hann_power_fwhm() ** 2)
     sigma = np.sqrt(np.log(2.0)) / (np.pi * fwhm_effective)
-    sigma = np.clip(sigma, SIGMA_MIN, sigma_max(filter_len))
-    return GaborBank(centers, sigma, filter_len)
+    sigma = np.clip(sigma, SIGMA_MIN, sigma_max(cfg.filter_len))
+    return GaborBank(centers, sigma, cfg.filter_len)
 
 
 def time_grid(filter_len: int) -> np.ndarray:

@@ -3,23 +3,25 @@
 Feature file layout (little-endian): magic ``LEAF``, u32 version = 1,
 u32 frame count M, u32 channel count N, u32 frame rate, then M*N float32
 values in time-major order.  Snapshots store each parameter vector in the
-same container (frame rate 0) plus a manifest of name, length, and CRC32;
-a missing file or a block that disagrees with the manifest fails to load
-with ``CorruptSnapshot``.
+same container (frame rate 0) plus a manifest of name, length, and the
+CRC32 of the whole block file, header included; a missing file or a block
+that disagrees with the manifest fails to load with ``CorruptSnapshot``.
+
+A config file's keys are ``FrontendConfig`` field names; any other key is
+rejected.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import CorruptSnapshot
 from .frontend import FeatureMap, FrontendConfig
-from .gabor import MelInitConfig
 from .params import ParamSet
 
 MAGIC = b"LEAF"
@@ -53,14 +55,13 @@ def read_feature_file(path) -> FeatureMap:
 
 
 def _write_array(path, array: np.ndarray) -> bytes:
+    """Write one block; returns the file's bytes."""
     data = np.ascontiguousarray(array, dtype="<f4")
     if data.ndim == 1:
         data = data[:, None]
-    payload = data.tobytes()
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, data.shape[0], data.shape[1], 0))
-        fh.write(payload)
-    return payload
+    blob = HEADER.pack(MAGIC, VERSION, data.shape[0], data.shape[1], 0) + data.tobytes()
+    Path(path).write_bytes(blob)
+    return blob
 
 
 def _read_array(path) -> np.ndarray:
@@ -75,8 +76,7 @@ def save_params(directory, params: ParamSet) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     lines = []
     for name, value in params.items():
-        payload = _write_array(directory / f"{name}.leaf", value)
-        checksum = zlib.crc32(payload) & 0xFFFFFFFF
+        checksum = zlib.crc32(_write_array(directory / f"{name}.leaf", value)) & 0xFFFFFFFF
         lines.append(f"{name},{value.size},{checksum:08x}")
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n", newline="\n")
 
@@ -94,13 +94,9 @@ def load_params(directory) -> ParamSet:
         except ValueError:
             raise CorruptSnapshot(f"{directory / 'manifest.txt'}: malformed line {line!r}") from None
         path = directory / f"{name}.leaf"
-        payload = _read_snapshot_file(path)[HEADER.size:]
-        if f"{zlib.crc32(payload) & 0xFFFFFFFF:08x}" != checksum:
+        if f"{zlib.crc32(_read_snapshot_file(path)) & 0xFFFFFFFF:08x}" != checksum:
             raise CorruptSnapshot(f"{path}: checksum mismatch")
-        try:
-            value = _read_array(path)
-        except ValueError as err:  # a damaged header; the checksum covers the payload only
-            raise CorruptSnapshot(str(err)) from None
+        value = _read_array(path)
         if value.size != length:
             raise CorruptSnapshot(f"{path}: length mismatch")
         values[name] = value
@@ -128,30 +124,14 @@ def parse_config_file(path) -> dict:
     return out
 
 
-_FIELD_TYPES = {
-    "n_filters": int, "filter_len": int, "pool_len": int, "pool_stride": int,
-    "compression": str, "filtering": str, "sample_rate": int,
-    "fmin": float, "fmax": float, "n_fft": int,
-}
-
-
-def _overlay(raw: dict, cfg):
-    cls = type(cfg)
-    values = {f.name: getattr(cfg, f.name) for f in fields(cls)}
-    for name in values:
-        if name in raw:
-            values[name] = _FIELD_TYPES[name](raw[name])
-    return cls(**values)
-
-
 def apply_config(raw: dict, cfg: FrontendConfig) -> FrontendConfig:
-    """Overlay file keys matching FrontendConfig field names."""
-    return _overlay(raw, cfg)
-
-
-def apply_mel_config(raw: dict, cfg: MelInitConfig) -> MelInitConfig:
-    """Overlay file keys matching MelInitConfig field names."""
-    return _overlay(raw, cfg)
+    """Overlay file keys on ``cfg``, each parsed with the type of its field's
+    default; a key that is not a FrontendConfig field raises ValueError."""
+    defaults = {f.name: f.default for f in fields(FrontendConfig)}
+    for key in raw:
+        if key not in defaults:
+            raise ValueError(f"unknown config key {key!r}; keys are {', '.join(defaults)}")
+    return replace(cfg, **{key: type(defaults[key])(value) for key, value in raw.items()})
 
 
 def metrics_csv(metrics: list[dict]) -> str:

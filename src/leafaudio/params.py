@@ -21,7 +21,6 @@ from .frontend import (
     PCEN_ROOT_INIT,
     PCEN_SMOOTH_INIT,
     conv_bank_from_gabor,
-    mel_config_for,
     pool_width_bounds,
     renormalize_conv,
     ConvBank,
@@ -88,7 +87,7 @@ def frontend_param_values(cfg: FrontendConfig, dtype=np.float64) -> dict[str, np
     its compression."""
     values: dict[str, np.ndarray] = {}
     if cfg.filtering in ("gabor", "normalized_conv"):
-        bank = gabor_params_from_mels(mel_config_for(cfg), cfg.filter_len)
+        bank = gabor_params_from_mels(cfg)
         if cfg.filtering == "gabor":
             values["eta"] = bank.center_freqs
             values["sigma"] = bank.inv_bandwidths

@@ -33,9 +33,6 @@ class AdamState:
     second_moment: dict
     step_count: int
     lr: float
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps_adam: float = ADAM_EPS
 
 
 def init_adam(params: ParamSet, lr: float) -> AdamState:
@@ -58,8 +55,8 @@ def adam_step(state: AdamState, params: ParamSet, grads: Gradients,
     if set(state.first_moment) != set(params):
         raise ShapeMismatch("optimizer state does not match parameter set")
     t = state.step_count + 1
-    bias1 = 1.0 - state.beta1 ** t
-    bias2 = 1.0 - state.beta2 ** t
+    bias1 = 1.0 - ADAM_BETA1 ** t
+    bias2 = 1.0 - ADAM_BETA2 ** t
     new_params = {}
     m_out, v_out = {}, {}
     for key, value in params.items():
@@ -69,9 +66,9 @@ def adam_step(state: AdamState, params: ParamSet, grads: Gradients,
             v_out[key] = state.second_moment[key]
             new_params[key] = value.copy()
             continue
-        m = state.beta1 * state.first_moment[key] + (1.0 - state.beta1) * g
-        v = state.beta2 * state.second_moment[key] + (1.0 - state.beta2) * (g * g)
-        update = (m / bias1) / (np.sqrt(v / bias2) + state.eps_adam)
+        m = ADAM_BETA1 * state.first_moment[key] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.second_moment[key] + (1.0 - ADAM_BETA2) * (g * g)
+        update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
         m_out[key], v_out[key] = m, v
         new_params[key] = value - state.lr * update
     next_state = replace(state, first_moment=m_out, second_moment=v_out, step_count=t)
@@ -172,31 +169,18 @@ def task_logits(xs: np.ndarray, task_ids: np.ndarray, params, cfg: FrontendConfi
     return out
 
 
-def head_grad_sparsity_ok(grads: Gradients, task_ids: np.ndarray, n_tasks: int) -> bool:
-    """Heads of tasks absent from the batch must have exactly zero gradient."""
-    present = set(int(k) for k in task_ids)
-    for k in range(n_tasks):
-        if k in present:
-            continue
-        if np.any(grads[f"head{k}_weights"] != 0.0) or np.any(grads[f"head{k}_bias"] != 0.0):
-            return False
-    return True
-
-
 @dataclass
 class TrainResult:
     model: MultiHead
     metrics: list  # rows: dict(step, task_id, loss, accuracy)
     snapshots: dict  # step -> ParamSet
     steps_run: int
-    sparsity_checks_passed: bool = True
 
 
 def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: int,
           lr: float, seed: int, *, log_every: int = 50, dtype=np.float32,
           freeze_frontend: bool = False, eval_every: int | None = None,
-          eval_clips: int = 200, stop_accuracy: float | None = None,
-          sparsity_check_every: int | None = None) -> TrainResult:
+          eval_clips: int = 200, stop_accuracy: float | None = None) -> TrainResult:
     """Deterministic multi-task training run.
 
     Snapshots are taken at steps {0, steps//2, final}.  When ``eval_every``
@@ -214,14 +198,10 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
         trainable = {k for k in params if k.startswith("head")}
     metrics: list[dict] = []
     snapshots = {0: params.copy()}
-    sparsity_ok = True
     steps_run = 0
     for step in range(1, steps + 1):
         batch = sample_batch(tasks, batch_size, seed, step)
-        loss, grads, labels, task_ids = multitask_loss_and_grad(
-            batch, params, cfg, len(tasks), dtype=dtype)
-        if sparsity_check_every and step % sparsity_check_every == 0:
-            sparsity_ok = sparsity_ok and head_grad_sparsity_ok(grads, task_ids, len(tasks))
+        loss, grads, _, _ = multitask_loss_and_grad(batch, params, cfg, len(tasks), dtype=dtype)
         state, params = adam_step(state, params, grads, cfg, trainable=trainable)
         steps_run = step
         if step % log_every == 0 or step == steps:
@@ -243,7 +223,7 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
                 break
     snapshots[steps_run] = params.copy()
     model = MultiHead(params, cfg, tuple(class_counts))
-    return TrainResult(model, metrics, snapshots, steps_run, sparsity_ok)
+    return TrainResult(model, metrics, snapshots, steps_run)
 
 
 def _batch_accuracies(batch, params, cfg, dtype):

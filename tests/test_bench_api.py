@@ -4,11 +4,15 @@
 renaming a function it names would otherwise only surface when the
 benchmark runs.  Building the tracer plans the patches and applies none.
 The filter stage and the PCEN smoother are tape primitives, which the
-tracer finds through ``tape.__all__``.
+tracer finds through ``tape.__all__``.  Every workload also runs one
+checked op here, so a change that breaks a workload fails this suite
+rather than the benchmark run; the slower correctness gates are left to
+the benchmark.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +23,8 @@ from leafaudio.frontend import variant_config
 from leafaudio.params import init_params
 from leafaudio.signal import Waveform
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
+SPANS_PATH = BENCH_DIR / "spans.py"
 
 
 @pytest.fixture(scope="module")
@@ -61,3 +66,25 @@ def test_traced_step_times_filter_pool_and_ema(spans):
     names = {span[0] for span in tracer.spans}
     for op in ("filter_pool", "ema"):
         assert {f"tape.{op}.fwd", f"tape.{op}.bwd"} <= names, op
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``bench/workloads.py``, imported with ``bench/`` on the path for this module only."""
+    saved_path = list(sys.path)
+    sys.path.insert(0, str(BENCH_DIR))
+    try:
+        yield importlib.import_module("workloads")
+    finally:
+        sys.path[:] = saved_path
+        for name in ("workloads", "reference", "spans"):  # bench/ modules, by their bare names
+            sys.modules.pop(name, None)
+
+
+def test_every_workload_op_passes_its_check(workloads, tmp_path):
+    assert workloads.WORKLOADS
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(0, str(tmp_path))
+        workload.setup()
+        inputs = workload.prepare(0)
+        assert workload.check(inputs, workload.op(inputs)), name

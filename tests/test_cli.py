@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from leafaudio.cli import main
-from leafaudio.frontend import frontend_forward, variant_config
-from leafaudio.gabor import GaborBank, frequency_response, gabor_impulse_response
+from leafaudio.frontend import FrontendConfig, frontend_forward, variant_config
+from leafaudio.gabor import GaborBank, frequency_response, gabor_impulse_response, gabor_params_from_mels
 from leafaudio.io import load_params, read_feature_file, save_params
 from leafaudio.params import ParamSet, init_params
 from leafaudio.signal import ToneSpec, load_wav, synth_tones
@@ -281,3 +281,53 @@ class TestConfigPrecedence:
         assert code == 0
         assert "n_filters=12" in capsys.readouterr().out
         assert read_feature_file(out).n_channels == 12
+
+    def test_frontend_flag_overrides_config_variant(self, tone_wav, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("filtering=mel\ncompression=log\n")
+        assert main(["extract", "--input", str(tone_wav), "--config", str(cfg), "--frontend", "leaf"]) == 0
+        assert "frontend=leaf " in capsys.readouterr().out
+        assert main(["extract", "--input", str(tone_wav), "--config", str(cfg)]) == 0
+        assert "frontend=mel " in capsys.readouterr().out  # without the flag the file holds
+
+
+class TestConfigFile:
+    """The mel design grid in a config file reaches the Gabor init too."""
+
+    @pytest.fixture
+    def fmin300(self, tmp_path):
+        path = tmp_path / "fmin.txt"
+        path.write_text("fmin = 300\n")
+        return path
+
+    def test_inspect_filters_use_the_file_grid(self, fmin300, capsys):
+        assert main(["inspect", "--frontend", "leaf", "--what", "filters"]) == 0
+        default = capsys.readouterr().out
+        assert main(["inspect", "--frontend", "leaf", "--what", "filters", "--config", str(fmin300)]) == 0
+        out = capsys.readouterr().out
+        assert out != default
+        bank = gabor_params_from_mels(FrontendConfig(fmin=300.0))
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert len(rows) == 40
+        for ch, center_hz, sigma, _ in rows:
+            assert float(center_hz) == bank.center_freqs[int(ch)] * 16000
+            assert float(sigma) == bank.inv_bandwidths[int(ch)]
+
+    def test_extract_leaf_uses_the_file_grid(self, fmin300, tone_wav, tmp_path):
+        default, moved = tmp_path / "default.leaf", tmp_path / "fmin.leaf"
+        assert main(["extract", "--input", str(tone_wav), "--frontend", "leaf", "--out", str(default)]) == 0
+        assert main(["extract", "--input", str(tone_wav), "--frontend", "leaf", "--config", str(fmin300),
+                     "--out", str(moved)]) == 0
+        assert default.read_bytes() != moved.read_bytes()
+        cfg = FrontendConfig(fmin=300.0)
+        expected = frontend_forward(load_wav(tone_wav), init_params(cfg, 2), cfg).values
+        np.testing.assert_array_equal(read_feature_file(moved).values, expected.astype(np.float32))
+
+    @pytest.mark.parametrize("line", ["sample_rate=16000", "stride=80"])
+    def test_unknown_key_exits_1_and_names_it(self, line, tone_wav, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text(line + "\n")
+        assert main(["extract", "--input", str(tone_wav), "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ValueError:")
+        assert repr(line.split("=")[0]) in err

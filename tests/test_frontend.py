@@ -14,7 +14,6 @@ from leafaudio.frontend import (
     frontend_forward,
     gabor_kernel_graph,
     log_graph,
-    mel_config_for,
     param_count,
     pcen_graph,
     pool_kernel_graph,
@@ -328,11 +327,17 @@ class TestMelFrontend:
         np.testing.assert_allclose(fm.values, math.log(1e-6), rtol=1e-9)
         assert fm.values.shape == (100, 40)
 
+    @pytest.mark.parametrize("grid", [dict(fmin=-1.0), dict(fmin=300.0, fmax=300.0),
+                                      dict(fmax=8001.0), dict(n_fft=500), dict(n_fft=0)],
+                             ids=["fmin<0", "fmin=fmax", "fmax>nyquist", "n_fft=500", "n_fft=0"])
+    def test_bad_design_grid(self, grid):
+        with pytest.raises(ValueError):
+            FrontendConfig(**grid)
+
     def test_tone_argmax_channel(self):
-        mel_cfg = mel_config_for(MEL)
         fm = frontend_forward(tone(1000.0), init_params(MEL, 2), MEL)
         profile = fm.values.mean(axis=0)
-        rows = mel_matrix(mel_cfg)
+        rows = mel_matrix(MEL)
         target_bin = round(1000 / 16000 * 512)
         expected = int(np.argmin(np.abs(rows.argmax(axis=1) - target_bin)))
         assert int(profile.argmax()) == expected

@@ -11,9 +11,7 @@ from leafaudio import gabor
 from leafaudio.errors import DegenerateTriangle
 from leafaudio.gabor import (
     GaborBank,
-    MelInitConfig,
     SIGMA_MIN,
-    fwhm_to_sigma,
     frequency_response,
     gabor_impulse_response,
     gabor_params_from_mels,
@@ -38,11 +36,11 @@ def mel_oracle_breakpoints(n_filters, fmin, fmax):
 
 class TestMelMatrix:
     def test_rows_peak_at_exactly_one(self):
-        mm = mel_matrix(MelInitConfig())
+        mm = mel_matrix(FrontendConfig())
         np.testing.assert_array_equal(mm.max(axis=1), np.ones(40))
 
     def test_single_filter_peaks_at_mel_midpoint(self):
-        cfg = MelInitConfig(n_filters=1, fmin=0.0, fmax=8000.0)
+        cfg = FrontendConfig(n_filters=1, fmin=0.0, fmax=8000.0)
         mm = mel_matrix(cfg)
         peak_hz = mel_oracle_breakpoints(1, 0.0, 8000.0)[1]
         nearest_bin = round(peak_hz / (16000 / 512))
@@ -50,7 +48,7 @@ class TestMelMatrix:
         assert mm[0].argmax() == nearest_bin
 
     def test_argmax_bins_match_oracle(self):
-        cfg = MelInitConfig()
+        cfg = FrontendConfig()
         mm = mel_matrix(cfg)
         centers = mel_oracle_breakpoints(40, 60.0, 7800.0)[1:-1]
         bin_hz = 16000 / 512
@@ -60,29 +58,21 @@ class TestMelMatrix:
 
     def test_degenerate_triangle(self):
         with pytest.raises(DegenerateTriangle):
-            mel_matrix(MelInitConfig(n_filters=40, fmin=60.0, fmax=300.0))
+            mel_matrix(FrontendConfig(n_filters=40, fmin=60.0, fmax=300.0))
 
 
 class TestGaborParamsFromMels:
     def test_centers_strictly_increasing(self):
-        bank = gabor_params_from_mels(MelInitConfig(), 401)
+        bank = gabor_params_from_mels(FrontendConfig())
         assert np.all(np.diff(bank.center_freqs) > 0)
 
-    def test_fwhm_endpoint_mapping_exact(self):
-        # widest allowed response <-> smallest sigma, and vice versa
-        assert fwhm_to_sigma(0.5) == 4.0 * math.sqrt(2.0 * math.log(2.0))
-        w = 401
-        np.testing.assert_allclose(
-            fwhm_to_sigma(1.0 / w), 2.0 * w * math.sqrt(2.0 * math.log(2.0)), rtol=1e-14
-        )
-
     def test_lowest_center_near_100_hz(self):
-        bank = gabor_params_from_mels(MelInitConfig(), 401)
+        bank = gabor_params_from_mels(FrontendConfig())
         bin_hz = 16000 / 512
         assert abs(bank.center_freqs[0] * 16000 - 100.0) <= bin_hz
 
     def test_sigma_within_bounds(self):
-        bank = gabor_params_from_mels(MelInitConfig(), 401)
+        bank = gabor_params_from_mels(FrontendConfig())
         assert np.all(bank.inv_bandwidths >= SIGMA_MIN)
         assert np.all(bank.inv_bandwidths <= sigma_max(401))
 
@@ -194,14 +184,14 @@ class TestSpectralProperties:
             assert resp[image].sum() / resp.sum() < 0.01, (eta, sigma)
 
     def test_mel_approximation_at_init(self):
-        cfg = MelInitConfig()
-        bank = gabor_params_from_mels(cfg, 401)
+        cfg = FrontendConfig()
+        bank = gabor_params_from_mels(cfg)
         rows = mel_matrix(cfg)
         for n in range(cfg.n_filters):
             resp = frequency_response(gabor_impulse_response(bank, n), cfg.n_fft)
             assert abs(int(resp.argmax()) - int(rows[n].argmax())) <= 1
 
     def test_ordering_at_init(self):
-        bank = gabor_params_from_mels(MelInitConfig(), 401)
+        bank = gabor_params_from_mels(FrontendConfig())
         eta = bank.center_freqs
         assert np.all(eta[:-1] < eta[1:])

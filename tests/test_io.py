@@ -5,10 +5,8 @@ import pytest
 
 from leafaudio.errors import CorruptSnapshot
 from leafaudio.frontend import FeatureMap, FrontendConfig
-from leafaudio.gabor import MelInitConfig
 from leafaudio.io import (
     apply_config,
-    apply_mel_config,
     load_params,
     metrics_csv,
     parse_config_file,
@@ -84,7 +82,7 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("damage", [
         "missing manifest", "missing block", "malformed line", "length", "payload byte",
-        "header byte", "manifest byte",
+        "header byte", "manifest byte", "swapped shape",
     ])
     def test_damage_is_corrupt_snapshot(self, damage, tmp_path):
         save_params(tmp_path, ParamSet({"eta": np.linspace(0, 0.5, 8, dtype=np.float32)}))
@@ -97,6 +95,9 @@ class TestSnapshots:
             manifest.write_text(manifest.read_text().replace(",8,", ",eight,"))
         elif damage == "length":
             manifest.write_text(manifest.read_text().replace(",8,", ",9,"))
+        elif damage == "swapped shape":  # (8, 1) -> (1, 8): same length, valid header
+            blob = block.read_bytes()
+            block.write_bytes(blob[:8] + blob[12:16] + blob[8:12] + blob[16:])
         else:
             target, at = {"payload byte": (block, -1), "header byte": (block, 0),
                           "manifest byte": (manifest, 0)}[damage]
@@ -123,9 +124,8 @@ class TestConfigFile:
         assert cfg.filter_len == 201
         assert cfg.compression == "log"
         assert cfg.pool_stride == 160  # untouched default
-        mel = apply_mel_config(raw, MelInitConfig())
-        assert mel.fmin == 30.0
-        assert mel.n_fft == 512
+        assert cfg.fmin == 30.0
+        assert cfg.n_fft == 512
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from leafaudio.errors import UnknownTask
-from leafaudio.frontend import mel_power_features
-from leafaudio.gabor import MelInitConfig
+from leafaudio.frontend import FrontendConfig, mel_power_features
 from leafaudio.tasks import (
     AM_RATES,
     PITCH_FREQS,
@@ -66,11 +65,11 @@ class TestGenerateExample:
 
     def test_noise_color_spectra_differ(self):
         task = make_task("noisecolor")
-        mel_cfg = MelInitConfig()
+        cfg = FrontendConfig()
         profiles = []
         for label in range(3):
             wav = generate_example(task, label, seed=8)
-            feats = mel_power_features(wav.samples[None], mel_cfg, 160)[0].mean(axis=0)
+            feats = mel_power_features(wav.samples[None], cfg)[0].mean(axis=0)
             profiles.append(np.log(feats + 1e-9))
         # lowpass tilts down, highpass tilts up relative to white
         white, low, high = profiles
