@@ -43,6 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--frontend", choices=FRONTEND_CHOICES, default=None)
+        add_config_flags(p)
+
+    def add_config_flags(p):
         p.add_argument("--filters", type=int, default=None, help="number of channels N")
         p.add_argument("--filter-len", type=int, default=None, help="kernel length W (odd)")
         p.add_argument("--stride", type=int, default=None, help="pooling stride in samples")
@@ -75,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr-db", type=float, default=math.inf)
 
     p = sub.add_parser("gradcheck", help="reverse-mode vs finite differences, per variant")
-    add_common(p)
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("inspect", help="dump per-channel parameters as CSV")
     add_common(p)
@@ -89,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("noise-sweep", help="train/evaluate variants across SNRs")
-    add_common(p)
+    add_config_flags(p)
     p.add_argument("--task", choices=TASK_CHOICES, default="pitch")
     p.add_argument("--snr-db", default="inf,5,0,-5", help="comma list of dB values")
     p.add_argument("--frontends", default="leaf,leaf-log", help="comma list of variants")
@@ -102,14 +105,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_config(args) -> FrontendConfig:
-    """Defaults, overridden by --config file keys, overridden by flags."""
+def build_config(args, frontend=None) -> FrontendConfig:
+    """Defaults, overridden by --config file keys, overridden by flags.
+
+    ``frontend`` names the variant in place of ``args.frontend``.
+    """
     cfg = FrontendConfig()
     if args.config:
         cfg = leafio.apply_config(leafio.parse_config_file(args.config), cfg)
     overrides = {}
-    if args.frontend is not None:
-        variant = variant_config(args.frontend)
+    frontend = args.frontend if frontend is None else frontend
+    if frontend is not None:
+        variant = variant_config(frontend)
         overrides.update(filtering=variant.filtering, compression=variant.compression)
     if args.filters is not None:
         overrides["n_filters"] = args.filters
@@ -259,7 +266,7 @@ def cmd_bootstrap(args) -> int:
 def cmd_noise_sweep(args) -> int:
     task = make_task(args.task)
     snrs = [float(s) for s in args.snr_db.split(",")]
-    variants = [variant_config(name.strip()) for name in args.frontends.split(",")]
+    variants = [build_config(args, name.strip()) for name in args.frontends.split(",")]
     rows = noise_sweep(task, snrs, variants, args.seed, steps=args.steps,
                        batch_size=args.batch, lr=args.lr,
                        eval_clips=args.eval_clips, n_seeds=args.seeds)

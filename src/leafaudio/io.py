@@ -126,12 +126,19 @@ def parse_config_file(path) -> dict:
 
 def apply_config(raw: dict, cfg: FrontendConfig) -> FrontendConfig:
     """Overlay file keys on ``cfg``, each parsed with the type of its field's
-    default; a key that is not a FrontendConfig field raises ValueError."""
+    default; a key that is not a FrontendConfig field, or a value that does
+    not parse, raises ValueError naming the key."""
     defaults = {f.name: f.default for f in fields(FrontendConfig)}
-    for key in raw:
+    values = {}
+    for key, value in raw.items():
         if key not in defaults:
             raise ValueError(f"unknown config key {key!r}; keys are {', '.join(defaults)}")
-    return replace(cfg, **{key: type(defaults[key])(value) for key, value in raw.items()})
+        kind = type(defaults[key])
+        try:
+            values[key] = kind(value)
+        except ValueError:
+            raise ValueError(f"config key {key!r}: cannot parse {value!r} as {kind.__name__}") from None
+    return replace(cfg, **values)
 
 
 def metrics_csv(metrics: list[dict]) -> str:

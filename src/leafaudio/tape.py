@@ -12,17 +12,24 @@ dtype of training graphs under NEP-50 promotion rules.
 
 Two fused primitives carry the frontend's cost, each one node with a
 hand-written adjoint: :func:`filter_pool` (FFT filterbank, squared modulus
-and strided pooling; its correlations are kept only while its kernels are
-differentiated) and :func:`ema` (the PCEN moving average over all frames).
+and strided pooling) and :func:`ema` (the PCEN moving average over all
+frames).
 
-The kernel adjoint of :func:`filter_pool` works one batch row at a time.
-The row's frame gradient, times the 2 of d|z|^2, is spread back over the
-samples by the transposed pooling, one batched matmul over the channels.
-Then, one FFT block at a time, ``2 g corr`` is written into one reused
-FFT-length buffer and transformed, and its spectrum times the conjugate
-input spectrum is added into a single (2N, F) accumulator.  One inverse
-FFT of the sum gives the kernel gradient.  No full-rate array spans more
-than one row, apart from the correlations the forward pass keeps.
+:func:`filter_pool` streams.  One batch row and one overlap-save block at
+a time, it cuts the block from the signal, correlates it with the whole
+bank, squares it into a small haloed energy buffer, pools every frame
+whose window the block completes and carries the unfinished tail into the
+next block.  No full-rate array outlives its block; the block's
+correlations and spectrum are kept only while a kernel is differentiated.
+
+The adjoint walks the same rows and blocks.  Per row, the frame gradient,
+times the 2 of d|z|^2, is spread back over the samples by the transposed
+pooling, one batched matmul over the channels.  Per block, ``2 g corr`` is
+written into one reused FFT-length buffer and transformed, and its
+spectrum times the conjugate block spectrum is added into a single (2N, F)
+accumulator, whose one inverse FFT gives the kernel gradient; the block's
+energy is squared again from its kept correlations into one row's buffer,
+which the pooling-kernel gradient reads.
 """
 
 from __future__ import annotations
@@ -410,8 +417,9 @@ def filter_pool(x, kernels, pool_kernels, stride):
 
     for m < M = ceil(T / stride); the result has shape (B, N, M).  The
     correlation is an FFT product, exact up to rounding, taken block by
-    block (overlap-save) when T exceeds ``FFT_BLOCK``.  Only ``kernels``
-    and ``pool_kernels`` are differentiated.
+    block (overlap-save) when T exceeds ``FFT_BLOCK``; each frame is pooled
+    as soon as the block that completes its window is made.  Only
+    ``kernels`` and ``pool_kernels`` are differentiated.
     """
     if _live(x):
         raise ValueError("filter_pool does not differentiate its signal; pass x as a constant")
@@ -426,66 +434,87 @@ def filter_pool(x, kernels, pool_kernels, stride):
     half, pool_half = (width - 1) // 2, (pool_width - 1) // 2
     size, span, n_blocks = _block_layout(n_samples, width)
     dtype = np.result_type(vx.dtype, vk.dtype, np.float32)
+    n_frames = -(-n_samples // stride)
 
-    # block i holds x[i*span - h : i*span + size - h], rotated left by h so
-    # that output i*span + r lands at index r against a centered kernel
-    padded = np.zeros((batch, (n_blocks - 1) * span + size), dtype=vx.dtype)
-    padded[:, half: half + n_samples] = vx
-    frames = sliding_window_view(padded, size, axis=1)[:, ::span]
-    blocks = np.empty((batch, n_blocks, size), dtype=vx.dtype)
-    blocks[..., : size - half] = frames[..., half:]
-    blocks[..., size - half:] = frames[..., :half]
-    xf = _fft.rfft(blocks, axis=-1)
-    # rows reordered to [all real; all imaginary], so that the two halves
-    # are contiguous slabs; each kernel laid out circularly with its center
-    # at index 0
-    split = np.concatenate([vk[0::2], vk[1::2]])
-    shifted = np.zeros((n_kernels, size), dtype=vk.dtype)
-    shifted[:, : width - half] = split[:, half:]
-    shifted[:, size - half:] = split[:, :half]
-    kf_conj = np.conj(_fft.rfft(shifted, axis=-1))
+    kf_conj = _kernel_spectrum(vk, size)
 
     live = _live(kernels) or _live(pool_kernels)
-    energy = np.zeros((batch, n, n_samples + pool_width - 1), dtype=dtype)
-    corrs = []  # per (batch row, block), kept for the kernel gradient
+    kept = []  # (corr, xf) per (batch row, block), for the kernel gradients
+    out = np.empty((batch, n, n_frames), dtype=dtype)
+    # the haloed energy samples [lo, lo + filled) of one row: the unfinished
+    # tail of the last frame window (< P), one block's span and the right halo
+    held = np.empty((n, pool_width - 1 + span + pool_half), dtype=dtype)
     for b in range(batch):
+        held[:, :pool_half] = 0.0
+        lo, filled, done = 0, pool_half, 0
         for i in range(n_blocks):
-            corr = _fft.irfft(xf[b, i] * kf_conj, size, axis=-1)
             start = i * span
             keep = min(span, n_samples - start)
-            dest = energy[b, :, pool_half + start: pool_half + start + keep]
-            np.multiply(corr[:n, :keep], corr[:n, :keep], out=dest)
-            dest += corr[n:, :keep] * corr[n:, :keep]
+            xf = _fft.rfft(_block(vx[b], start, size, half))
+            corr = _fft.irfft(xf * kf_conj, size, axis=-1)
             if live:
-                corrs.append(corr)
-
-    n_frames = -(-n_samples // stride)
-    windows = sliding_window_view(energy, pool_width, axis=2)[:, :, ::stride][:, :, :n_frames]
-    out = np.einsum("bnmp,np->bnm", windows, vp)
+                kept.append((corr, xf))
+            _square_sum(corr, keep, held[:, filled: filled + keep])
+            filled += keep
+            if i == n_blocks - 1:
+                held[:, filled: filled + pool_half] = 0.0
+                filled += pool_half
+                ready = n_frames
+            else:  # frames whose window ends inside what is held
+                ready = min(n_frames, (lo + filled - pool_width) // stride + 1)
+            if ready > done:
+                windows = sliding_window_view(held[:, done * stride - lo: filled], pool_width, axis=1)
+                out[b, :, done:ready] = np.einsum("nmp,np->nm", windows[:, ::stride][:, : ready - done], vp)
+                done = ready
+            # carry from the next frame's start on (it may start past all of it)
+            cut = min(done * stride - lo, filled)
+            held[:, : filled - cut] = held[:, cut: filled]
+            lo, filled = lo + cut, filled - cut
 
     def vjp(g):
         gk = gp = None
-        if _live(pool_kernels):
-            gp = np.einsum("bnm,bnmp->np", g, windows)
         if _live(kernels):
             # the kernel gradient's spectrum is the sum over rows and blocks
             # of xf conj(rfft(d corr)), accumulated as its conjugate:
             # conj(a) b = conj(a conj(b)) exactly
             spec = np.zeros((n_kernels, size // 2 + 1), dtype=np.result_type(dtype, np.complex64))
             d_corr = np.zeros((n_kernels, size), dtype=dtype)  # zero past ``keep``
-            for b in range(batch):
+        if _live(pool_kernels):
+            # einsum zeroes its output, so the sum over earlier rows enters
+            # each row's einsum as a leading frame of weight 1, followed by
+            # frames of weight 0 up to the row's haloed energy.  With
+            # stride > 1 einsum adds frame after frame, so the terms add in
+            # the order of one einsum over the whole batch
+            lead = -(-pool_width // stride)
+            energy = np.zeros((n, lead * stride + n_samples + pool_width - 1), dtype=dtype)
+            frame_weights = np.zeros((n, lead + n_frames), dtype=dtype)
+            frame_weights[:, 0] = 1.0
+            windows = sliding_window_view(energy, pool_width, axis=1)[:, ::stride][:, : lead + n_frames]
+            gp = np.zeros((n, pool_width), dtype=dtype)
+        for b in range(batch):
+            if _live(kernels):
                 # d corr = 2 d_energy corr; the 2 is folded into g (exact)
                 d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, dtype)[0]
-                for i in range(n_blocks):
-                    start = i * span
-                    keep = min(span, n_samples - start)
+            for i in range(n_blocks):
+                start = i * span
+                keep = min(span, n_samples - start)
+                corr, xf = kept[b * n_blocks + i]
+                if _live(pool_kernels):
+                    at = lead * stride + pool_half + start
+                    _square_sum(corr, keep, energy[:, at: at + keep])
+                if _live(kernels):
                     d_corr[:, keep:span] = 0.0  # a short last block: clear the previous block's tail
-                    corr, d_e = corrs[b * n_blocks + i], d_energy[:, start: start + keep]
+                    d_e = d_energy[:, start: start + keep]
                     np.multiply(d_e, corr[:n, :keep], out=d_corr[:n, :keep])
                     np.multiply(d_e, corr[n:, :keep], out=d_corr[n:, :keep])
                     term = _fft.rfft(d_corr, axis=-1)
-                    term *= np.conj(xf[b, i])
+                    term *= np.conj(xf)
                     spec += term
+            if _live(pool_kernels):
+                energy[:, :pool_width] = gp
+                frame_weights[:, lead:] = g[b]
+                gp = np.einsum("nm,nmp->np", frame_weights, windows)
+        if _live(kernels):
             dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
             d_split = np.concatenate([dk_full[:, size - half:], dk_full[:, : width - half]], axis=-1)
             gk = np.empty_like(vk)
@@ -493,6 +522,43 @@ def filter_pool(x, kernels, pool_kernels, stride):
         return None, gk, gp
 
     return _node(out, (x, kernels, pool_kernels), vjp)
+
+
+def _kernel_spectrum(kernels, size):
+    """Conjugate spectra of (2N, W) kernels for length-``size`` correlation.
+
+    The rows are reordered to [all real; all imaginary], so that the two
+    halves are contiguous slabs, and each kernel is laid out circularly
+    with its center at index 0.
+    """
+    n_kernels, width = kernels.shape
+    half = (width - 1) // 2
+    split = np.concatenate([kernels[0::2], kernels[1::2]])
+    shifted = np.zeros((n_kernels, size), dtype=kernels.dtype)
+    shifted[:, : width - half] = split[:, half:]
+    shifted[:, size - half:] = split[:, :half]
+    spectrum = _fft.rfft(shifted, axis=-1)
+    return np.conjugate(spectrum, out=spectrum)
+
+
+def _block(row, start, size, half):
+    """Overlap-save block of one signal row: x[start - h : start + size - h],
+    zeros outside the signal, rotated left by h so that output start + r
+    lands at index r against a centered kernel."""
+    block = np.zeros(size, dtype=row.dtype)
+    body = row[start: start + size - half]
+    block[: len(body)] = body
+    if start:  # the first block's left halo is zeros
+        block[size - half:] = row[start - half: start]
+    return block
+
+
+def _square_sum(corr, keep, dest):
+    """dest = energy of the first ``keep`` samples of a (2N, size) correlation
+    block whose rows are [all real; all imaginary]."""
+    n = len(corr) // 2
+    np.multiply(corr[:n, :keep], corr[:n, :keep], out=dest)
+    dest += corr[n:, :keep] * corr[n:, :keep]
 
 
 def _transposed_pool(g, pool_kernels, stride, n_samples, dtype):

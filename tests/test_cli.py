@@ -1,6 +1,7 @@
 """CLI contract tests: exit codes, output formats, reproducibility."""
 
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,9 @@ from leafaudio.gabor import GaborBank, frequency_response, gabor_impulse_respons
 from leafaudio.io import load_params, read_feature_file, save_params
 from leafaudio.params import ParamSet, init_params
 from leafaudio.signal import ToneSpec, load_wav, synth_tones
+
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture
@@ -216,6 +220,18 @@ class TestInspect:
 
 
 class TestGradcheckCommand:
+    def test_seed_0_output_is_unchanged(self, capsys):
+        assert main(["gradcheck", "--seed", "0"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == (DATA / "gradcheck_seed0.csv").read_text()
+        assert captured.err == "# worst 1.440e-04\n"
+
+    def test_frontend_flags_are_rejected(self):
+        # gradcheck uses its own small config; a size flag would be ignored
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--filters", "6"])
+        assert exc.value.code == 2
+
     def test_csv_format_and_tolerance(self, capsys):
         code = main(["gradcheck", "--seed", "0"])
         assert code == 0
@@ -331,3 +347,27 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert err.startswith("ValueError:")
         assert repr(line.split("=")[0]) in err
+
+    def test_bad_value_exits_1_and_names_key_and_value(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("n_filters = ten\n")
+        assert main(["inspect", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "ValueError: config key 'n_filters': cannot parse 'ten' as int\n"
+
+
+class TestNoiseSweepConfig:
+    """noise-sweep builds each variant from --config and the size flags."""
+
+    # a sweep that wrongly starts stays short
+    TINY = ["--snr-db", "inf", "--steps", "1", "--batch", "2", "--eval-clips", "2", "--seeds", "1"]
+
+    def test_unknown_config_key_exits_1_and_names_it(self, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("stride=80\n")
+        assert main(["noise-sweep", "--config", str(path), *self.TINY]) == 1
+        assert "'stride'" in capsys.readouterr().err
+
+    def test_size_flags_reach_every_variant(self, capsys):
+        # an even kernel length is refused before any training starts
+        assert main(["noise-sweep", "--frontends", "leaf,leaf-log", "--filter-len", "64", *self.TINY]) == 1
+        assert capsys.readouterr().err == "ValueError: filter_len must be odd\n"

@@ -77,6 +77,16 @@ def init_pcen(n):
     return tuple(values[k] for k in ("pcen_alpha", "pcen_delta", "pcen_root", "pcen_smooth"))
 
 
+def traced_peak(fn):
+    """fn()'s result and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def leaf_pooled(x: Waveform, cfg=CFG):
     """(M, N) pre-compression energies of the initialized Gabor frontend."""
     return pooled_graph(x.samples[None, :], frontend_param_values(cfg), cfg).value[0].T
@@ -292,8 +302,8 @@ class TestFrontendForward:
                 assert rel.max() < 0.01
 
     def test_long_clip_peak_memory(self):
-        # 10 s at float64: the filter stage works block by block, so no
-        # (2N, T) correlation or (2N, T/2) spectrum is held at once
+        # 10 s at float64: the filter stage streams block by block, so no
+        # (2N, T) correlation, (2N, T/2) spectrum or (N, T) energy is held
         params = frontend_param_values(CFG)
         x = Waveform(0.1 * np.random.default_rng(0).standard_normal(160000), 16000)
         tracemalloc.start()
@@ -319,6 +329,25 @@ class TestFrontendForward:
         finally:
             tracemalloc.stop()
         assert peak <= 224 * 2 ** 20
+
+    @pytest.mark.parametrize("seconds", [10, 60])
+    def test_extract_peak_memory_is_independent_of_length(self, seconds):
+        # float64: one block's spectra and correlations and one pooling
+        # buffer, ~46 MiB at any length; whole-clip arrays would add ~5 MiB/s
+        params = frontend_param_values(CFG)
+        x = Waveform(0.1 * np.random.default_rng(0).standard_normal(16000 * seconds), 16000)
+        fm, peak = traced_peak(lambda: frontend_forward(x, params, CFG))
+        assert fm.values.shape == (100 * seconds, 40)
+        assert peak <= 64 * 2 ** 20
+
+    def test_train_step_holds_no_batch_energy(self):
+        # one leaf step, B=16, 1 s, float32: the kept correlations (~80 MiB)
+        # and one row's energy, not the (B, N, T) energy of the batch
+        cfg = variant_config("leaf")
+        batch = sample_batch([make_task("pitch")], 16, seed=0, step=0)
+        params = init_multitask_params(cfg, [make_task("pitch").num_classes], dtype=np.float32)
+        _, peak = traced_peak(lambda: multitask_loss_and_grad(batch, params, cfg, 1))
+        assert peak <= 128 * 2 ** 20
 
 
 class TestMelFrontend:

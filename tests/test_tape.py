@@ -321,6 +321,35 @@ class TestFilterPool:
             numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), value)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
+    # streaming edge cases at FFT_BLOCK = 32 and W = 9: blocks of 24 samples
+    @pytest.mark.parametrize("n_samples, pool_width, stride", [
+        pytest.param(200, 61, 5, id="window-spans-two-boundaries"),
+        # frame 1 is complete after block 2; blocks 1, 3 and 4 pool nothing
+        pytest.param(100, 5, 50, id="stride-longer-than-span"),
+        # frame 3 reads samples 19..23, the last of block 0
+        pytest.param(100, 5, 7, id="window-ends-on-boundary"),
+        pytest.param(5, 3, 2, id="shorter-than-kernel"),
+    ])
+    def test_streaming_edges(self, monkeypatch, n_samples, pool_width, stride):
+        monkeypatch.setattr(tape, "FFT_BLOCK", 32)
+        assert tape._block_layout(1000, 9)[1] == 24
+        rng = np.random.default_rng(pool_width + stride)
+        x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width, n=1)
+        out = tape.filter_pool(x, kernels, pool_kernels, stride).value
+        np.testing.assert_allclose(out, direct_filter_pool(x, kernels, pool_kernels, stride), rtol=0, atol=1e-12)
+        weights = rng.standard_normal(out.shape)
+
+        def loss_kernels(kv):
+            return tape.reduce_sum(tape.filter_pool(x, kv, pool_kernels, stride) * weights)
+
+        def loss_pool(pv):
+            return tape.reduce_sum(tape.filter_pool(x, kernels, pv, stride) * weights)
+
+        for loss, value in ((loss_kernels, kernels), (loss_pool, pool_kernels)):
+            _, analytic = tape_grad(loss, value)
+            numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), value)
+            np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
+
     def test_float32_in_float32_out(self):
         x, kernels, pool_kernels = filter_pool_inputs(RNG, 2000, 41, 21)
         out = tape.filter_pool(x.astype(np.float32), tape.leaf(kernels.astype(np.float32)),
