@@ -60,6 +60,9 @@ class FrontendConfig:
     n_fft: int = 512
 
     def __post_init__(self):
+        for name in ("n_filters", "filter_len", "pool_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.filter_len % 2 != 1:
             raise ValueError("filter_len must be odd")
         if self.pool_len % 2 != 1:

@@ -355,6 +355,27 @@ class TestConfigFile:
         assert capsys.readouterr().err == "ValueError: config key 'n_filters': cannot parse 'ten' as int\n"
 
 
+class TestSizeSettings:
+    """A channel count or kernel length below 1 is refused by name."""
+
+    @pytest.mark.parametrize("flags, name", [
+        (["--filters", "0"], "n_filters"),
+        (["--filters", "-3"], "n_filters"),
+        (["--filter-len", "-1"], "filter_len"),
+    ])
+    def test_flag_below_1_exits_1_and_names_it(self, flags, name, tone_wav, tmp_path, capsys):
+        out = tmp_path / "out.leaf"
+        assert main(["extract", "--input", str(tone_wav), *flags, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"ValueError: {name} must be >= 1\n"
+        assert not out.exists()
+
+    def test_config_pool_len_below_1_exits_1_and_names_it(self, tone_wav, tmp_path, capsys):
+        path = tmp_path / "bad.txt"
+        path.write_text("pool_len=-1\n")
+        assert main(["extract", "--input", str(tone_wav), "--config", str(path)]) == 1
+        assert capsys.readouterr().err == "ValueError: pool_len must be >= 1\n"
+
+
 class TestNoiseSweepConfig:
     """noise-sweep builds each variant from --config and the size flags."""
 
