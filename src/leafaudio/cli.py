@@ -19,6 +19,7 @@ from . import io as leafio
 from .autodiff import grad_check_report
 from .errors import LeafError, ShapeMismatch
 from .frontend import (
+    VARIANT_NAMES,
     FrontendConfig,
     frontend_forward,
     param_count,
@@ -29,11 +30,8 @@ from .frontend import (
 )
 from .params import ParamSet, frontend_param_values, init_params
 from .signal import FRONTEND_RATE, load_wav
-from .tasks import make_task
+from .tasks import TASK_NAMES, make_task
 from .training import MultiHead, evaluate, noise_sweep, train
-
-FRONTEND_CHOICES = ("leaf", "leaf-log", "leaf-pcen", "mel", "mel-pcen", "convnorm")
-TASK_CHOICES = ("pitch", "am", "noisecolor")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--frontend", choices=FRONTEND_CHOICES, default=None)
+        p.add_argument("--frontend", choices=tuple(VARIANT_NAMES.values()), default=None)
         add_config_flags(p)
 
     def add_config_flags(p):
@@ -72,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate a trained snapshot")
     add_common(p)
     p.add_argument("--model", required=True)
-    p.add_argument("--task", choices=TASK_CHOICES, default="pitch")
+    p.add_argument("--task", choices=TASK_NAMES, default="pitch")
     p.add_argument("--task-index", type=int, default=0)
     p.add_argument("--n", type=int, default=500)
     p.add_argument("--snr-db", type=float, default=math.inf)
@@ -93,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noise-sweep", help="train/evaluate variants across SNRs")
     add_config_flags(p)
-    p.add_argument("--task", choices=TASK_CHOICES, default="pitch")
+    p.add_argument("--task", choices=TASK_NAMES, default="pitch")
     p.add_argument("--snr-db", default="inf,5,0,-5", help="comma list of dB values")
     p.add_argument("--frontends", default="leaf,leaf-log", help="comma list of variants")
     p.add_argument("--steps", type=int, default=300)

@@ -258,8 +258,8 @@ def frontend_forward(x: Waveform, params: Mapping, cfg: FrontendConfig) -> Featu
 
 VARIANT_NAMES = {
     ("gabor", "spcen"): "leaf",
-    ("gabor", "pcen"): "leaf-pcen",
     ("gabor", "log"): "leaf-log",
+    ("gabor", "pcen"): "leaf-pcen",
     ("mel", "log"): "mel",
     ("mel", "spcen"): "mel-pcen",
     ("normalized_conv", "spcen"): "convnorm",

@@ -1,6 +1,10 @@
 """Optimization and evaluation: ADAM, multi-task objectives, noise sweeps,
 and the bootstrap significance test.
 
+One classifier path, ``task_logits`` (features, time mean, own-head
+logits, written once over tape values), serves the training loss, the
+logged batch accuracy, ``evaluate`` and ``clip_logits``.
+
 Training is deterministic given (seed, config): batches, noise, and
 evaluation sets all derive from SeedSequence folding, and every reduction
 runs in a fixed order.
@@ -23,6 +27,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 WINDOW_S = 1.0
+EVAL_BATCH_CLIPS = 64  # clips whose windows share one task_logits call in evaluate
 
 
 @dataclass
@@ -87,9 +92,6 @@ class MultiHead:
     def n_tasks(self) -> int:
         return len(self.class_counts)
 
-    def head(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.params[f"head{k}_weights"], self.params[f"head{k}_bias"]
-
 
 def multitask_graph(xs: np.ndarray, labels: np.ndarray, task_ids: np.ndarray,
                     params, cfg: FrontendConfig, n_tasks: int):
@@ -104,19 +106,26 @@ def multitask_graph(xs: np.ndarray, labels: np.ndarray, task_ids: np.ndarray,
         name: value if isinstance(value, tape.Var) else tape.leaf(value)
         for name, value in params.items()
     }
-    feats = features_graph(xs, leaves, cfg)
-    pooled = tape.reduce_mean(feats, axis=2)
     total = None
-    batch_size = xs.shape[0]
-    for k in range(n_tasks):
-        rows = np.nonzero(task_ids == k)[0]
-        if rows.size == 0:
-            continue  # absent task: its head never enters the graph
-        logits = tape.matmul(pooled[rows], leaves[f"head{k}_weights"]) + leaves[f"head{k}_bias"]
+    for rows, logits in task_logits(xs, task_ids, leaves, cfg).values():
         ce = tape.softmax_cross_entropy(logits, labels[rows], reduction="sum")
         total = ce if total is None else total + ce
-    loss = total * (1.0 / batch_size)
-    return loss, leaves
+    return total * (1.0 / xs.shape[0]), leaves
+
+
+def task_logits(xs: np.ndarray, task_ids: np.ndarray, params, cfg: FrontendConfig) -> dict:
+    """Features -> time mean -> own-head logits, on the tape.
+
+    ``params`` maps names to Vars or arrays (constants).  Returns
+    ``{k: (rows, logits Var)}`` for every task id k in ``task_ids``, in
+    increasing k; an absent task's head never enters the graph.
+    """
+    pooled = tape.reduce_mean(features_graph(xs, params, cfg), axis=2)
+    out = {}
+    for k in np.unique(task_ids):
+        rows = np.nonzero(task_ids == k)[0]
+        out[int(k)] = rows, tape.matmul(pooled[rows], params[f"head{k}_weights"]) + params[f"head{k}_bias"]
+    return out
 
 
 def stack_batch(batch, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -156,37 +165,19 @@ def multitask_loss_and_grad(batch, params: ParamSet, cfg: FrontendConfig, n_task
     return value, grads, labels, task_ids
 
 
-def task_logits(xs: np.ndarray, task_ids: np.ndarray, params, cfg: FrontendConfig) -> dict:
-    """Eager features -> time mean -> own-head logits.
-
-    Returns ``{k: (rows, logits)}`` for every task id k in ``task_ids``.
-    """
-    pooled = features_graph(xs, dict(params), cfg).value.mean(axis=2)
-    out = {}
-    for k in np.unique(task_ids):
-        rows = np.nonzero(task_ids == k)[0]
-        out[int(k)] = rows, pooled[rows] @ params[f"head{k}_weights"] + params[f"head{k}_bias"]
-    return out
-
-
 @dataclass
 class TrainResult:
     model: MultiHead
     metrics: list  # rows: dict(step, task_id, loss, accuracy)
     snapshots: dict  # step -> ParamSet
-    steps_run: int
 
 
 def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: int,
           lr: float, seed: int, *, log_every: int = 50, dtype=np.float32,
-          freeze_frontend: bool = False, eval_every: int | None = None,
-          eval_clips: int = 200, stop_accuracy: float | None = None) -> TrainResult:
+          freeze_frontend: bool = False) -> TrainResult:
     """Deterministic multi-task training run.
 
-    Snapshots are taken at steps {0, steps//2, final}.  When ``eval_every``
-    and ``stop_accuracy`` are both set, training stops early once every
-    task's held-out accuracy reaches the target (the spec'd step count is
-    an upper budget).
+    Snapshots are taken at steps {0, steps//2, steps}.
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
@@ -198,12 +189,10 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
         trainable = {k for k in params if k.startswith("head")}
     metrics: list[dict] = []
     snapshots = {0: params.copy()}
-    steps_run = 0
     for step in range(1, steps + 1):
         batch = sample_batch(tasks, batch_size, seed, step)
         loss, grads, _, _ = multitask_loss_and_grad(batch, params, cfg, len(tasks), dtype=dtype)
         state, params = adam_step(state, params, grads, cfg, trainable=trainable)
-        steps_run = step
         if step % log_every == 0 or step == steps:
             accs = _batch_accuracies(batch, params, cfg, dtype)
             for k in range(len(tasks)):
@@ -213,22 +202,13 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
                 })
         if step == steps // 2:
             snapshots[step] = params.copy()
-        if eval_every and stop_accuracy and step % eval_every == 0:
-            model = MultiHead(params, cfg, tuple(class_counts))
-            held_out = [
-                evaluate(model, task, eval_clips, seed + 7919, task_index=k).accuracy
-                for k, task in enumerate(tasks)
-            ]
-            if min(held_out) >= stop_accuracy:
-                break
-    snapshots[steps_run] = params.copy()
-    model = MultiHead(params, cfg, tuple(class_counts))
-    return TrainResult(model, metrics, snapshots, steps_run)
+    snapshots[steps] = params.copy()
+    return TrainResult(MultiHead(params, cfg, tuple(class_counts)), metrics, snapshots)
 
 
 def _batch_accuracies(batch, params, cfg, dtype):
     xs, labels, task_ids = stack_batch(batch, dtype)
-    return {k: float(np.mean(logits.argmax(axis=1) == labels[rows]))
+    return {k: float(np.mean(logits.value.argmax(axis=1) == labels[rows]))
             for k, (rows, logits) in task_logits(xs, task_ids, params, cfg).items()}
 
 
@@ -246,41 +226,51 @@ def _split_windows(samples: np.ndarray, window: int) -> list[np.ndarray]:
     return [samples[w * window: (w + 1) * window] for w in range(len(samples) // window)]
 
 
-def _window_logits(windows, model: MultiHead, task_index: int) -> np.ndarray:
-    """Head logits of equal-length windows, computed in the head's dtype."""
-    xs = np.stack(windows).astype(model.head(task_index)[0].dtype)
-    return task_logits(xs, np.full(len(xs), task_index), model.params, model.cfg)[task_index][1]
+def _mean_window_logits(model: MultiHead, clips, task_index: int,
+                        window: int | None = None) -> np.ndarray:
+    """(clips, classes) head logits, each clip's averaged over its windows.
+
+    Every window of every clip goes through ``task_logits`` in one batch,
+    in the head's dtype; windows default to one second.
+    """
+    windows, owners = [], []
+    for i, wav in enumerate(clips):
+        pieces = _split_windows(wav.samples, window or round(WINDOW_S * wav.sample_rate))
+        windows += pieces
+        owners += [i] * len(pieces)
+    xs = np.stack(windows).astype(model.params[f"head{task_index}_weights"].dtype)
+    logits = task_logits(xs, np.full(len(xs), task_index), model.params, model.cfg)[task_index][1].value
+    owners = np.asarray(owners)
+    return np.stack([logits[owners == i].mean(axis=0) for i in range(len(clips))])
 
 
 def clip_logits(model: MultiHead, waveform, task_index: int = 0,
                 window: int | None = None) -> np.ndarray:
     """Head logits for one clip, averaged over its one-second windows."""
-    window = window or round(WINDOW_S * waveform.sample_rate)
-    return _window_logits(_split_windows(waveform.samples, window), model, task_index).mean(axis=0)
+    return _mean_window_logits(model, [waveform], task_index, window)[0]
 
 
 def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
-             task_index: int = 0, batch_clips: int = 64) -> EvalResult:
+             task_index: int = 0) -> EvalResult:
     """Held-out accuracy with a normal-approximation 95% interval.
 
     Clips longer than one second are split into consecutive non-overlapping
-    one-second windows whose logits are averaged before the argmax.
+    one-second windows whose logits are averaged before the argmax.  The
+    head is checked against the task before any clip is made.
     """
+    bias = model.params.get(f"head{task_index}_bias")
+    if bias is None:
+        raise UnknownTask(f"task index {task_index} has no head; "
+                          f"the model's head count is {model.n_tasks}")
+    if bias.size != task.num_classes:
+        raise ShapeMismatch(f"head {task_index} has {bias.size} classes, "
+                            f"task {task.name!r} has {task.num_classes}")
     examples = test_set(task, n_examples, seed)
-    window = round(WINDOW_S * task.sample_rate)
     correct = 0
-    for start in range(0, len(examples), batch_clips):
-        chunk = examples[start: start + batch_clips]
-        windows, owners = [], []
-        for i, (wav, _) in enumerate(chunk):
-            for piece in _split_windows(wav.samples, window):
-                windows.append(piece)
-                owners.append(i)
-        logits = _window_logits(windows, model, task_index)
-        owners = np.asarray(owners)
-        for i, (_, label) in enumerate(chunk):
-            avg = logits[owners == i].mean(axis=0)
-            correct += int(avg.argmax() == label)
+    for start in range(0, len(examples), EVAL_BATCH_CLIPS):
+        chunk = examples[start: start + EVAL_BATCH_CLIPS]
+        logits = _mean_window_logits(model, [wav for wav, _ in chunk], task_index)
+        correct += int(np.sum(logits.argmax(axis=1) == [label for _, label in chunk]))
     p = correct / len(examples)
     ci = 1.96 * np.sqrt(p * (1.0 - p) / len(examples))
     return EvalResult(p, float(ci), len(examples))

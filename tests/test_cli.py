@@ -95,9 +95,21 @@ class TestSnapshots:
         np.testing.assert_array_equal(read_feature_file(model_out).values, expected.astype(np.float32))
 
     def test_matching_snapshot_evaluates(self, leaf6, capsys):
-        code = main(["eval", "--model", str(leaf6), "--n", "4"] + self.LEAF6)
+        code = main(["eval", "--model", str(leaf6), "--n", "4", "--task", "am"] + self.LEAF6)
         assert code == 0
         assert "accuracy=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags, error", [
+        (["--task", "pitch"], "ShapeMismatch: head 0 has 3 classes, task 'pitch' has 4"),
+        (["--task", "am", "--task-index", "1"],
+         "UnknownTask: task index 1 has no head; the model's head count is 1"),
+        (["--task", "am", "--task-index", "-1"],
+         "UnknownTask: task index -1 has no head; the model's head count is 1"),
+    ], ids=["class-count", "index-past-last-head", "negative-index"])
+    def test_eval_head_misuse_is_named(self, leaf6, flags, error, capsys):
+        code = main(["eval", "--model", str(leaf6), "--n", "4"] + flags + self.LEAF6)
+        assert code == 1
+        assert capsys.readouterr().err == error + "\n"
 
     @pytest.mark.parametrize("flags", [
         ["--frontend", "mel"],
