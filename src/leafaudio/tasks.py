@@ -6,6 +6,11 @@ pooling, and PCEN dynamics), and noise color (broadband discrimination).
 Every example is deterministic given (task, label, seed): clip-level
 randomness (phases, gains, noise realizations) derives from a SeedSequence
 over those values.
+
+``scipy.signal`` is imported inside the noise-color generator on purpose:
+it is the module's only use, and importing it at the top would cost every
+process (``extract``, ``eval`` and training on the other tasks included)
+about a second and ~49 MB of start-up.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import UnknownTask
 from .signal import FRONTEND_RATE, ToneSpec, Waveform, add_noise_snr, gaussian_noise, synth_tones
@@ -81,6 +85,9 @@ def _noise_color_example(task: TaskSpec, label: int, rng: np.random.Generator) -
     if color == "white":
         shaped = white
     elif color == "lowpass":
+        # imported here: scipy.signal costs every process ~1 s and ~49 MB
+        from scipy.signal import lfilter
+
         # one-pole smoother, ~800 Hz corner at 16 kHz
         shaped = lfilter([0.27], [1.0, -0.73], white)
     else:

@@ -256,8 +256,10 @@ def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
 
     Clips longer than one second are split into consecutive non-overlapping
     one-second windows whose logits are averaged before the argmax.  The
-    head is checked against the task before any clip is made.
+    clip count and the head are checked before any clip is made.
     """
+    if n_examples < 1:
+        raise ValueError(f"evaluation needs at least 1 clip, got n_examples={n_examples}")
     bias = model.params.get(f"head{task_index}_bias")
     if bias is None:
         raise UnknownTask(f"task index {task_index} has no head; "

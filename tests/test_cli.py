@@ -1,11 +1,16 @@
-"""CLI contract tests: exit codes, output formats, reproducibility."""
+"""CLI contract tests: exit codes, output formats, reproducibility, start-up."""
 
+import json
+import os
+import subprocess
+import sys
 import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leafaudio
 from leafaudio.cli import main
 from leafaudio.frontend import FrontendConfig, frontend_forward, variant_config
 from leafaudio.gabor import GaborBank, frequency_response, gabor_impulse_response, gabor_params_from_mels
@@ -110,6 +115,15 @@ class TestSnapshots:
         code = main(["eval", "--model", str(leaf6), "--n", "4"] + flags + self.LEAF6)
         assert code == 1
         assert capsys.readouterr().err == error + "\n"
+
+    @pytest.mark.parametrize("count", ["0", "-5"])
+    def test_eval_without_clips_is_named(self, tmp_path, count, capsys):
+        save_params(tmp_path / "mp", init_params(variant_config("mel-pcen"), 3))
+        code = main(["eval", "--model", str(tmp_path / "mp"), "--frontend", "mel-pcen",
+                     "--task", "am", "--n", count])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ValueError: evaluation needs at least 1 clip, got n_examples={count}\n")
 
     @pytest.mark.parametrize("flags", [
         ["--frontend", "mel"],
@@ -404,3 +418,39 @@ class TestNoiseSweepConfig:
         # an even kernel length is refused before any training starts
         assert main(["noise-sweep", "--frontends", "leaf,leaf-log", "--filter-len", "64", *self.TINY]) == 1
         assert capsys.readouterr().err == "ValueError: filter_len must be odd\n"
+
+
+class TestStartup:
+    """``scipy.signal`` pulls in ``scipy.stats``, ``scipy.interpolate`` and
+    ``scipy.optimize``, about a second and ~49 MB per process; only the
+    noise-color generator may load it.  The check runs in a fresh
+    interpreter, because this process may hold the modules already."""
+
+    HEAVY = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+    SCRIPT = """
+import json, sys
+import leafaudio, leafaudio.cli
+from leafaudio import tasks
+
+def loaded():
+    return [name for name in {heavy!r} if name in sys.modules]
+
+wav, out = sys.argv[1:3]
+if leafaudio.cli.main(["extract", "--input", wav, "--out", out]) != 0:
+    raise SystemExit("extract failed")
+tasks.generate_example(tasks.make_task("pitch"), 1, seed=3)
+tasks.generate_example(tasks.make_task("am"), 2, seed=3)
+before = loaded()
+tasks.generate_example(tasks.make_task("noisecolor"), 1, seed=3)
+print(json.dumps({{"before": before, "after": loaded()}}))
+""".format(heavy=HEAVY)
+
+    def test_only_the_noise_color_generator_loads_scipy_signal(self, tone_wav, tmp_path):
+        src = str(Path(leafaudio.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, str(tone_wav), str(tmp_path / "tone.leaf")],
+                              env=env, capture_output=True, text=True, check=True)
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["before"] == []
+        assert "scipy.signal" in result["after"]

@@ -1,5 +1,7 @@
 """Task generator tests: determinism, class structure, noise application."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -75,6 +77,17 @@ class TestGenerateExample:
         white, low, high = profiles
         assert (low - white)[:10].mean() > (low - white)[-10:].mean()
         assert (high - white)[-10:].mean() > (high - white)[:10].mean()
+
+    @pytest.mark.parametrize("label, digest", [
+        (0, "d2e9bace89fcb4f14ad965dd2a073c9b87583745535687d02b3d305a0c362746"),
+        (1, "4a6211d22ef4a6e062aa30d414fe6ecd9abb7893eda1425f5694a411e9b7df2d"),
+        (2, "f8715520fe2ebb28f24fd8b0b103bc9187f7c1659c01b646fcf3b60e35fe3512"),
+    ], ids=["white", "lowpass", "highpass"])
+    def test_noise_color_clips_are_pinned(self, label, digest):
+        # sha256 of the float64 samples; any change to a filter's arithmetic moves a bit
+        samples = generate_example(make_task("noisecolor"), label, seed=1234).samples
+        assert samples.dtype == np.float64
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
     def test_snr_applied(self):
         clean = generate_example(make_task("pitch"), 0, seed=4)
