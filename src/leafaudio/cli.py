@@ -31,7 +31,7 @@ from .frontend import (
 from .params import ParamSet, frontend_param_values, init_params
 from .signal import FRONTEND_RATE, load_wav
 from .tasks import TASK_NAMES, make_task
-from .training import MultiHead, evaluate, noise_sweep, train
+from .training import MultiHead, bootstrap_diff, evaluate, noise_sweep, train
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,8 +253,6 @@ def _read_values(text: str) -> list[float]:
 
 
 def cmd_bootstrap(args) -> int:
-    from .training import bootstrap_diff
-
     mean, p = bootstrap_diff(_read_values(args.a), _read_values(args.b),
                              iters=args.iters, seed=args.seed)
     print(f"mean_diff={mean:.6f} p={p:.6f}")

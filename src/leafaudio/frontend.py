@@ -30,7 +30,6 @@ from .gabor import MEL_ANALYSIS_WIN, GaborBank, mel_matrix
 from .signal import FRONTEND_RATE, Waveform
 
 LOG_FLOOR = 1e-6
-STFT_WIN_LENGTH = MEL_ANALYSIS_WIN
 
 PCEN_ALPHA_INIT = 0.96
 PCEN_DELTA_INIT = 2.0
@@ -123,14 +122,6 @@ class ConvBank:
             raise ValueError("kernels must be a (2N, W) matrix")
         object.__setattr__(self, "kernels", kernels)
 
-    @property
-    def n_filters(self) -> int:
-        return self.kernels.shape[0] // 2
-
-    @property
-    def filter_len(self) -> int:
-        return self.kernels.shape[1]
-
 
 def renormalize_conv(bank: ConvBank) -> ConvBank:
     """Scale every kernel to unit l2 norm."""
@@ -183,26 +174,27 @@ def log_graph(feats):
     return tape.log(feats + LOG_FLOOR)
 
 
-def pcen_graph(feats, alpha, delta, root, smooth, eps=PCEN_EPS):
+def pcen_graph(feats, alpha, delta, root, smooth):
     """PCEN over (B, N, M) features, smoothed by one ``tape.ema`` node."""
     ema = tape.ema(feats, smooth)
     n = np.shape(tape._value(alpha))[0]
     alpha_col = tape.reshape(alpha, (n, 1))
     delta_col = tape.reshape(delta, (n, 1))
     exponent = 1.0 / tape.reshape(root, (n, 1))
-    normed = feats / tape.power(eps + ema, alpha_col)
+    normed = feats / tape.power(PCEN_EPS + ema, alpha_col)
     return tape.power(normed + delta_col, exponent) - tape.power(delta_col, exponent)
 
 
-def stft_power(xs: np.ndarray, n_fft: int, hop: int, win_length: int = STFT_WIN_LENGTH) -> np.ndarray:
-    """Centered Hann STFT power spectrum, (B, ceil(T/hop), n_fft/2+1)."""
+def stft_power(xs: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
+    """Centered Hann STFT power spectrum over ``MEL_ANALYSIS_WIN``-sample
+    frames, (B, ceil(T/hop), n_fft/2+1)."""
     batch, n_samples = xs.shape
     n_frames = -(-n_samples // hop)
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win_length) / win_length)
-    half = win_length // 2
-    padded = np.zeros((batch, n_samples + win_length), dtype=np.float64)
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(MEL_ANALYSIS_WIN) / MEL_ANALYSIS_WIN)
+    half = MEL_ANALYSIS_WIN // 2
+    padded = np.zeros((batch, n_samples + MEL_ANALYSIS_WIN), dtype=np.float64)
     padded[:, half: half + n_samples] = xs
-    frames = sliding_window_view(padded, win_length, axis=1)[:, ::hop][:, :n_frames]
+    frames = sliding_window_view(padded, MEL_ANALYSIS_WIN, axis=1)[:, ::hop][:, :n_frames]
     spectrum = np.fft.rfft(frames * window, n=n_fft, axis=-1)
     return np.abs(spectrum) ** 2
 
@@ -281,9 +273,8 @@ def variant_config(name: str, **overrides) -> FrontendConfig:
 
 
 def param_count(cfg: FrontendConfig) -> int:
-    """Learnable frontend parameters of a variant (classifier excluded)."""
-    n = cfg.n_filters
-    filtering = {"gabor": 2 * n, "normalized_conv": 2 * n * cfg.filter_len, "mel": 0}[cfg.filtering]
-    pooling = 0 if cfg.filtering == "mel" else n
-    compression = {"log": 0, "pcen": 3 * n, "spcen": 4 * n}[cfg.compression]
-    return filtering + pooling + compression
+    """Learnable frontend parameters of a variant (classifier excluded):
+    the total size of its initial values."""
+    from .params import frontend_param_values  # params imports this module
+
+    return sum(v.size for v in frontend_param_values(cfg).values())

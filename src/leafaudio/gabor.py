@@ -59,10 +59,6 @@ class GaborBank:
         object.__setattr__(self, "center_freqs", eta)
         object.__setattr__(self, "inv_bandwidths", sigma)
 
-    @property
-    def n_filters(self) -> int:
-        return len(self.center_freqs)
-
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
@@ -105,10 +101,11 @@ def mel_matrix(cfg: FrontendConfig) -> np.ndarray:
 MEL_ANALYSIS_WIN = 400  # Hann analysis window of the mel baseline, samples
 
 
-def hann_power_fwhm(win_length: int = MEL_ANALYSIS_WIN, oversample: int = 64) -> float:
-    """FWHM of the Hann window's power spectrum, normalized frequency."""
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win_length) / win_length)
-    grid = oversample * 1024
+def hann_power_fwhm() -> float:
+    """FWHM of the ``MEL_ANALYSIS_WIN``-sample Hann window's power spectrum,
+    normalized frequency, read on a 64x oversampled 1024-point grid."""
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(MEL_ANALYSIS_WIN) / MEL_ANALYSIS_WIN)
+    grid = 64 * 1024
     spectrum = np.abs(np.fft.rfft(window, grid)) ** 2
     return 2.0 * float((spectrum >= 0.5 * spectrum.max()).sum()) / grid
 

@@ -62,9 +62,6 @@ class ParamSet(Mapping):
         if not self.congruent(other):
             raise ShapeMismatch(f"{what} do not match parameter shapes")
 
-    def n_params(self) -> int:
-        return sum(v.size for v in self._values.values())
-
     def flat(self) -> np.ndarray:
         return np.concatenate([v.ravel() for v in self._values.values()]) if self._values else np.zeros(0)
 

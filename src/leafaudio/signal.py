@@ -35,10 +35,6 @@ class Waveform:
         samples.flags.writeable = False
         object.__setattr__(self, "samples", samples)
 
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate
-
     def power(self) -> float:
         """Mean squared amplitude."""
         return float(np.mean(self.samples ** 2))
@@ -46,26 +42,21 @@ class Waveform:
 
 @dataclass(frozen=True)
 class ToneSpec:
-    """Recipe for a sum of cosines.
-
-    Phases are drawn uniformly from [0, 2*pi) using ``phase_seed`` unless
-    ``phases`` gives them explicitly.
-    """
+    """Recipe for a sum of cosines, one amplitude and phase (radians) per
+    frequency."""
 
     frequencies: tuple[float, ...]
     amplitudes: tuple[float, ...]
     duration_s: float
-    phase_seed: int = 0
-    phases: tuple[float, ...] | None = None
+    phases: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
         object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
-        if self.phases is not None:
-            object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
+        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
         if len(self.frequencies) != len(self.amplitudes):
             raise ValueError("frequencies and amplitudes must pair up")
-        if self.phases is not None and len(self.phases) != len(self.frequencies):
+        if len(self.phases) != len(self.frequencies):
             raise ValueError("phases must pair up with frequencies")
 
 
@@ -122,13 +113,9 @@ def synth_tones(spec: ToneSpec, rate: int) -> Waveform:
     n = round(spec.duration_s * rate)
     if n <= 0:
         raise ValueError("duration too short for this sample rate")
-    if spec.phases is not None:
-        phases = np.asarray(spec.phases)
-    else:
-        phases = np.random.default_rng(spec.phase_seed).uniform(0.0, 2.0 * np.pi, len(spec.frequencies))
     t = np.arange(n, dtype=np.float64)
     x = np.zeros(n, dtype=np.float64)
-    for f, a, phi in zip(spec.frequencies, spec.amplitudes, phases):
+    for f, a, phi in zip(spec.frequencies, spec.amplitudes, spec.phases):
         x += a * np.cos(2.0 * np.pi * f * t / rate + phi)
     return Waveform(x, rate)
 

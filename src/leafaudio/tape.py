@@ -326,23 +326,23 @@ def cos(a):
 # -- reductions and shape ops --------------------------------------------
 
 
-def reduce_sum(a, axis=None, keepdims=False):
+def reduce_sum(a, axis=None):
     va = _value(a)
-    out = va.sum(axis=axis, keepdims=keepdims)
+    out = va.sum(axis=axis)
 
     def vjp(g):
         g = np.asarray(g)
-        if not keepdims and axis is not None:
+        if axis is not None:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, va.shape),)
 
     return _node(out, (a,), vjp)
 
 
-def reduce_mean(a, axis=None, keepdims=False):
+def reduce_mean(a, axis=None):
     va = _value(a)
     count = va.size if axis is None else np.prod([va.shape[i] for i in np.atleast_1d(axis)])
-    return mul(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / float(count))
+    return mul(reduce_sum(a, axis=axis), 1.0 / float(count))
 
 
 def reshape(a, shape):
@@ -360,18 +360,10 @@ def getitem(a, index):
 
     def vjp(g):
         acc = np.zeros_like(va)
-        if _is_basic_index(index):
-            acc[index] += g
-        else:
-            np.add.at(acc, index, g)
+        np.add.at(acc, index, g)
         return (acc,)
 
     return _node(out, (a,), vjp)
-
-
-def _is_basic_index(index):
-    parts = index if isinstance(index, tuple) else (index,)
-    return all(isinstance(p, (int, slice, type(None), type(Ellipsis))) for p in parts)
 
 
 def stack(items, axis=0):
@@ -435,7 +427,8 @@ def filter_pool(x, kernels, pool_kernels, stride):
     as soon as the block that completes its window is made.  The channels
     run as up to ``GROUPS`` contiguous groups, one per thread; the result
     does not depend on the grouping.  Only ``kernels`` and
-    ``pool_kernels`` are differentiated.
+    ``pool_kernels`` are differentiated; the adjoint computes both
+    gradients whenever either is live.
     """
     if _live(x):
         raise ValueError("filter_pool does not differentiate its signal; pass x as a constant")
@@ -457,12 +450,9 @@ def filter_pool(x, kernels, pool_kernels, stride):
         for lo, hi in bounds])
 
     def vjp(g):
-        parts = _map_groups([
-            functools.partial(backward, g[:, lo:hi], _live(kernels), _live(pool_kernels))
-            for backward, (lo, hi) in zip(backwards, bounds)])
-        gk = np.concatenate([part[0] for part in parts]) if _live(kernels) else None
-        gp = np.concatenate([part[1] for part in parts]) if _live(pool_kernels) else None
-        return None, gk, gp
+        parts = _map_groups([functools.partial(backward, g[:, lo:hi])
+                             for backward, (lo, hi) in zip(backwards, bounds)])
+        return None, np.concatenate([gk for gk, _ in parts]), np.concatenate([gp for _, gp in parts])
 
     return _node(out, (x, kernels, pool_kernels), vjp)
 
@@ -491,9 +481,9 @@ def _filter_pool_group(vx, vk, vp, stride, out, live):
     """:func:`filter_pool` on the n channels of (2n, W) ``vk`` and (n, P)
     ``vp``, written into the (B, n, M) view ``out``.
 
-    Returns ``backward(g, want_kernels, want_pool) -> (gk, gp)`` for the
-    (B, n, M) frame gradient ``g``; it needs ``live``, which keeps every
-    block's correlations and spectrum.  Plain numpy only, so that groups
+    Returns ``backward(g) -> (gk, gp)``, both kernel sets' gradients for
+    the (B, n, M) frame gradient ``g``; it needs ``live``, which keeps
+    every block's correlations and spectrum.  Plain numpy only, so that groups
     can run on threads of their own.
     """
     batch, n_samples = vx.shape
@@ -536,54 +526,46 @@ def _filter_pool_group(vx, vk, vp, stride, out, live):
             held[:, : filled - cut] = held[:, cut: filled]
             lo, filled = lo + cut, filled - cut
 
-    def backward(g, want_kernels, want_pool):
-        gk = gp = None
-        if want_kernels:
-            # the kernel gradient's spectrum is the sum over rows and blocks
-            # of xf conj(rfft(d corr)), accumulated as its conjugate:
-            # conj(a) b = conj(a conj(b)) exactly
-            spec = np.zeros((n_kernels, size // 2 + 1), dtype=np.result_type(dtype, np.complex64))
-            d_corr = np.zeros((n_kernels, size), dtype=dtype)  # zero past ``keep``
-        if want_pool:
-            # einsum zeroes its output, so the sum over earlier rows enters
-            # each row's einsum as a leading frame of weight 1, followed by
-            # frames of weight 0 up to the row's haloed energy.  With
-            # stride > 1 einsum adds frame after frame, so the terms add in
-            # the order of one einsum over the whole batch
-            lead = -(-pool_width // stride)
-            energy = np.zeros((n, lead * stride + n_samples + pool_width - 1), dtype=dtype)
-            frame_weights = np.zeros((n, lead + n_frames), dtype=dtype)
-            frame_weights[:, 0] = 1.0
-            windows = sliding_window_view(energy, pool_width, axis=1)[:, ::stride][:, : lead + n_frames]
-            gp = np.zeros((n, pool_width), dtype=dtype)
+    def backward(g):
+        # the kernel gradient's spectrum is the sum over rows and blocks
+        # of xf conj(rfft(d corr)), accumulated as its conjugate:
+        # conj(a) b = conj(a conj(b)) exactly
+        spec = np.zeros((n_kernels, size // 2 + 1), dtype=np.result_type(dtype, np.complex64))
+        d_corr = np.zeros((n_kernels, size), dtype=dtype)  # zero past ``keep``
+        # einsum zeroes its output, so the sum over earlier rows enters
+        # each row's einsum as a leading frame of weight 1, followed by
+        # frames of weight 0 up to the row's haloed energy.  With
+        # stride > 1 einsum adds frame after frame, so the terms add in
+        # the order of one einsum over the whole batch
+        lead = -(-pool_width // stride)
+        energy = np.zeros((n, lead * stride + n_samples + pool_width - 1), dtype=dtype)
+        frame_weights = np.zeros((n, lead + n_frames), dtype=dtype)
+        frame_weights[:, 0] = 1.0
+        windows = sliding_window_view(energy, pool_width, axis=1)[:, ::stride][:, : lead + n_frames]
+        gp = np.zeros((n, pool_width), dtype=dtype)
         for b in range(batch):
-            if want_kernels:
-                # d corr = 2 d_energy corr; the 2 is folded into g (exact)
-                d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, dtype)[0]
+            # d corr = 2 d_energy corr; the 2 is folded into g (exact)
+            d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, dtype)[0]
             for i in range(n_blocks):
                 start = i * span
                 keep = min(span, n_samples - start)
                 corr, xf = kept[b * n_blocks + i]
-                if want_pool:
-                    at = lead * stride + pool_half + start
-                    _square_sum(corr, keep, energy[:, at: at + keep])
-                if want_kernels:
-                    d_corr[:, keep:span] = 0.0  # a short last block: clear the previous block's tail
-                    d_e = d_energy[:, start: start + keep]
-                    np.multiply(d_e, corr[:n, :keep], out=d_corr[:n, :keep])
-                    np.multiply(d_e, corr[n:, :keep], out=d_corr[n:, :keep])
-                    term = _fft.rfft(d_corr, axis=-1)
-                    term *= np.conj(xf)
-                    spec += term
-            if want_pool:
-                energy[:, :pool_width] = gp
-                frame_weights[:, lead:] = g[b]
-                gp = np.einsum("nm,nmp->np", frame_weights, windows)
-        if want_kernels:
-            dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
-            d_split = np.concatenate([dk_full[:, size - half:], dk_full[:, : width - half]], axis=-1)
-            gk = np.empty_like(vk)
-            gk[0::2], gk[1::2] = d_split[:n], d_split[n:]
+                at = lead * stride + pool_half + start
+                _square_sum(corr, keep, energy[:, at: at + keep])
+                d_corr[:, keep:span] = 0.0  # a short last block: clear the previous block's tail
+                d_e = d_energy[:, start: start + keep]
+                np.multiply(d_e, corr[:n, :keep], out=d_corr[:n, :keep])
+                np.multiply(d_e, corr[n:, :keep], out=d_corr[n:, :keep])
+                term = _fft.rfft(d_corr, axis=-1)
+                term *= np.conj(xf)
+                spec += term
+            energy[:, :pool_width] = gp
+            frame_weights[:, lead:] = g[b]
+            gp = np.einsum("nm,nmp->np", frame_weights, windows)
+        dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
+        d_split = np.concatenate([dk_full[:, size - half:], dk_full[:, : width - half]], axis=-1)
+        gk = np.empty_like(vk)
+        gk[0::2], gk[1::2] = d_split[:n], d_split[n:]
         return gk, gp
 
     return backward
@@ -691,11 +673,11 @@ def ema(feats, smooth):
     return _node(out, (feats, smooth), vjp)
 
 
-def softmax_cross_entropy(logits, labels, reduction="mean"):
+def softmax_cross_entropy(logits, labels):
     """Cross entropy of softmax(logits) against integer labels.
 
     ``logits`` has shape (B, C), ``labels`` (B,).  Returns a scalar Var,
-    either the batch mean or the batch sum of per-example losses.
+    the batch sum of per-example losses.
     """
     vz = _value(logits)
     labels = np.asarray(labels)
@@ -703,14 +685,12 @@ def softmax_cross_entropy(logits, labels, reduction="mean"):
     shifted = vz - vz.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     log_probs = shifted - log_norm
-    losses = -log_probs[rows, labels]
-    scale = 1.0 / vz.shape[0] if reduction == "mean" else 1.0
-    out = losses.sum() * scale
+    out = (-log_probs[rows, labels]).sum()
 
     def vjp(g):
         grad = np.exp(log_probs)
         grad[rows, labels] -= 1.0
-        return (_grad_for(logits, (g * scale) * grad),)
+        return (_grad_for(logits, g * grad),)
 
     return _node(np.asarray(out, dtype=vz.dtype), (logits,), vjp)
 
@@ -736,14 +716,14 @@ def _toposort(root):
     return order
 
 
-def backward(root: Var, seed=1.0) -> None:
+def backward(root: Var) -> None:
     """Accumulate d(root)/d(leaf) into ``grad`` of every reachable Var."""
     if not root.requires_grad:
         return
     order = _toposort(root)
     for node in order:
         node.grad = None
-    root.grad = np.broadcast_to(np.asarray(seed, dtype=root.value.dtype), root.value.shape).copy()
+    root.grad = np.ones(root.value.shape, dtype=root.value.dtype)
     for node in reversed(order):
         if node.vjp is None or node.grad is None:
             continue

@@ -39,7 +39,6 @@ class TaskSpec:
     num_classes: int
     snr_db: float
     duration_s: float = 1.0
-    sample_rate: int = FRONTEND_RATE
 
     def with_snr(self, snr_db: float) -> "TaskSpec":
         return replace(self, snr_db=snr_db)
@@ -63,23 +62,23 @@ def _pitch_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Wave
     amp = rng.uniform(0.25, 1.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
     spec = ToneSpec((PITCH_FREQS[label],), (amp,), task.duration_s, phases=(phase,))
-    return synth_tones(spec, task.sample_rate)
+    return synth_tones(spec, FRONTEND_RATE)
 
 
 def _am_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Waveform:
     # full-depth modulation so pooling and PCEN dynamics see rate contrast
-    n = round(task.duration_s * task.sample_rate)
-    t = np.arange(n) / task.sample_rate
+    n = round(task.duration_s * FRONTEND_RATE)
+    t = np.arange(n) / FRONTEND_RATE
     amp = rng.uniform(0.25, 1.0)
     mod_phase = rng.uniform(0.0, 2.0 * np.pi)
     car_phase = rng.uniform(0.0, 2.0 * np.pi)
     envelope = 0.5 * (1.0 + np.cos(2.0 * np.pi * AM_RATES[label] * t + mod_phase))
     carrier = np.cos(2.0 * np.pi * AM_CARRIER * t + car_phase)
-    return Waveform(amp * envelope * carrier, task.sample_rate)
+    return Waveform(amp * envelope * carrier, FRONTEND_RATE)
 
 
 def _noise_color_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Waveform:
-    n = round(task.duration_s * task.sample_rate)
+    n = round(task.duration_s * FRONTEND_RATE)
     white = gaussian_noise(n, seed=int(rng.integers(2 ** 31)))
     color = NOISE_COLORS[label]
     if color == "white":
@@ -94,7 +93,7 @@ def _noise_color_example(task: TaskSpec, label: int, rng: np.random.Generator) -
         shaped = np.diff(white, prepend=0.0)
     shaped = shaped / float(np.sqrt(np.mean(shaped ** 2)))
     amp = rng.uniform(0.25, 1.0)
-    return Waveform(amp * shaped, task.sample_rate)
+    return Waveform(amp * shaped, FRONTEND_RATE)
 
 
 def generate_example(task: TaskSpec, label: int, seed: int) -> Waveform:

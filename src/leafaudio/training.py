@@ -108,7 +108,7 @@ def multitask_graph(xs: np.ndarray, labels: np.ndarray, task_ids: np.ndarray,
     }
     total = None
     for rows, logits in task_logits(xs, task_ids, leaves, cfg).values():
-        ce = tape.softmax_cross_entropy(logits, labels[rows], reduction="sum")
+        ce = tape.softmax_cross_entropy(logits, labels[rows])
         total = ce if total is None else total + ce
     return total * (1.0 / xs.shape[0]), leaves
 
@@ -181,6 +181,8 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
     """
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"learning rate must be a finite number above 0, got lr={lr}")
     class_counts = [t.num_classes for t in tasks]
     params = init_multitask_params(cfg, class_counts, dtype=dtype)
     state = init_adam(params, lr)
@@ -226,16 +228,16 @@ def _split_windows(samples: np.ndarray, window: int) -> list[np.ndarray]:
     return [samples[w * window: (w + 1) * window] for w in range(len(samples) // window)]
 
 
-def _mean_window_logits(model: MultiHead, clips, task_index: int,
-                        window: int | None = None) -> np.ndarray:
-    """(clips, classes) head logits, each clip's averaged over its windows.
+def _mean_window_logits(model: MultiHead, clips, task_index: int) -> np.ndarray:
+    """(clips, classes) head logits, each clip's averaged over its
+    one-second windows.
 
     Every window of every clip goes through ``task_logits`` in one batch,
-    in the head's dtype; windows default to one second.
+    in the head's dtype.
     """
     windows, owners = [], []
     for i, wav in enumerate(clips):
-        pieces = _split_windows(wav.samples, window or round(WINDOW_S * wav.sample_rate))
+        pieces = _split_windows(wav.samples, round(WINDOW_S * wav.sample_rate))
         windows += pieces
         owners += [i] * len(pieces)
     xs = np.stack(windows).astype(model.params[f"head{task_index}_weights"].dtype)
@@ -244,10 +246,9 @@ def _mean_window_logits(model: MultiHead, clips, task_index: int,
     return np.stack([logits[owners == i].mean(axis=0) for i in range(len(clips))])
 
 
-def clip_logits(model: MultiHead, waveform, task_index: int = 0,
-                window: int | None = None) -> np.ndarray:
+def clip_logits(model: MultiHead, waveform, task_index: int = 0) -> np.ndarray:
     """Head logits for one clip, averaged over its one-second windows."""
-    return _mean_window_logits(model, [waveform], task_index, window)[0]
+    return _mean_window_logits(model, [waveform], task_index)[0]
 
 
 def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
@@ -284,6 +285,8 @@ def bootstrap_diff(acc_a, acc_b, iters: int = 100_000, seed: int = 0) -> tuple[f
     ``p`` is the one-sided probability that a resampled mean difference is
     <= 0 (small p: a reliably beats b).
     """
+    if iters < 1:
+        raise ValueError(f"bootstrap needs at least 1 resample, got iters={iters}")
     a = np.asarray(acc_a, dtype=np.float64)
     b = np.asarray(acc_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

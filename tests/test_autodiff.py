@@ -6,7 +6,6 @@ import pytest
 from leafaudio import tape
 from leafaudio.autodiff import (
     finite_diff,
-    grad_check_report,
     gradcheck_config,
     perturbed_params,
     relative_errors,
@@ -149,8 +148,8 @@ class TestGradAgreement:
 
 
 @pytest.fixture(scope="module")
-def report():
-    return grad_check_report(seed=0)
+def report(gradcheck_seed0):
+    return gradcheck_seed0.rows
 
 
 class TestGradCheckReport:

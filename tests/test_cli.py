@@ -207,6 +207,14 @@ class TestBootstrapCommand:
         assert code == 1
         assert "LengthMismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("iters", ["0", "-5"])
+    def test_iters_below_1_exits_1_and_names_it(self, iters, capsys):
+        code = main(["bootstrap", "--a", "0.9,0.8", "--b", "0.8,0.7", "--iters", iters])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ValueError: bootstrap needs at least 1 resample, got iters={iters}\n"
+
 
 class TestInspect:
     def test_filters_view_header(self, capsys):
@@ -246,11 +254,10 @@ class TestInspect:
 
 
 class TestGradcheckCommand:
-    def test_seed_0_output_is_unchanged(self, capsys):
-        assert main(["gradcheck", "--seed", "0"]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == (DATA / "gradcheck_seed0.csv").read_text()
-        assert captured.err == "# worst 1.440e-04\n"
+    def test_seed_0_output_is_unchanged(self, gradcheck_seed0):
+        assert gradcheck_seed0.code == 0
+        assert gradcheck_seed0.out == (DATA / "gradcheck_seed0.csv").read_text()
+        assert gradcheck_seed0.err == "# worst 1.440e-04\n"
 
     def test_frontend_flags_are_rejected(self):
         # gradcheck uses its own small config; a size flag would be ignored
@@ -258,10 +265,9 @@ class TestGradcheckCommand:
             main(["gradcheck", "--filters", "6"])
         assert exc.value.code == 2
 
-    def test_csv_format_and_tolerance(self, capsys):
-        code = main(["gradcheck", "--seed", "0"])
-        assert code == 0
-        lines = capsys.readouterr().out.strip().splitlines()
+    def test_csv_format_and_tolerance(self, gradcheck_seed0):
+        assert gradcheck_seed0.code == 0
+        lines = gradcheck_seed0.out.strip().splitlines()
         assert lines[0] == "variant,param_group,max_rel_err,n_params"
         assert len(lines) > 30
         for line in lines[1:]:
@@ -300,6 +306,16 @@ class TestTrainEvalCommands:
         s1 = (tmp_path / "r1" / "final" / "manifest.txt").read_bytes()
         s2 = (tmp_path / "r2" / "final" / "manifest.txt").read_bytes()
         assert s1 == s2
+
+    @pytest.mark.parametrize("lr", ["-1", "nan"])
+    def test_learning_rate_not_above_0_exits_1_and_names_it(self, lr, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = main(["train", "--task", "pitch", "--steps", "1", "--batch", "2", "--lr", lr,
+                     "--frontend", "mel", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ValueError: learning rate must be a finite number above 0, got lr={float(lr)}\n")
+        assert not out.exists()
 
 
 class TestConfigPrecedence:
@@ -418,6 +434,12 @@ class TestNoiseSweepConfig:
         # an even kernel length is refused before any training starts
         assert main(["noise-sweep", "--frontends", "leaf,leaf-log", "--filter-len", "64", *self.TINY]) == 1
         assert capsys.readouterr().err == "ValueError: filter_len must be odd\n"
+
+    def test_learning_rate_0_exits_1_and_names_it(self, capsys):
+        assert main(["noise-sweep", "--frontends", "mel", "--lr", "0", *self.TINY]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ValueError: learning rate must be a finite number above 0, got lr=0.0\n"
 
 
 class TestStartup:
