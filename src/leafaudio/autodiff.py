@@ -72,9 +72,8 @@ def gradcheck_config() -> FrontendConfig:
     )
 
 
-def synthetic_batch(seed: int, batch_size: int = 2, duration_s: float = 0.1,
-                    num_classes: int = 3) -> list[tuple[Waveform, int, int]]:
-    """Noisy random tones as single-task (waveform, label, 0) triples;
+def synthetic_batch(seed: int, batch_size: int = 2, num_classes: int = 3) -> list[tuple[Waveform, int, int]]:
+    """Noisy random 0.1 s tones as single-task (waveform, label, 0) triples;
     broadband content keeps every channel's gradient live."""
     rng = np.random.default_rng(seed)
     batch = []
@@ -82,7 +81,7 @@ def synthetic_batch(seed: int, batch_size: int = 2, duration_s: float = 0.1,
         freq = float(rng.uniform(200.0, 6000.0))
         amp = float(rng.uniform(0.3, 1.0))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        x = synth_tones(ToneSpec((freq,), (amp,), duration_s, phases=(phase,)), FRONTEND_RATE)
+        x = synth_tones(ToneSpec((freq,), (amp,), 0.1, phases=(phase,)), FRONTEND_RATE)
         x = add_noise_snr(x, 10.0, seed=int(rng.integers(2 ** 31)))
         batch.append((x, int(rng.integers(num_classes)), 0))
     return batch

@@ -22,7 +22,6 @@ from .frontend import (
     VARIANT_NAMES,
     FrontendConfig,
     frontend_forward,
-    param_count,
     pooled_graph,
     require_frontend_rate,
     variant_config,
@@ -125,10 +124,10 @@ def build_config(args, frontend=None) -> FrontendConfig:
     return replace(cfg, **overrides)
 
 
-def _load_or_init_params(args, cfg, num_classes=2) -> ParamSet:
-    """The --model snapshot, checked against the variant; else the init."""
+def _load_or_init_params(args, cfg) -> ParamSet:
+    """The --model snapshot, checked against the variant; else the init (one two-class head)."""
     if not getattr(args, "model", None):
-        return init_params(cfg, num_classes)
+        return init_params(cfg, 2)
     params = leafio.load_params(args.model)
     flags = f"--frontend {variant_name(cfg)}, --filters {cfg.n_filters}"
     frontend = ParamSet({k: v for k, v in params.items() if not k.startswith("head")})
@@ -150,9 +149,11 @@ def cmd_extract(args) -> int:
         for ch, r in enumerate(correlations):
             print(f"{ch},{r:.6f}")
         return 0
-    fm = frontend_forward(wav, _load_or_init_params(args, cfg), cfg)
+    params = _load_or_init_params(args, cfg)
+    fm = frontend_forward(wav, params, cfg)
+    learnable = sum(v.size for k, v in params.items() if not k.startswith("head"))
     print(f"frontend={variant_name(cfg)} n_filters={cfg.n_filters} "
-          f"learnable_params={param_count(cfg)} frames={fm.n_frames} channels={fm.n_channels}")
+          f"learnable_params={learnable} frames={fm.n_frames} channels={fm.n_channels}")
     if args.out:
         leafio.write_feature_file(args.out, fm)
         print(f"wrote {args.out}")

@@ -51,3 +51,7 @@ class LengthMismatch(LeafError):
 
 class NonFiniteLoss(LeafError):
     """Loss evaluated to NaN or infinity."""
+
+
+class NonFiniteFeatures(LeafError, ValueError):
+    """A feature map holds NaN or infinity."""

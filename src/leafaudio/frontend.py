@@ -25,7 +25,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tape
-from .errors import BadRate, ZeroFilter
+from .errors import BadRate, NonFiniteFeatures, ZeroFilter
 from .gabor import MEL_ANALYSIS_WIN, GaborBank, mel_matrix
 from .signal import FRONTEND_RATE, Waveform
 
@@ -98,7 +98,7 @@ class FeatureMap:
         if values.ndim != 2:
             raise ValueError("feature map must be 2-D (frames x channels)")
         if not np.all(np.isfinite(values)):
-            raise ValueError("feature map contains non-finite values")
+            raise NonFiniteFeatures("feature map contains non-finite values")
         object.__setattr__(self, "values", values)
 
     @property
@@ -157,7 +157,7 @@ def gabor_kernel_graph(eta, sigma, filter_len):
     phase = (2.0 * np.pi) * tape.reshape(eta, (n, 1)) * t
     real = tape.cos(phase) * envelope
     imag = tape.sin(phase) * envelope
-    return tape.reshape(tape.stack([real, imag], axis=1), (2 * n, filter_len))
+    return tape.reshape(tape.stack([real, imag]), (2 * n, filter_len))
 
 
 def pool_kernel_graph(widths, pool_len):

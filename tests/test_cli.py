@@ -145,6 +145,14 @@ class TestSnapshots:
         assert code == 1
         assert capsys.readouterr().err.startswith("ShapeMismatch:")
 
+    def test_nan_parameter_is_non_finite_features(self, leaf6, tone_wav, capsys):
+        values = dict(load_params(leaf6))
+        values["pcen_delta"] = np.where(np.arange(6) == 2, np.nan, values["pcen_delta"])
+        save_params(leaf6, ParamSet(values))
+        code = main(["extract", "--input", str(tone_wav), "--model", str(leaf6)] + self.LEAF6)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("NonFiniteFeatures:")
+
     def test_extract_and_inspect_share_the_check(self, leaf6, tone_wav, capsys):
         assert main(["extract", "--input", str(tone_wav), "--model", str(leaf6),
                      "--frontend", "leaf"]) == 1

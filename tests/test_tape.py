@@ -6,6 +6,10 @@ against naive O(T*W) loops and np.correlate, its pooling adjoint against
 an np.add.at scatter, the moving average against a frame-by-frame loop.
 """
 
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -127,7 +131,7 @@ class TestShapeOps:
 
     def test_stack(self):
         x = RNG.standard_normal((3,))
-        check_op(lambda v: tape.reduce_sum(tape.stack([v, 2.0 * v], axis=1) ** 2), x)
+        check_op(lambda v: tape.reduce_sum(tape.stack([v, 2.0 * v]) ** 2), x)
 
     def test_matmul(self):
         a = RNG.standard_normal((3, 4))
@@ -431,6 +435,92 @@ class TestChannelGroups:
             assert grads1[name].dtype == np.float32
             assert np.any(grads1[name]), name
             assert np.array_equal(grads1[name], grads2[name]), name
+
+
+class TestWorkspaces:
+    """filter_pool reuses its buffers from call to call, but a live node
+    keeps its own until it dies, so graphs never share them."""
+
+    @staticmethod
+    def graph(x, kernels, pool_kernels, weights):
+        kv, pv = tape.leaf(kernels), tape.leaf(pool_kernels)
+        return tape.reduce_sum(tape.filter_pool(x, kv, pv, 3) * weights), kv, pv
+
+    def test_live_graphs_do_not_share_buffers(self, monkeypatch):
+        monkeypatch.setattr(tape, "GROUPS", 2)
+        monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
+        rng = np.random.default_rng(7)
+        inputs = [filter_pool_inputs(rng, 300, 9, 5, n=3) for _ in range(2)]
+        weights = rng.standard_normal((2, 3, 100))
+        isolated = []
+        for args in inputs:
+            loss, kv, pv = self.graph(*args, weights)
+            tape.backward(loss)
+            isolated.append((kv.grad, pv.grad))
+        graphs = [self.graph(*args, weights) for args in inputs]  # both live at once
+        for k in (1, 0, 0, 1):  # interleaved, and each one twice
+            loss, kv, pv = graphs[k]
+            tape.backward(loss)
+            assert np.array_equal(kv.grad, isolated[k][0])
+            assert np.array_equal(pv.grad, isolated[k][1])
+
+    def test_concurrent_callers_do_not_share_buffers(self, monkeypatch):
+        monkeypatch.setattr(tape, "GROUPS", 2)
+        monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
+        rng = np.random.default_rng(9)
+        inputs = [filter_pool_inputs(rng, 300, 9, 5, n=3) for _ in range(4)]
+        weights = rng.standard_normal((2, 3, 100))
+
+        def grads(args):
+            loss, kv, pv = self.graph(*args, weights)
+            tape.backward(loss)
+            return kv.grad, pv.grad
+
+        expected = [grads(args) for args in inputs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as callers:
+                futures = [callers.submit(grads, args) for args in inputs * 5]
+                got = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for k, (gk, gp) in enumerate(got):
+            assert np.array_equal(gk, expected[k % 4][0])
+            assert np.array_equal(gp, expected[k % 4][1])
+
+    def test_second_step_reuses_the_workspaces(self, monkeypatch):
+        # B=16, 1 s, float32: the first step makes the kept correlations
+        # (~80 MiB) and the other buffers, the second takes them back
+        monkeypatch.setattr(tape, "_spares", {})
+        cfg = variant_config("leaf")
+        batch = sample_batch([make_task("pitch")], 16, seed=0, step=0)
+        params = init_multitask_params(cfg, [make_task("pitch").num_classes], dtype=np.float32)
+        peaks = []
+        for _ in range(2):
+            tracemalloc.start()
+            try:
+                multitask_loss_and_grad(batch, params, cfg, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] / 4
+
+    def test_other_shapes_leave_one_spare_set(self, monkeypatch):
+        monkeypatch.setattr(tape, "GROUPS", 2)
+        monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
+        monkeypatch.setattr(tape, "_spares", {})
+        rng = np.random.default_rng(8)
+        for n_samples in (300, 420, 300, 96):
+            x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, 5, n=3)
+            loss, _, _ = self.graph(x, kernels, pool_kernels, 1.0)
+            tape.backward(loss)
+            del loss
+            tape.filter_pool(x, kernels, pool_kernels, 3)
+        size = tape._block_layout(96, 9)[0]
+        assert sorted(group for _, group in tape._spares) == [0, 1]
+        for (_, group), ws in tape._spares.items():
+            assert ws.corr.shape == (1, 2 * (1, 2)[group], size)
 
 
 def scatter_transposed_pool(g, pool_kernels, stride, n_samples):
