@@ -4,7 +4,6 @@ reverse-mode gradients for end-to-end training."""
 
 from .errors import LeafError
 from .frontend import (
-    ConvBank,
     FeatureMap,
     FrontendConfig,
     frontend_forward,
@@ -13,7 +12,7 @@ from .frontend import (
     variant_config,
     variant_name,
 )
-from .gabor import GaborBank, gabor_impulse_response, mel_matrix
+from .gabor import gabor_impulse_response, mel_matrix
 from .params import Gradients, ParamSet, init_params
 from .signal import ToneSpec, Waveform, add_noise_snr, load_wav, synth_tones
 from .autodiff import finite_diff, grad_check_report

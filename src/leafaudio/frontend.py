@@ -26,7 +26,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from . import tape
 from .errors import BadRate, NonFiniteFeatures, ZeroFilter
-from .gabor import MEL_ANALYSIS_WIN, GaborBank, mel_matrix
+from .gabor import MEL_ANALYSIS_WIN, MEL_WINDOW, mel_matrix
 from .signal import FRONTEND_RATE, Waveform
 
 LOG_FLOOR = 1e-6
@@ -76,14 +76,13 @@ class FrontendConfig:
             raise ValueError(f"need 0 <= fmin < fmax <= {FRONTEND_RATE // 2}")
         if self.n_fft <= 0 or self.n_fft & (self.n_fft - 1):
             raise ValueError("n_fft must be a power of two")
+        if self.n_fft < MEL_ANALYSIS_WIN:
+            raise ValueError(f"n_fft must be at least the {MEL_ANALYSIS_WIN}-sample analysis "
+                             f"window, got n_fft={self.n_fft}")
 
     @property
     def frame_rate(self) -> float:
         return FRONTEND_RATE / self.pool_stride
-
-
-def pool_width_bounds(pool_len: int) -> tuple[float, float]:
-    return 2.0 / pool_len, 0.5
 
 
 @dataclass(frozen=True)
@@ -110,31 +109,16 @@ class FeatureMap:
         return self.values.shape[1]
 
 
-@dataclass(frozen=True)
-class ConvBank:
-    """Free filter kernels; rows 2n, 2n+1 act as channel n's real/imag pair."""
-
-    kernels: np.ndarray
-
-    def __post_init__(self):
-        kernels = np.asarray(self.kernels, dtype=np.float64)
-        if kernels.ndim != 2 or kernels.shape[0] % 2 != 0:
-            raise ValueError("kernels must be a (2N, W) matrix")
-        object.__setattr__(self, "kernels", kernels)
-
-
-def renormalize_conv(bank: ConvBank) -> ConvBank:
-    """Scale every kernel to unit l2 norm."""
-    norms = np.linalg.norm(bank.kernels, axis=1, keepdims=True)
+def renormalize_conv(kernels: np.ndarray) -> np.ndarray:
+    """Free (2N, W) filter kernels, rows 2n and 2n+1 channel n's real/imag
+    pair, each scaled to unit l2 norm in float64."""
+    kernels = np.asarray(kernels, dtype=np.float64)
+    if kernels.ndim != 2 or kernels.shape[0] % 2 != 0:
+        raise ValueError("kernels must be a (2N, W) matrix")
+    norms = np.linalg.norm(kernels, axis=1, keepdims=True)
     if np.any(norms == 0.0):
         raise ZeroFilter("cannot normalize an all-zero kernel")
-    return ConvBank(bank.kernels / norms)
-
-
-def conv_bank_from_gabor(bank: GaborBank) -> ConvBank:
-    """Free-kernel bank initialized from Gabor impulse responses."""
-    kernels = gabor_kernel_graph(bank.center_freqs, bank.inv_bandwidths, bank.filter_len).value
-    return renormalize_conv(ConvBank(kernels))
+    return kernels / norms
 
 
 # -- graph builders (Var in, Var out; plain arrays act as constants) ------
@@ -186,16 +170,15 @@ def pcen_graph(feats, alpha, delta, root, smooth):
 
 
 def stft_power(xs: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
-    """Centered Hann STFT power spectrum over ``MEL_ANALYSIS_WIN``-sample
-    frames, (B, ceil(T/hop), n_fft/2+1)."""
+    """Centered STFT power spectrum over ``MEL_WINDOW``-weighted frames,
+    (B, ceil(T/hop), n_fft/2+1)."""
     batch, n_samples = xs.shape
     n_frames = -(-n_samples // hop)
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(MEL_ANALYSIS_WIN) / MEL_ANALYSIS_WIN)
     half = MEL_ANALYSIS_WIN // 2
     padded = np.zeros((batch, n_samples + MEL_ANALYSIS_WIN), dtype=np.float64)
     padded[:, half: half + n_samples] = xs
     frames = sliding_window_view(padded, MEL_ANALYSIS_WIN, axis=1)[:, ::hop][:, :n_frames]
-    spectrum = np.fft.rfft(frames * window, n=n_fft, axis=-1)
+    spectrum = np.fft.rfft(frames * MEL_WINDOW, n=n_fft, axis=-1)
     return np.abs(spectrum) ** 2
 
 

@@ -17,7 +17,6 @@ the same config the mel baseline uses; the sample rate is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -39,25 +38,6 @@ SIGMA_MIN = 4.0 * SQRT_2LOG2
 
 def sigma_max(filter_len: int) -> float:
     return 2.0 * filter_len * SQRT_2LOG2
-
-
-@dataclass(frozen=True)
-class GaborBank:
-    """Learnable bandpass filterbank parameters."""
-
-    center_freqs: np.ndarray  # eta, normalized cycles/sample
-    inv_bandwidths: np.ndarray  # sigma, samples
-    filter_len: int
-
-    def __post_init__(self):
-        eta = np.asarray(self.center_freqs, dtype=np.float64)
-        sigma = np.asarray(self.inv_bandwidths, dtype=np.float64)
-        if eta.shape != sigma.shape or eta.ndim != 1:
-            raise ValueError("center_freqs and inv_bandwidths must be equal-length vectors")
-        if self.filter_len % 2 != 1:
-            raise ValueError("filter_len must be odd")
-        object.__setattr__(self, "center_freqs", eta)
-        object.__setattr__(self, "inv_bandwidths", sigma)
 
 
 def hz_to_mel(f):
@@ -99,20 +79,21 @@ def mel_matrix(cfg: FrontendConfig) -> np.ndarray:
 
 
 MEL_ANALYSIS_WIN = 400  # Hann analysis window of the mel baseline, samples
+MEL_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(MEL_ANALYSIS_WIN) / MEL_ANALYSIS_WIN)
+MEL_WINDOW.flags.writeable = False
 
 
 def hann_power_fwhm() -> float:
-    """FWHM of the ``MEL_ANALYSIS_WIN``-sample Hann window's power spectrum,
-    normalized frequency, read on a 64x oversampled 1024-point grid."""
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(MEL_ANALYSIS_WIN) / MEL_ANALYSIS_WIN)
+    """FWHM of ``MEL_WINDOW``'s power spectrum, normalized frequency, read
+    on a 64x oversampled 1024-point grid."""
     grid = 64 * 1024
-    spectrum = np.abs(np.fft.rfft(window, grid)) ** 2
+    spectrum = np.abs(np.fft.rfft(MEL_WINDOW, grid)) ** 2
     return 2.0 * float((spectrum >= 0.5 * spectrum.max()).sum()) / grid
 
 
-def gabor_params_from_mels(cfg: FrontendConfig) -> GaborBank:
-    """One Gabor filter per mel triangle, matched so that the frontends'
-    pre-compression outputs agree at initialization.
+def gabor_params_from_mels(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
+    """(eta, sigma) of one Gabor filter per mel triangle, matched so that
+    the frontends' pre-compression outputs agree at initialization.
 
     Centers sit on the triangle peaks.  Widths match the filter's physical
     squared-magnitude response (power FWHM = sqrt(ln 2)/(pi sigma)) to the
@@ -128,19 +109,13 @@ def gabor_params_from_mels(cfg: FrontendConfig) -> GaborBank:
     fwhm_effective = np.sqrt(fwhm_triangle ** 2 + hann_power_fwhm() ** 2)
     sigma = np.sqrt(np.log(2.0)) / (np.pi * fwhm_effective)
     sigma = np.clip(sigma, SIGMA_MIN, sigma_max(cfg.filter_len))
-    return GaborBank(centers, sigma, cfg.filter_len)
+    return centers, sigma
 
 
-def time_grid(filter_len: int) -> np.ndarray:
+def gabor_impulse_response(eta: float, sigma: float, filter_len: int) -> np.ndarray:
+    """Complex impulse response of one filter over the symmetric grid."""
     half = (filter_len - 1) // 2
-    return np.arange(-half, half + 1, dtype=np.float64)
-
-
-def gabor_impulse_response(bank: GaborBank, n: int) -> np.ndarray:
-    """Complex impulse response of channel n over the symmetric grid."""
-    t = time_grid(bank.filter_len)
-    eta = bank.center_freqs[n]
-    sigma = bank.inv_bandwidths[n]
+    t = np.arange(-half, half + 1, dtype=np.float64)
     envelope = np.exp(-(t ** 2) / (2.0 * sigma ** 2)) / (math.sqrt(2.0 * math.pi) * sigma)
     return np.exp(2j * np.pi * eta * t) * envelope
 

@@ -20,10 +20,8 @@ from .frontend import (
     PCEN_DELTA_INIT,
     PCEN_ROOT_INIT,
     PCEN_SMOOTH_INIT,
-    conv_bank_from_gabor,
-    pool_width_bounds,
+    gabor_kernel_graph,
     renormalize_conv,
-    ConvBank,
 )
 from .gabor import SIGMA_MIN, gabor_params_from_mels, sigma_max
 
@@ -84,12 +82,11 @@ def frontend_param_values(cfg: FrontendConfig, dtype=np.float64) -> dict[str, np
     its compression."""
     values: dict[str, np.ndarray] = {}
     if cfg.filtering in ("gabor", "normalized_conv"):
-        bank = gabor_params_from_mels(cfg)
+        eta, sigma = gabor_params_from_mels(cfg)
         if cfg.filtering == "gabor":
-            values["eta"] = bank.center_freqs
-            values["sigma"] = bank.inv_bandwidths
+            values["eta"], values["sigma"] = eta, sigma
         else:
-            values["conv_kernels"] = conv_bank_from_gabor(bank).kernels
+            values["conv_kernels"] = renormalize_conv(gabor_kernel_graph(eta, sigma, cfg.filter_len).value)
         values["pool_widths"] = np.full(cfg.n_filters, 0.4)
     if cfg.compression in ("pcen", "spcen"):
         values["pcen_alpha"] = np.full(cfg.n_filters, PCEN_ALPHA_INIT)
@@ -120,7 +117,7 @@ def constraint_bounds(cfg: FrontendConfig) -> dict[str, tuple[float, float | Non
     return {
         "eta": (0.0, 0.5),
         "sigma": (SIGMA_MIN, sigma_max(cfg.filter_len)),
-        "pool_widths": pool_width_bounds(cfg.pool_len),
+        "pool_widths": (2.0 / cfg.pool_len, 0.5),
         "pcen_alpha": (0.0, 1.0),
         "pcen_delta": (0.0, None),
         "pcen_root": (1.0, None),
@@ -138,7 +135,7 @@ def project_params(params: ParamSet, cfg: FrontendConfig) -> ParamSet:
     out = {}
     for key, value in params.items():
         if key == "conv_kernels":  # unit l2 norm per kernel
-            out[key] = renormalize_conv(ConvBank(value)).kernels.astype(value.dtype)
+            out[key] = renormalize_conv(value).astype(value.dtype)
         elif key in bounds:
             out[key] = np.clip(value, *bounds[key])
         else:

@@ -308,6 +308,8 @@ def noise_sweep(task: TaskSpec, snr_list, variants: list[FrontendConfig], seed: 
     Returns rows ``{"variant", "snr_db", "accuracies", "mean_accuracy"}``
     with one accuracy per seed.
     """
+    if n_seeds < 1:
+        raise ValueError(f"noise sweep needs at least 1 seed, got n_seeds={n_seeds}")
     rows = []
     for cfg in variants:
         for snr in snr_list:

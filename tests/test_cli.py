@@ -13,7 +13,7 @@ import pytest
 import leafaudio
 from leafaudio.cli import main
 from leafaudio.frontend import FrontendConfig, frontend_forward, variant_config
-from leafaudio.gabor import GaborBank, frequency_response, gabor_impulse_response, gabor_params_from_mels
+from leafaudio.gabor import frequency_response, gabor_impulse_response, gabor_params_from_mels
 from leafaudio.io import load_params, read_feature_file, save_params
 from leafaudio.params import ParamSet, init_params
 from leafaudio.signal import ToneSpec, load_wav, synth_tones
@@ -237,8 +237,8 @@ class TestInspect:
         rows = [line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:]]
         n_points = 2 ** 18
         for ch, center_hz, sigma, fwhm_hz in rows:
-            bank = GaborBank(np.array([float(center_hz) / 16000]), np.array([float(sigma)]), 401)
-            power = frequency_response(gabor_impulse_response(bank, 0), n_points)
+            filt = gabor_impulse_response(float(center_hz) / 16000, float(sigma), 401)
+            power = frequency_response(filt, n_points)
             measured_hz = (power >= 0.5 * power.max()).sum() * 16000 / n_points
             np.testing.assert_allclose(float(fwhm_hz), measured_hz, rtol=0.02, err_msg=f"channel {ch}")
 
@@ -372,12 +372,12 @@ class TestConfigFile:
         assert main(["inspect", "--frontend", "leaf", "--what", "filters", "--config", str(fmin300)]) == 0
         out = capsys.readouterr().out
         assert out != default
-        bank = gabor_params_from_mels(FrontendConfig(fmin=300.0))
+        eta, sigma = gabor_params_from_mels(FrontendConfig(fmin=300.0))
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert len(rows) == 40
-        for ch, center_hz, sigma, _ in rows:
-            assert float(center_hz) == bank.center_freqs[int(ch)] * 16000
-            assert float(sigma) == bank.inv_bandwidths[int(ch)]
+        for ch, center_hz, sigma_text, _ in rows:
+            assert float(center_hz) == eta[int(ch)] * 16000
+            assert float(sigma_text) == sigma[int(ch)]
 
     def test_extract_leaf_uses_the_file_grid(self, fmin300, tone_wav, tmp_path):
         default, moved = tmp_path / "default.leaf", tmp_path / "fmin.leaf"
@@ -448,6 +448,13 @@ class TestNoiseSweepConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ValueError: learning rate must be a finite number above 0, got lr=0.0\n"
+
+    def test_seeds_below_1_exits_1_and_names_it(self, capsys):
+        # the last --seeds wins over TINY's
+        assert main(["noise-sweep", "--frontends", "mel", *self.TINY, "--seeds", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "ValueError: noise sweep needs at least 1 seed, got n_seeds=0\n"
 
 
 class TestStartup:

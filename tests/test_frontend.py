@@ -9,7 +9,6 @@ import pytest
 from leafaudio import tape
 from leafaudio.errors import BadRate, ZeroFilter
 from leafaudio.frontend import (
-    ConvBank,
     FrontendConfig,
     frontend_forward,
     gabor_kernel_graph,
@@ -21,7 +20,7 @@ from leafaudio.frontend import (
     renormalize_conv,
     variant_config,
 )
-from leafaudio.gabor import GaborBank, gabor_impulse_response, mel_matrix
+from leafaudio.gabor import gabor_impulse_response, mel_matrix
 from leafaudio.params import frontend_param_values, init_multitask_params, init_params
 from leafaudio.signal import ToneSpec, Waveform, synth_tones
 from leafaudio.tasks import make_task, sample_batch
@@ -41,8 +40,8 @@ def squared_modulus(samples, kernels):
     return tape.filter_pool(np.asarray(samples)[None, :], kernels, np.ones((n, 1)), 1).value[0].T
 
 
-def gabor_kernels(bank: GaborBank):
-    return gabor_kernel_graph(bank.center_freqs, bank.inv_bandwidths, bank.filter_len).value
+def gabor_kernels(eta, sigma, filter_len):
+    return gabor_kernel_graph(np.array(eta), np.array(sigma), filter_len).value
 
 
 def lowpass_kernel(width, pool_len=401):
@@ -100,8 +99,7 @@ class TestFilterSquaredModulus:
         center = 1000
         x = np.zeros(n)
         x[center] = 1.0
-        bank = GaborBank(np.array([0.05, 0.25, 0.45]), np.array([30.0, 30.0, 50.0]), 401)
-        out = squared_modulus(x, gabor_kernels(bank))
+        out = squared_modulus(x, gabor_kernels([0.05, 0.25, 0.45], [30.0, 30.0, 50.0], 401))
         t = np.arange(n) - center
         support = np.abs(t) <= 200  # kernel reaches +-(W-1)/2 around the impulse
         for ch, sigma in enumerate([30.0, 30.0, 50.0]):
@@ -112,17 +110,15 @@ class TestFilterSquaredModulus:
         np.testing.assert_allclose(out[:, 0], out[:, 1], atol=1e-12)
 
     def test_zero_input(self):
-        bank = GaborBank(np.array([0.1]), np.array([20.0]), 101)
-        out = squared_modulus(np.zeros(500), gabor_kernels(bank))
+        out = squared_modulus(np.zeros(500), gabor_kernels([0.1], [20.0], 101))
         np.testing.assert_allclose(out, 0.0, atol=1e-20)
 
     def test_tone_envelope_matches_complex_dot_oracle(self):
         # interior response to a matched tone is flat and equals the direct
         # complex correlation evaluated independently per time step
         x = tone(0.25 * 16000, duration=0.25)
-        bank = GaborBank(np.array([0.25]), np.array([40.0]), 401)
-        out = squared_modulus(x.samples, gabor_kernels(bank))[:, 0]
-        phi = gabor_impulse_response(bank, 0)
+        out = squared_modulus(x.samples, gabor_kernels([0.25], [40.0], 401))[:, 0]
+        phi = gabor_impulse_response(0.25, 40.0, 401)
         half = 200
         interior = slice(401, len(x.samples) - 401)
         for t in (500, 1234, 2000, 3210):
@@ -133,7 +129,7 @@ class TestFilterSquaredModulus:
         assert ripple < 0.02
 
     def test_conv_bank_pairs_adjacent_kernels(self):
-        # channel n of a ConvBank output is corr(x, k_2n)^2 + corr(x, k_2n+1)^2
+        # channel n of a free-kernel bank's output is corr(x, k_2n)^2 + corr(x, k_2n+1)^2
         rng = np.random.default_rng(11)
         x = rng.standard_normal(50)
         kernels = rng.standard_normal((4, 9))
@@ -327,11 +323,13 @@ class TestMelFrontend:
         np.testing.assert_allclose(fm.values, math.log(1e-6), rtol=1e-9)
         assert fm.values.shape == (100, 40)
 
-    @pytest.mark.parametrize("grid", [dict(fmin=-1.0), dict(fmin=300.0, fmax=300.0),
-                                      dict(fmax=8001.0), dict(n_fft=500), dict(n_fft=0)],
-                             ids=["fmin<0", "fmin=fmax", "fmax>nyquist", "n_fft=500", "n_fft=0"])
-    def test_bad_design_grid(self, grid):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("grid, match", [(dict(fmin=-1.0), "fmin"), (dict(fmin=300.0, fmax=300.0), "fmin"),
+                                             (dict(fmax=8001.0), "fmax"), (dict(n_fft=500), "n_fft"),
+                                             (dict(n_fft=0), "n_fft"), (dict(n_fft=256), "n_fft")],
+                             ids=["fmin<0", "fmin=fmax", "fmax>nyquist", "n_fft=500", "n_fft=0", "n_fft=256"])
+    def test_bad_design_grid(self, grid, match):
+        # n_fft=256 is a power of two, but shorter than the 400-sample analysis window
+        with pytest.raises(ValueError, match=match):
             FrontendConfig(**grid)
 
     def test_tone_argmax_channel(self):
@@ -371,27 +369,36 @@ class TestParamCount:
 
 class TestRenormalizeConv:
     def test_scales_to_unit_norm(self):
-        bank = ConvBank(np.array([[3.0, 4.0, 0.0], [0.0, 5.0, 12.0]]))
-        out = renormalize_conv(bank)
-        np.testing.assert_allclose(np.linalg.norm(out.kernels, axis=1), 1.0, rtol=1e-15)
-        np.testing.assert_allclose(out.kernels[0], [0.6, 0.8, 0.0])
+        out = renormalize_conv(np.array([[3.0, 4.0, 0.0], [0.0, 5.0, 12.0]]))
+        np.testing.assert_allclose(np.linalg.norm(out, axis=1), 1.0, rtol=1e-15)
+        np.testing.assert_allclose(out[0], [0.6, 0.8, 0.0])
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)
-        bank = renormalize_conv(ConvBank(rng.standard_normal((4, 7))))
-        again = renormalize_conv(bank)
-        np.testing.assert_allclose(again.kernels, bank.kernels, atol=1e-12)
+        once = renormalize_conv(rng.standard_normal((4, 7)))
+        np.testing.assert_allclose(renormalize_conv(once), once, atol=1e-12)
 
     def test_zero_filter(self):
         with pytest.raises(ZeroFilter):
-            renormalize_conv(ConvBank(np.zeros((2, 5))))
+            renormalize_conv(np.zeros((2, 5)))
+
+    @pytest.mark.parametrize("shape", [(6,), (3, 5)], ids=["1-D", "odd-rows"])
+    def test_rejects_non_paired_matrix(self, shape):
+        with pytest.raises(ValueError, match=r"\(2N, W\)"):
+            renormalize_conv(np.ones(shape))
+
+    def test_float32_kernels_normalize_in_float64(self):
+        kernels = np.random.default_rng(3).standard_normal((4, 7)).astype(np.float32)
+        out = renormalize_conv(kernels)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, renormalize_conv(kernels.astype(np.float64)))
 
     def test_output_invariant_to_prescaling(self):
         rng = np.random.default_rng(4)
         kernels = rng.standard_normal((4, 101))
         x = tone(900.0, duration=0.05)
-        a = squared_modulus(x.samples, renormalize_conv(ConvBank(kernels)).kernels)
-        b = squared_modulus(x.samples, renormalize_conv(ConvBank(10.0 * kernels)).kernels)
+        a = squared_modulus(x.samples, renormalize_conv(kernels))
+        b = squared_modulus(x.samples, renormalize_conv(10.0 * kernels))
         np.testing.assert_allclose(a, b, rtol=1e-10)
 
 
