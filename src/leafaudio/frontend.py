@@ -17,6 +17,7 @@ is fixed at ``signal.FRONTEND_RATE``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -24,7 +25,7 @@ from typing import Mapping
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from . import tape
+from . import tape, workers
 from .errors import BadRate, NonFiniteFeatures, ZeroFilter
 from .gabor import MEL_ANALYSIS_WIN, MEL_WINDOW, mel_matrix
 from .signal import FRONTEND_RATE, Waveform
@@ -183,9 +184,21 @@ def stft_power(xs: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
 
 
 def mel_power_features(xs: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
-    """STFT power at hop ``pool_stride`` projected on the mel filterbank, (B, M, N)."""
-    power = stft_power(xs, cfg.n_fft, cfg.pool_stride)
-    return power @ mel_matrix(cfg).T
+    """STFT power at hop ``pool_stride`` projected on the mel filterbank, (B, M, N).
+
+    Every row depends only on its own samples, so contiguous row shards
+    run on the worker pool, each writing its rows of the one output; the
+    result does not depend on the shard count, bit for bit.
+    """
+    batch, n_samples = xs.shape
+    mel = mel_matrix(cfg).T
+    out = np.empty((batch, -(-n_samples // cfg.pool_stride), cfg.n_filters))
+
+    def project(lo, hi):
+        np.matmul(stft_power(xs[lo:hi], cfg.n_fft, cfg.pool_stride), mel, out=out[lo:hi])
+
+    workers.run([functools.partial(project, lo, hi) for lo, hi in workers.shards(batch)])
+    return out
 
 
 def pooled_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig):

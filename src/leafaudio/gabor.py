@@ -16,6 +16,7 @@ the same config the mel baseline uses; the sample rate is
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import TYPE_CHECKING
 
@@ -54,10 +55,12 @@ def mel_breakpoints(cfg: FrontendConfig) -> np.ndarray:
     return mel_to_hz(mels)
 
 
+@functools.lru_cache(maxsize=16)  # a process uses a few configs; each matrix is ~80 KB
 def mel_matrix(cfg: FrontendConfig) -> np.ndarray:
     """Triangular mel filterbank sampled on the FFT-bin grid.
 
-    Returns an (N, n_fft/2+1) matrix; each row is peak-normalized to 1.
+    Returns a read-only (N, n_fft/2+1) matrix, made once per config; each
+    row is peak-normalized to 1.  A degenerate grid raises on every call.
     """
     breaks = mel_breakpoints(cfg)
     bin_hz = FRONTEND_RATE / cfg.n_fft
@@ -75,6 +78,7 @@ def mel_matrix(cfg: FrontendConfig) -> np.ndarray:
         if top == 0.0:
             raise DegenerateTriangle(f"mel filter {n} has no support on the bin grid")
         out[n] = row / top
+    out.flags.writeable = False
     return out
 
 
@@ -83,6 +87,7 @@ MEL_WINDOW = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(MEL_ANALYSIS_WIN) / MEL_
 MEL_WINDOW.flags.writeable = False
 
 
+@functools.cache
 def hann_power_fwhm() -> float:
     """FWHM of ``MEL_WINDOW``'s power spectrum, normalized frequency, read
     on a 64x oversampled 1024-point grid."""

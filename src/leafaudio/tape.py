@@ -36,7 +36,8 @@ All of that work is per channel, so :func:`filter_pool` splits the N
 channels into ``GROUPS`` contiguous groups, where ``GROUPS`` is the number
 of CPUs the process may run on, capped at N and at one group per
 ``MIN_GROUP_WORK`` channel-samples of FFT work.  Each group runs
-the streaming loop above, forward and backward, on a thread of its own
+the streaming loop above, forward and backward, on a thread of the
+package's one worker pool (``workers``)
 and writes its own channels of the output and its own kernels'
 gradients; with one group it runs in the calling thread.  Every number is
 computed by the same operations whatever the grouping, so values and
@@ -59,27 +60,25 @@ system (~100 MB a step at B=16, 1 s, float32).
 from __future__ import annotations
 
 import functools
-import os
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy import fft as _fft
 
+from . import workers
+
 FFT_BLOCK = 16384
 
-# filter_pool's channel groups, one per CPU this process may run on, and
-# the threads that run them, made on first use.  A group gets at least
-# MIN_GROUP_WORK channel-samples of FFT per call: on 2 cores a smaller one
-# spends more on handing the interpreter lock between threads than it
-# gains (measured, forward and backward: a 6-channel, 0.1 s batch of 2
-# ran ~1.7x slower in two groups, a 40-channel 1 s clip ~1.2x faster)
-GROUPS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# filter_pool's channel groups, one per CPU this process may run on, run
+# on the shared worker pool.  A group gets at least MIN_GROUP_WORK
+# channel-samples of FFT per call: on 2 cores a smaller one spends more on
+# handing the interpreter lock between threads than it gains (measured,
+# forward and backward: a 6-channel, 0.1 s batch of 2 ran ~1.7x slower in
+# two groups, a 40-channel 1 s clip ~1.2x faster)
+GROUPS = workers.CPUS
 MIN_GROUP_WORK = 2 ** 18
-_pool = None
-_pool_lock = threading.Lock()
 # the spectra of at most CHUNK (row, block) items of the signal are made at
 # once and handed to every channel group: one hand-off for a training batch
 # of 1 s clips, while a long clip's spectra are never all held at once
@@ -491,7 +490,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
     spectra = []  # every item's conjugate spectrum, for the kernel gradients
     for c in range(0, len(items), CHUNK):
         xf = _block_spectra(vx, items[c: c + CHUNK], size, (width - 1) // 2)
-        _map_groups([functools.partial(group.send, xf) for group in groups])
+        workers.run([functools.partial(group.send, xf) for group in groups])
         if live:
             spectra.extend(np.conjugate(xf, out=xf))
     if not live:
@@ -504,7 +503,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
         weakref.finalize(backward, _give_back, key, group, ws)
 
     def vjp(g):
-        parts = _map_groups([functools.partial(backward, g[:, lo:hi])
+        parts = workers.run([functools.partial(backward, g[:, lo:hi])
                              for backward, (lo, hi) in zip(backwards, bounds)])
         return None, np.concatenate([gk for gk, _ in parts]), np.concatenate([gp for _, gp in parts])
 
@@ -515,20 +514,7 @@ def _channel_groups(n, work):
     """[lo, hi) bounds of the contiguous channel groups of a call that
     transforms ``work`` channel-samples: ``GROUPS`` of them, at most one
     per channel and per ``MIN_GROUP_WORK``, and at least one."""
-    count = max(1, min(GROUPS, n, work // MIN_GROUP_WORK))
-    return [(n * i // count, n * (i + 1) // count) for i in range(count)]
-
-
-def _map_groups(tasks):
-    """Results of the no-argument ``tasks``, in order: run in the calling
-    thread when there is one, else on the shared thread pool."""
-    if len(tasks) == 1:
-        return [tasks[0]()]
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=GROUPS, thread_name_prefix="filter_pool")
-    return list(_pool.map(lambda task: task(), tasks))
+    return workers.bounds(n, max(1, min(GROUPS, n, work // MIN_GROUP_WORK)))
 
 
 class _Workspace:

@@ -15,10 +15,12 @@ about a second and ~49 MB of start-up.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import workers
 from .errors import UnknownTask
 from .signal import FRONTEND_RATE, ToneSpec, Waveform, add_noise_snr, gaussian_noise, synth_tones
 
@@ -128,10 +130,22 @@ def sample_batch(tasks: list[TaskSpec], batch_size: int, seed: int, step: int):
     return batch
 
 
-def test_set(task: TaskSpec, n_examples: int, seed: int):
-    """Balanced held-out set; the seed namespace is disjoint from training."""
+def test_set(task: TaskSpec, n_examples: int, seed: int, start: int = 0):
+    """Balanced held-out clips ``start`` .. ``start + n_examples - 1``, as
+    (Waveform, label) pairs; the seed namespace is disjoint from training.
+
+    Clip i depends only on (task, seed, i), so the clips are made in
+    contiguous index shards on the worker pool, bit for bit the same for
+    any shard count, and a set made in pieces equals the set made whole.
+    """
+    parts = workers.run([functools.partial(_held_out_examples, task, seed, start + lo, start + hi)
+                         for lo, hi in workers.shards(n_examples)])
+    return [example for part in parts for example in part]
+
+
+def _held_out_examples(task: TaskSpec, seed: int, lo: int, hi: int):
     out = []
-    for i in range(n_examples):
+    for i in range(lo, hi):
         label = i % task.num_classes
         example_seed = int(
             np.random.default_rng(np.random.SeedSequence([seed, 0x7E57, i])).integers(2 ** 31)

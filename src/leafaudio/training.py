@@ -257,7 +257,9 @@ def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
 
     Clips longer than one second are split into consecutive non-overlapping
     one-second windows whose logits are averaged before the argmax.  The
-    clip count and the head are checked before any clip is made.
+    clip count and the head are checked before any clip is made.  Each
+    chunk of ``EVAL_BATCH_CLIPS`` clips is made just before it runs, so
+    memory does not grow with ``n_examples``.
     """
     if n_examples < 1:
         raise ValueError(f"evaluation needs at least 1 clip, got n_examples={n_examples}")
@@ -268,15 +270,14 @@ def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
     if bias.size != task.num_classes:
         raise ShapeMismatch(f"head {task_index} has {bias.size} classes, "
                             f"task {task.name!r} has {task.num_classes}")
-    examples = test_set(task, n_examples, seed)
     correct = 0
-    for start in range(0, len(examples), EVAL_BATCH_CLIPS):
-        chunk = examples[start: start + EVAL_BATCH_CLIPS]
+    for start in range(0, n_examples, EVAL_BATCH_CLIPS):
+        chunk = test_set(task, min(EVAL_BATCH_CLIPS, n_examples - start), seed, start)
         logits = _mean_window_logits(model, [wav for wav, _ in chunk], task_index)
         correct += int(np.sum(logits.argmax(axis=1) == [label for _, label in chunk]))
-    p = correct / len(examples)
-    ci = 1.96 * np.sqrt(p * (1.0 - p) / len(examples))
-    return EvalResult(p, float(ci), len(examples))
+    p = correct / n_examples
+    ci = 1.96 * np.sqrt(p * (1.0 - p) / n_examples)
+    return EvalResult(p, float(ci), n_examples)
 
 
 def bootstrap_diff(acc_a, acc_b, iters: int = 100_000, seed: int = 0) -> tuple[float, float]:

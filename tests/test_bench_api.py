@@ -13,6 +13,7 @@ the benchmark.
 import importlib
 import importlib.util
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -88,3 +89,26 @@ def test_every_workload_op_passes_its_check(workloads, tmp_path):
         workload.setup()
         inputs = workload.prepare(0)
         assert workload.check(inputs, workload.op(inputs)), name
+
+
+def test_traced_eval_op_spans_stay_on_the_calling_thread(spans, workloads, tmp_path):
+    # the clip and STFT shards run on pool threads; the tracer keeps one
+    # span stack, so they must call nothing it patches
+    workload = workloads.WORKLOADS["eval-mel-pcen"](0, str(tmp_path))
+    workload.setup()
+    tracer = spans.Tracer(leafaudio)
+    entered = []
+    enter = tracer.enter
+
+    def enter_recording_thread(name, charge=None):
+        entered.append((name, threading.current_thread()))
+        return enter(name, charge)
+
+    tracer.enter = enter_recording_thread
+    inputs = workload.prepare(0)
+    assert workload.check(inputs, tracer.op(workload.op, inputs))
+    assert [name for name, thread in entered if thread is not threading.current_thread()] == []
+    (summary,) = spans.summarize(tracer.spans, tracer.op_id + 1)
+    assert spans.partition_gap_ms(summary) <= 1e-6
+    assert summary["tasks.test_set.calls"] == 1
+    assert summary["frontend.mel_power_features.calls"] == 1

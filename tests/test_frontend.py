@@ -6,18 +6,20 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from leafaudio import tape
+from leafaudio import tape, workers
 from leafaudio.errors import BadRate, ZeroFilter
 from leafaudio.frontend import (
     FrontendConfig,
     frontend_forward,
     gabor_kernel_graph,
     log_graph,
+    mel_power_features,
     param_count,
     pcen_graph,
     pool_kernel_graph,
     pooled_graph,
     renormalize_conv,
+    stft_power,
     variant_config,
 )
 from leafaudio.gabor import gabor_impulse_response, mel_matrix
@@ -349,6 +351,15 @@ class TestMelFrontend:
     def test_bad_rate(self):
         with pytest.raises(BadRate):
             frontend_forward(Waveform(np.zeros(8000), 8000), init_params(MEL, 2), MEL)
+
+    @pytest.mark.parametrize("shards", [1, 2, 3, 5])
+    def test_row_shards_equal_the_whole_batch(self, monkeypatch, shards):
+        monkeypatch.setattr(workers, "CPUS", shards)
+        rng = np.random.default_rng(shards)
+        for batch in (1, 2, 3, 63, 64, 70):
+            xs = rng.standard_normal((batch, 1700))
+            serial = stft_power(xs, MEL.n_fft, MEL.pool_stride) @ mel_matrix(MEL).T
+            assert np.array_equal(mel_power_features(xs, MEL), serial), batch
 
 
 class TestParamCount:

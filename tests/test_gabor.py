@@ -56,8 +56,15 @@ class TestMelMatrix:
             assert abs(mm[n].argmax() - centers[n] / bin_hz) <= 1.0
 
     def test_degenerate_triangle(self):
-        with pytest.raises(DegenerateTriangle):
-            mel_matrix(FrontendConfig(n_filters=40, fmin=60.0, fmax=300.0))
+        for _ in range(2):  # raised on every call, not only the first
+            with pytest.raises(DegenerateTriangle):
+                mel_matrix(FrontendConfig(n_filters=40, fmin=60.0, fmax=300.0))
+
+    def test_one_read_only_matrix_per_config(self):
+        mm = mel_matrix(FrontendConfig(n_filters=7))
+        assert mel_matrix(FrontendConfig(n_filters=7)) is mm
+        assert not mm.flags.writeable
+        np.testing.assert_array_equal(mm, mel_matrix.__wrapped__(FrontendConfig(n_filters=7)))
 
 
 class TestGaborParamsFromMels:

@@ -5,6 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from leafaudio import workers
 from leafaudio.errors import UnknownTask
 from leafaudio.frontend import FrontendConfig, mel_power_features
 from leafaudio.tasks import (
@@ -129,3 +130,31 @@ class TestBatchesAndTestSets:
         for xt, _, _ in train_x:
             for xs, _ in test_x:
                 assert not np.array_equal(xt.samples, xs.samples)
+
+
+def serial_test_set(task, n_examples, seed):
+    """The held-out set made one clip at a time, in the calling thread."""
+    seeds = [int(np.random.default_rng(np.random.SeedSequence([seed, 0x7E57, i])).integers(2 ** 31))
+             for i in range(n_examples)]
+    return [(generate_example(task, i % task.num_classes, s), i % task.num_classes)
+            for i, s in enumerate(seeds)]
+
+
+class TestTestSetShards:
+    @pytest.mark.parametrize("shards", [1, 2, 3, 5])
+    def test_equals_serial_bit_for_bit(self, monkeypatch, shards):
+        monkeypatch.setattr(workers, "CPUS", shards)
+        task = TaskSpec(1, "am", 3, 5.0, 0.1)
+        for n in (1, 3, 64, 70):
+            made, serial = held_out_set(task, n, seed=4), serial_test_set(task, n, 4)
+            assert [y for _, y in made] == [y for _, y in serial]
+            for (x, _), (ref, _) in zip(made, serial, strict=True):
+                assert np.array_equal(x.samples, ref.samples)
+
+    def test_pieces_equal_the_whole(self, monkeypatch):
+        monkeypatch.setattr(workers, "CPUS", 2)
+        task = TaskSpec(0, "pitch", 4, 10.0, 0.05)
+        whole = held_out_set(task, 70, seed=8)
+        pieces = held_out_set(task, 64, seed=8) + held_out_set(task, 6, seed=8, start=64)
+        assert [y for _, y in pieces] == [y for _, y in whole]
+        assert all(np.array_equal(a.samples, b.samples) for (a, _), (b, _) in zip(pieces, whole))

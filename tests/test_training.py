@@ -1,6 +1,9 @@
 """Tests for ADAM, multi-task training, evaluation, and the bootstrap."""
 
 import itertools
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -225,6 +228,56 @@ class TestEvaluate:
         hits = [clip_logits(model, wav).argmax() == label for wav, label in clips]
         assert np.mean(hits) != np.mean(np.equal(first, [label for _, label in clips]))
         assert evaluate(model, task, 70, seed=41).accuracy == np.mean(hits)
+
+
+def seeded_mel_pcen_model(task, seed):
+    """A float32 mel-pcen model with a seeded head, so accuracy depends on the features."""
+    cfg = variant_config("mel-pcen", n_filters=8)
+    values = dict(init_multitask_params(cfg, [task.num_classes], dtype=np.float32))
+    rng = np.random.default_rng(seed)
+    values["head0_weights"] = rng.standard_normal((8, task.num_classes)).astype(np.float32)
+    values["head0_bias"] = (0.1 * rng.standard_normal(task.num_classes)).astype(np.float32)
+    return MultiHead(ParamSet(values), cfg, (task.num_classes,))
+
+
+class TestEvaluateChunks:
+    TASK = TaskSpec(0, "am", 3, 5.0, duration_s=0.25)
+
+    def test_memory_does_not_grow_with_clip_count(self):
+        # each chunk's clips are made just before it runs: 640 clips of
+        # 0.25 s are 20 MB of samples, ~3x one chunk's peak
+        model = seeded_mel_pcen_model(self.TASK, 43)
+        evaluate(model, self.TASK, 1, seed=0)  # first-use allocations out of the peaks
+        peaks = {}
+        for n in (64, 640):
+            tracemalloc.start()
+            try:
+                evaluate(model, self.TASK, n, seed=1)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[640] <= 1.25 * peaks[64], peaks
+
+    def test_concurrent_callers_get_the_serial_result(self):
+        model = seeded_mel_pcen_model(self.TASK, 47)
+        expected = evaluate(model, self.TASK, 70, seed=5)
+        results = [None] * 4
+
+        def call(i):
+            results[i] = evaluate(model, self.TASK, 70, seed=5)
+
+        threads = [threading.Thread(target=call, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 4
 
 
 class TestBootstrap:
