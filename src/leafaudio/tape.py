@@ -15,19 +15,19 @@ hand-written adjoint: :func:`filter_pool` (FFT filterbank, squared modulus
 and strided pooling) and :func:`ema` (the PCEN moving average over all
 frames).
 
-:func:`filter_pool` streams.  It cuts the overlap-save blocks from the
-signal and transforms them ``CHUNK`` (row, block) items at a time.  Row by
-row and block by block, it then correlates each block with the bank,
-squares it into a small haloed energy buffer, pools every frame whose
-window the block completes and carries the unfinished tail into the next
-block.  No full-rate array outlives its block; the block's correlations
-and conjugate spectrum are kept only while a kernel is differentiated.
+:func:`filter_pool` streams.  Row by row and block by block, it cuts an
+overlap-save block from the signal, transforms it, correlates it with the
+bank, squares it into a small haloed energy buffer, pools every frame
+whose window the block completes and carries the unfinished tail into the
+next block.  No full-rate array outlives its block; the block's
+correlations and conjugate spectrum are kept only while a kernel is
+differentiated.
 
 The adjoint walks the same rows and blocks.  Per row, the frame gradient,
 times the 2 of d|z|^2, is spread back over the samples by the transposed
 pooling, one batched matmul over the channels.  Per block, ``2 g corr`` is
 written into one reused FFT-length buffer and transformed, and its
-spectrum times the conjugate block spectrum is added into a single (2N, F)
+spectrum times the conjugate block spectrum is added into a single (2, N, F)
 accumulator, whose one inverse FFT gives the kernel gradient; the block's
 energy is squared again from its kept correlations into one row's buffer,
 which the pooling-kernel gradient reads.
@@ -35,26 +35,25 @@ which the pooling-kernel gradient reads.
 All of that work is per channel, so :func:`filter_pool` splits the N
 channels into ``GROUPS`` contiguous groups, where ``GROUPS`` is the number
 of CPUs the process may run on, capped at N and at one group per
-``MIN_GROUP_WORK`` channel-samples of FFT work.  Each group runs
-the streaming loop above, forward and backward, on a thread of the
-package's one worker pool (``workers``)
-and writes its own channels of the output and its own kernels'
-gradients; with one group it runs in the calling thread.  Every number is
-computed by the same operations whatever the grouping, so values and
-gradients do not depend on ``GROUPS``, bit for bit.  The groups share one
-spectrum of each block.
+``MIN_GROUP_WORK`` channel-samples of FFT work.  Each group is one
+independent task on the package's worker pool (``workers``), forward and
+backward: it makes its own block spectra, runs the streaming loop above
+and writes its own channels of the output and its own kernels' gradients;
+with one group it runs in the calling thread.  Every number is computed by
+the same operations whatever the grouping, so values and gradients do not
+depend on ``GROUPS``, bit for bit.
 
-Each group works in buffers of its own, its workspace: the padded
-kernels, the spectrum product, the correlations, the pooling buffer and,
-for the adjoint, ``d_corr`` and ``energy``.  A call takes one workspace
-per group from the spares that earlier calls of its shape left, or makes
-them; one spare set, of the last shape, is kept.  A call with nothing to
-differentiate hands its workspaces back as it returns.  A differentiable
-node keeps them, with its correlations, until it dies: a finalizer on each
-group's adjoint then hands them back.  So two live graphs never share a
-buffer, ``backward`` may run twice on one graph, and each training step
-reuses the last one's memory instead of taking fresh pages from the
-system (~100 MB a step at B=16, 1 s, float32).
+One workspace is lent per call: the padded kernels, the spectrum product,
+the correlations, the pooling buffer and, for the adjoint, ``d_corr`` and
+``energy``, each holding the channels on one axis, so that a group works
+in views of its own.  A call takes the spare that the last call of its
+shape left, or makes one; one spare, of the last shape, is kept.  A call
+with nothing to differentiate hands the workspace back as it returns.  A
+differentiable node keeps it, with its correlations, until it dies: a
+finalizer on the node's adjoint then hands it back.  So two live graphs
+never share a buffer, ``backward`` may run twice on one graph, and each
+training step reuses the last one's memory instead of taking fresh pages
+from the system (~100 MB a step at B=16, 1 s, float32).
 """
 
 from __future__ import annotations
@@ -62,6 +61,7 @@ from __future__ import annotations
 import functools
 import threading
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -79,17 +79,11 @@ FFT_BLOCK = 16384
 # two groups, a 40-channel 1 s clip ~1.2x faster)
 GROUPS = workers.CPUS
 MIN_GROUP_WORK = 2 ** 18
-# the spectra of at most CHUNK (row, block) items of the signal are made at
-# once and handed to every channel group: one hand-off for a training batch
-# of 1 s clips, while a long clip's spectra are never all held at once
-CHUNK = 16
-# filter_pool's spare workspaces by (call shape, channel group), all of one
-# call shape: made on first use and handed back by the calls and nodes done
-# with them.  The lock is reentrant because a node may die, and hand its
-# workspaces back, in a garbage collection that runs while this thread
-# holds it
-_spares = {}
-_spares_lock = threading.RLock()
+# filter_pool's spare workspace: (call shape, workspace) of the last one
+# handed back, or None.  The lock is reentrant: a node may die, and hand its
+# workspace back, in a garbage collection while this thread holds it
+_spare = None
+_spare_lock = threading.RLock()
 
 __all__ = [
     "Var",
@@ -450,16 +444,16 @@ def filter_pool(x, kernels, pool_kernels, stride):
     correlation is an FFT product, exact up to rounding, taken block by
     block (overlap-save) when T exceeds ``FFT_BLOCK``; each frame is pooled
     as soon as the block that completes its window is made.  The channels
-    run as up to ``GROUPS`` contiguous groups, one per thread; the result
-    does not depend on the grouping.  Each (row, block) spectrum of the
-    signal is made once, ``CHUNK`` items at a time, and handed to every
-    group.  Only ``kernels`` and ``pool_kernels`` are differentiated; the
-    adjoint computes both gradients whenever either is live.
+    run as up to ``GROUPS`` contiguous groups, each one task on the worker
+    pool that makes the signal's block spectra itself; the result does not
+    depend on the grouping.  Only ``kernels`` and ``pool_kernels`` are
+    differentiated; the adjoint computes both gradients whenever either is
+    live.
 
-    Each group works in a workspace of its own, taken from the spares of
-    the last call shape or made.  A call with nothing live hands it back
-    as it returns; otherwise the node keeps it, with every block's
-    correlations, until the node dies.
+    The call works in one workspace, the spare of the last call shape or a
+    new one, and each group in the views of its own channels.  A call with
+    nothing live hands the workspace back as it returns; otherwise the node
+    keeps it, with every block's correlations, until the node dies.
     """
     if _live(x):
         raise ValueError("filter_pool does not differentiate its signal; pass x as a constant")
@@ -475,38 +469,34 @@ def filter_pool(x, kernels, pool_kernels, stride):
     out = np.empty((batch, n, -(-n_samples // stride)), dtype=dtype)
     live = _live(kernels) or _live(pool_kernels)
     size, span, n_blocks = _block_layout(n_samples, width)
+    # everything the workspace's shapes and dtypes depend on; FFT_BLOCK
+    # enters through size
+    key = (vx.shape, vx.dtype, vk.shape, vk.dtype, pool_width, stride, dtype, live, size)
+    ws, spectra = _take_spare(key) or _workspace(n, vx.dtype, vk.dtype, dtype, batch, n_samples, width,
+                                                 pool_width, stride, live)
     bounds = _channel_groups(n, batch * n_blocks * size * n)
-    # everything the buffers' shapes and dtypes depend on; FFT_BLOCK,
-    # GROUPS and MIN_GROUP_WORK enter through size and bounds
-    key = (vx.shape, vk.shape, vk.dtype, pool_width, stride, dtype, live, size, tuple(bounds))
-    spaces = [_take_workspace(key, group, functools.partial(
-        _Workspace, hi - lo, vk.dtype, dtype, batch, n_samples, width, pool_width, stride, live))
-        for group, (lo, hi) in enumerate(bounds)]
-    groups = [_forward_group(ws, vk[2 * lo: 2 * hi], vp[lo:hi], stride, out[:, lo:hi], n_samples, live)
-              for ws, (lo, hi) in zip(spaces, bounds)]
-    for group in groups:
-        next(group)
-    items = [(b, i * span) for b in range(batch) for i in range(n_blocks)]
-    spectra = []  # every item's conjugate spectrum, for the kernel gradients
-    for c in range(0, len(items), CHUNK):
-        xf = _block_spectra(vx, items[c: c + CHUNK], size, (width - 1) // 2)
-        workers.run([functools.partial(group.send, xf) for group in groups])
-        if live:
-            spectra.extend(np.conjugate(xf, out=xf))
+    # each group works in the views of its own channels of every buffer
+    views = [SimpleNamespace(**{name: buf[..., lo:hi, :] for name, buf in vars(ws).items()})
+             for lo, hi in bounds]
+    # each group lays its blocks out in a row of ``blocks``, made here
+    # because an array made and freed in a pool thread costs page faults;
+    # the first group keeps every item's conjugate spectrum
+    blocks = np.empty((len(bounds), size), dtype=vx.dtype)
+    workers.run([functools.partial(_forward_group, view, vx, vk[2 * lo: 2 * hi], vp[lo:hi], stride,
+                                   out[:, lo:hi], live, block, spectra if lo == 0 else None)
+                 for view, block, (lo, hi) in zip(views, blocks, bounds)])
     if not live:
-        for group, ws in enumerate(spaces):
-            _give_back(key, group, ws)
+        _give_back(key, (ws, spectra))
         return constant(out)
-    backwards = [_backward_group(ws, spectra, vk[2 * lo: 2 * hi], vp[lo:hi], stride, n_samples)
-                 for ws, (lo, hi) in zip(spaces, bounds)]
-    for group, (backward, ws) in enumerate(zip(backwards, spaces)):
-        weakref.finalize(backward, _give_back, key, group, ws)
+    backwards = [_backward_group(view, spectra, vk[2 * lo: 2 * hi], vp[lo:hi], stride, n_samples)
+                 for view, (lo, hi) in zip(views, bounds)]
 
     def vjp(g):
         parts = workers.run([functools.partial(backward, g[:, lo:hi])
                              for backward, (lo, hi) in zip(backwards, bounds)])
         return None, np.concatenate([gk for gk, _ in parts]), np.concatenate([gp for _, gp in parts])
 
+    weakref.finalize(vjp, _give_back, key, (ws, spectra))
     return _node(out, (x, kernels, pool_kernels), vjp)
 
 
@@ -517,81 +507,80 @@ def _channel_groups(n, work):
     return workers.bounds(n, max(1, min(GROUPS, n, work // MIN_GROUP_WORK)))
 
 
-class _Workspace:
-    """One channel group's buffers for :func:`filter_pool` calls of one shape.
+def _workspace(n, signal_dtype, kernel_dtype, dtype, batch, n_samples, width, pool_width, stride, live):
+    """The buffers of :func:`filter_pool` calls of one shape: a namespace
+    of those with the N channels on their second-last axis, and the
+    (row, block) items' conjugate signal spectra when ``live``, else None.
 
-    The forward's: the padded kernels, the spectrum product, the
-    correlations (every (row, block) item's when ``live``, else one
-    item's) and the haloed pooling buffer.  With ``live``, also the
-    backward's ``d_corr`` and ``energy``.  The backward accumulates its
-    spectrum in the product's buffer, and ``d_corr``'s imaginary rows hold
-    the square-sum temporary of both passes.  The buffers made zero are
-    written only where their nonzero values go, so the rest stays zero
-    from call to call.
+    The channel buffers are the forward's padded kernels and spectrum
+    product, each with [real; imaginary] on a leading axis of 2, the
+    correlations (every item's when ``live``, else one item's) and the
+    haloed pooling buffer, and with ``live`` the backward's ``d_corr`` and
+    ``energy``.  The backward accumulates its spectrum in the product's
+    buffer, and ``d_corr``'s imaginary half holds the square-sum temporary
+    of both passes.  The buffers made zero are written only where their
+    nonzero values go, so the rest stays zero from call to call.
     """
-
-    def __init__(self, n, kernel_dtype, dtype, batch, n_samples, width, pool_width, stride, live):
-        size, span, n_blocks = _block_layout(n_samples, width)
-        self.shifted = np.zeros((2 * n, size), dtype=kernel_dtype)
-        self.prod = np.empty((2 * n, size // 2 + 1), dtype=np.result_type(dtype, np.complex64))
-        self.corr = np.empty((batch * n_blocks if live else 1, 2 * n, size), dtype=dtype)
-        self.held = np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype)
-        if live:
-            self.d_corr = np.zeros((2 * n, size), dtype=dtype)
-            lead = -(-pool_width // stride)
-            self.energy = np.zeros((n, lead * stride + n_samples + pool_width - 1), dtype=dtype)
-
-
-def _take_workspace(key, group, make):
-    """``group``'s spare workspace for calls shaped ``key``, else ``make()``."""
-    with _spares_lock:
-        _drop_other_shapes(key)
-        spare = _spares.pop((key, group), None)
-    return make() if spare is None else spare
+    size, span, n_blocks = _block_layout(n_samples, width)
+    ws = SimpleNamespace(
+        shifted=np.zeros((2, n, size), dtype=kernel_dtype),
+        prod=np.empty((2, n, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
+        corr=np.empty((batch * n_blocks if live else 1, 2, n, size), dtype=dtype),
+        held=np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype))
+    if not live:
+        return ws, None
+    ws.d_corr = np.zeros((2, n, size), dtype=dtype)
+    lead = -(-pool_width // stride)
+    ws.energy = np.zeros((n, lead * stride + n_samples + pool_width - 1), dtype=dtype)
+    return ws, np.empty((batch * n_blocks, size // 2 + 1), dtype=np.result_type(signal_dtype, np.complex64))
 
 
-def _give_back(key, group, workspace):
-    """Keep ``workspace`` as ``group``'s spare, unless it already has one."""
-    with _spares_lock:
-        _drop_other_shapes(key)
-        _spares.setdefault((key, group), workspace)
+def _take_spare(key):
+    """The spare workspace if it was made for calls shaped ``key``, else
+    None; either way no spare is left."""
+    global _spare
+    with _spare_lock:
+        spare, _spare = _spare, None
+    return spare[1] if spare is not None and spare[0] == key else None
 
 
-def _drop_other_shapes(key):
-    """Drop the spares of calls not shaped ``key``; the caller holds
-    ``_spares_lock``."""
-    for stale in [k for k in _spares if k[0] != key]:
-        del _spares[stale]
+def _give_back(key, workspace):
+    """Keep ``workspace``, made for calls shaped ``key``, as the spare."""
+    global _spare
+    with _spare_lock:
+        _spare = key, workspace
 
 
-def _block_spectra(vx, items, size, half):
-    """rfft of the overlap-save block of each (row b, start) item:
-    x[b, start - h : start + size - h], zeros outside the signal, rotated
-    left by h so that output start + r lands at index r against a
-    centered kernel."""
-    blocks = np.zeros((len(items), size), dtype=vx.dtype)
-    for block, (b, start) in zip(blocks, items):
-        body = vx[b, start: start + size - half]
-        block[: len(body)] = body
-        if start:  # the first block's left halo is zeros
-            block[size - half:] = vx[b, start - half: start]
-    return _fft.rfft(blocks, axis=-1)
+def _block_spectrum(row, start, half, block):
+    """rfft of the overlap-save block of signal ``row`` that starts at
+    ``start``: row[start - h : start + size - h], zeros outside the signal,
+    rotated left by h so that output start + r lands at index r against a
+    centered kernel.  ``block`` is the size-sample buffer it is laid out
+    in."""
+    size = len(block)
+    body = row[start: start + size - half]
+    block[: len(body)] = body
+    block[len(body): size - half] = 0.0
+    block[size - half:] = row[start - half: start] if start else 0.0
+    return _fft.rfft(block)
 
 
-def _forward_group(ws, vk, vp, stride, out, n_samples, live):
-    """Generator: :func:`filter_pool`'s forward on the n channels of (2n, W)
-    ``vk`` and (n, P) ``vp``, written into the (B, n, M) view ``out``.
+def _forward_group(ws, vx, vk, vp, stride, out, live, block, kept):
+    """:func:`filter_pool`'s forward on the n channels of (2n, W) ``vk``
+    and (n, P) ``vp``, written into the (B, n, M) view ``out``, in the
+    views ``ws`` of those channels of the call's workspace.
 
-    Each ``send`` gives it the spectra of the next (row, block) items in
-    order; it yields when it has used them.  With ``live`` it keeps every
-    item's correlations in ``ws``.  Plain numpy only, so that groups can
-    run on threads of their own.
+    It makes the spectrum of each (row, block) item of the signal ``vx``
+    itself, one block at a time, laid out in the buffer ``block``.  With
+    ``live`` it keeps every item's correlations in ``ws``; with ``kept``
+    it writes each item's conjugate spectrum into that row of ``kept``.
+    Plain numpy only, so that groups can run on threads of their own.
     """
     batch, n, n_frames = out.shape
+    n_samples = vx.shape[1]
     pool_width = vp.shape[1]
     pool_half = (pool_width - 1) // 2
     size, span, n_blocks = _block_layout(n_samples, vk.shape[1])
-    spectra, j = (yield), 0
     kf_conj = _kernel_spectrum(vk, ws.shifted)
     # the haloed energy samples [lo, lo + filled) of one row: the unfinished
     # tail of the last frame window (< P), one block's span and the right halo
@@ -602,10 +591,13 @@ def _forward_group(ws, vk, vp, stride, out, n_samples, live):
         for i in range(n_blocks):
             start = i * span
             keep = min(span, n_samples - start)
+            xf = _block_spectrum(vx[b], start, (vk.shape[1] - 1) // 2, block)
             corr = ws.corr[b * n_blocks + i if live else 0]
-            np.fft.irfft(np.multiply(spectra[j], kf_conj, out=ws.prod), size, axis=-1, out=corr)
-            # without a backward the imaginary rows square in place
-            _square_sum(corr, keep, held[:, filled: filled + keep], ws.d_corr[n:] if live else corr[n:])
+            np.fft.irfft(np.multiply(xf, kf_conj, out=ws.prod), size, axis=-1, out=corr)
+            if kept is not None:
+                np.conjugate(xf, out=kept[b * n_blocks + i])
+            # without a backward the imaginary half squares in place
+            _square_sum(corr, keep, held[:, filled: filled + keep], ws.d_corr[1] if live else corr[1])
             filled += keep
             if i == n_blocks - 1:
                 held[:, filled: filled + pool_half] = 0.0
@@ -621,9 +613,6 @@ def _forward_group(ws, vk, vp, stride, out, n_samples, live):
             cut = min(done * stride - lo, filled)
             held[:, : filled - cut] = held[:, cut: filled]
             lo, filled = lo + cut, filled - cut
-            j += 1
-            if j == len(spectra):
-                spectra, j = (yield), 0
 
 
 def _backward_group(ws, spectra, vk, vp, stride, n_samples):
@@ -662,11 +651,9 @@ def _backward_group(ws, spectra, vk, vp, stride, n_samples):
                 keep = min(span, n_samples - start)
                 corr = ws.corr[b * n_blocks + i]
                 at = lead * stride + pool_half + start
-                _square_sum(corr, keep, energy[:, at: at + keep], d_corr[n:])
-                d_corr[:, keep:span] = 0.0  # a short last block: clear the previous block's tail
-                d_e = d_energy[:, start: start + keep]
-                np.multiply(d_e, corr[:n, :keep], out=d_corr[:n, :keep])
-                np.multiply(d_e, corr[n:, :keep], out=d_corr[n:, :keep])
+                _square_sum(corr, keep, energy[:, at: at + keep], d_corr[1])
+                d_corr[..., keep:span] = 0.0  # a short last block: clear the previous block's tail
+                np.multiply(d_energy[:, start: start + keep], corr[..., :keep], out=d_corr[..., :keep])
                 term = _fft.rfft(d_corr, axis=-1)
                 term *= spectra[b * n_blocks + i]
                 spec += term
@@ -674,26 +661,25 @@ def _backward_group(ws, spectra, vk, vp, stride, n_samples):
             frame_weights[:, lead:] = g[b]
             gp = np.einsum("nm,nmp->np", frame_weights, windows)
         dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
-        d_split = np.concatenate([dk_full[:, size - half:], dk_full[:, : width - half]], axis=-1)
         gk = np.empty_like(vk)
-        gk[0::2], gk[1::2] = d_split[:n], d_split[n:]
+        gk[0::2], gk[1::2] = np.concatenate([dk_full[..., size - half:], dk_full[..., : width - half]], axis=-1)
         return gk, gp
 
     return backward
 
 
 def _kernel_spectrum(kernels, shifted):
-    """Conjugate spectra of (2N, W) kernels for correlation at the length
-    of ``shifted``, a (2N, size) buffer that is zero but where kernels go.
+    """Conjugate spectra of (2n, W) kernels for correlation at the length
+    of ``shifted``, a (2, n, size) buffer that is zero but where kernels go.
 
-    The rows are reordered to [all real; all imaginary], so that the two
-    halves are contiguous slabs, and each kernel is laid out circularly
-    with its center at index 0.
+    The real rows go to ``shifted[0]`` and the imaginary ones to
+    ``shifted[1]``, and each kernel is laid out circularly with its center
+    at index 0.
     """
-    n, width = len(kernels) // 2, kernels.shape[1]
+    width = kernels.shape[1]
     half = (width - 1) // 2
-    size = shifted.shape[1]
-    for rows, part in ((shifted[:n], kernels[0::2]), (shifted[n:], kernels[1::2])):
+    size = shifted.shape[-1]
+    for rows, part in zip(shifted, (kernels[0::2], kernels[1::2])):
         rows[:, : width - half] = part[:, half:]
         rows[:, size - half:] = part[:, :half]
     spectrum = _fft.rfft(shifted, axis=-1)
@@ -701,13 +687,12 @@ def _kernel_spectrum(kernels, shifted):
 
 
 def _square_sum(corr, keep, dest, scratch):
-    """dest = energy of the first ``keep`` samples of a (2N, size) correlation
-    block whose rows are [all real; all imaginary].  The imaginary squares
-    go through ``scratch``, N rows of at least ``keep`` samples, which may
-    be the imaginary rows themselves."""
-    n = len(corr) // 2
-    np.multiply(corr[:n, :keep], corr[:n, :keep], out=dest)
-    dest += np.multiply(corr[n:, :keep], corr[n:, :keep], out=scratch[:, :keep])
+    """dest = energy of the first ``keep`` samples of a (2, n, size)
+    correlation block, [real; imaginary] on its first axis.  The imaginary
+    squares go through ``scratch``, n rows of at least ``keep`` samples,
+    which may be the imaginary half itself."""
+    np.multiply(corr[0, :, :keep], corr[0, :, :keep], out=dest)
+    dest += np.multiply(corr[1, :, :keep], corr[1, :, :keep], out=scratch[:, :keep])
 
 
 def _transposed_pool(g, pool_kernels, stride, n_samples, dtype):

@@ -29,8 +29,6 @@ AM_RATES = (4.0, 16.0, 64.0)
 AM_CARRIER = 1000.0
 NOISE_COLORS = ("white", "lowpass", "highpass")
 
-TASK_NAMES = ("pitch", "am", "noisecolor")
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -47,13 +45,15 @@ class TaskSpec:
 
 
 def make_task(name: str, task_id: int = 0, snr_db: float = np.inf) -> TaskSpec:
-    if name == "pitch":
-        return TaskSpec(task_id, name, len(PITCH_FREQS), snr_db)
-    if name == "am":
-        return TaskSpec(task_id, name, len(AM_RATES), snr_db)
-    if name == "noisecolor":
-        return TaskSpec(task_id, name, len(NOISE_COLORS), snr_db)
-    raise UnknownTask(f"no task generator named {name!r}")
+    classes, _ = _task_entry(name)
+    return TaskSpec(task_id, name, len(classes), snr_db)
+
+
+def _task_entry(name: str):
+    """``TASKS[name]``, or ``UnknownTask``."""
+    if name not in TASKS:
+        raise UnknownTask(f"no task generator named {name!r}")
+    return TASKS[name]
 
 
 def _rng_for(task: TaskSpec, label: int, seed: int) -> np.random.Generator:
@@ -98,19 +98,22 @@ def _noise_color_example(task: TaskSpec, label: int, rng: np.random.Generator) -
     return Waveform(amp * shaped, FRONTEND_RATE)
 
 
+# every task by name: its classes (one per label) and its clean-clip generator
+TASKS = {
+    "pitch": (PITCH_FREQS, _pitch_example),
+    "am": (AM_RATES, _am_example),
+    "noisecolor": (NOISE_COLORS, _noise_color_example),
+}
+TASK_NAMES = tuple(TASKS)
+
+
 def generate_example(task: TaskSpec, label: int, seed: int) -> Waveform:
     """Deterministic example for (task, label, seed), noise included."""
     if not 0 <= label < task.num_classes:
         raise ValueError(f"label {label} out of range for {task.name}")
+    _, example = _task_entry(task.name)
     rng = _rng_for(task, label, seed)
-    if task.name == "pitch":
-        clean = _pitch_example(task, label, rng)
-    elif task.name == "am":
-        clean = _am_example(task, label, rng)
-    elif task.name == "noisecolor":
-        clean = _noise_color_example(task, label, rng)
-    else:
-        raise UnknownTask(f"no task generator named {task.name!r}")
+    clean = example(task, label, rng)
     return add_noise_snr(clean, task.snr_db, seed=int(rng.integers(2 ** 31)))
 
 

@@ -180,7 +180,9 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
     Snapshots are taken at steps {0, steps//2, steps}.
     """
     if steps < 1:
-        raise ValueError("steps must be >= 1")
+        raise ValueError(f"training needs at least 1 step, got steps={steps}")
+    if batch_size < 1:
+        raise ValueError(f"a batch needs at least 1 clip, got batch_size={batch_size}")
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be a finite number above 0, got lr={lr}")
     class_counts = [t.num_classes for t in tasks]
@@ -302,8 +304,7 @@ def bootstrap_diff(acc_a, acc_b, iters: int = 100_000, seed: int = 0) -> tuple[f
 
 
 def noise_sweep(task: TaskSpec, snr_list, variants: list[FrontendConfig], seed: int, *,
-                steps: int = 300, batch_size: int = 16, lr: float = 1e-3,
-                eval_clips: int = 300, n_seeds: int = 3) -> list[dict]:
+                steps: int, batch_size: int, lr: float, eval_clips: int, n_seeds: int) -> list[dict]:
     """Train and evaluate each variant at each SNR, noise in both phases.
 
     Returns rows ``{"variant", "snr_db", "accuracies", "mean_accuracy"}``

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import leafaudio
+from leafaudio import training
 from leafaudio.cli import main
 from leafaudio.frontend import FrontendConfig, frontend_forward, variant_config
 from leafaudio.gabor import frequency_response, gabor_impulse_response, gabor_params_from_mels
@@ -282,6 +283,18 @@ class TestGradcheckCommand:
             assert float(line.split(",")[2]) < 1e-3
 
 
+# --steps or --batch below 1, and the refusal that names it
+STEPS_OR_BATCH_BELOW_1 = [
+    pytest.param("--steps", "0", "training needs at least 1 step, got steps=0", id="steps-0"),
+    pytest.param("--batch", "0", "a batch needs at least 1 clip, got batch_size=0", id="batch-0"),
+    pytest.param("--batch", "-3", "a batch needs at least 1 clip, got batch_size=-3", id="batch--3"),
+]
+
+
+def no_batch(*args, **kwargs):
+    raise AssertionError("a batch was drawn before the refusal")
+
+
 class TestTrainEvalCommands:
     def test_train_writes_artifacts_and_eval_loads(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -325,17 +338,29 @@ class TestTrainEvalCommands:
             f"ValueError: learning rate must be a finite number above 0, got lr={float(lr)}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, value, message", STEPS_OR_BATCH_BELOW_1)
+    def test_steps_or_batch_below_1_exits_1_and_names_it(self, flag, value, message, tmp_path,
+                                                          monkeypatch, capsys):
+        monkeypatch.setattr(training, "sample_batch", no_batch)
+        out = tmp_path / "run"
+        code = main(["train", "--task", "pitch", "--steps", "1", "--batch", "2", flag, value,
+                     "--frontend", "mel", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"ValueError: {message}\n"
+        assert not out.exists()
+
 
 class TestConfigPrecedence:
     def test_flags_override_config_file(self, tone_wav, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
-        cfg.write_text("n_filters=10\ncompression=log\n")
+        cfg.write_text("n_filters=10\ncompression=log\npool_stride=80\n")
         code = main(["extract", "--input", str(tone_wav), "--config", str(cfg),
-                     "--frontend", "leaf-log", "--filters", "12"])
+                     "--frontend", "leaf-log", "--filters", "12", "--stride", "200"])
         assert code == 0
         out = capsys.readouterr().out
         assert "n_filters=12" in out  # flag wins over config file
         assert "learnable_params=36" in out  # 3N for gabor+log
+        assert "frames=80 " in out  # 16000 samples at stride 200, not 80
 
     @pytest.mark.parametrize("variant", ["mel", "mel-pcen"])
     def test_filters_flag_sets_the_mel_grid(self, variant, tone_wav, tmp_path, capsys):
@@ -455,6 +480,33 @@ class TestNoiseSweepConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "ValueError: noise sweep needs at least 1 seed, got n_seeds=0\n"
+
+    @pytest.mark.parametrize("flag, value, message", STEPS_OR_BATCH_BELOW_1)
+    def test_steps_or_batch_below_1_exits_1_and_names_it(self, flag, value, message, monkeypatch, capsys):
+        monkeypatch.setattr(training, "sample_batch", no_batch)
+        # the last flag wins over TINY's
+        assert main(["noise-sweep", "--frontends", "mel", *self.TINY, flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ValueError: {message}\n"
+
+    def test_csv_has_one_row_per_variant_and_snr(self, tmp_path, capsys):
+        args = ["noise-sweep", "--frontends", "mel,mel-pcen", "--filters", "8", *self.TINY,
+                "--snr-db", "inf,0", "--seeds", "2"]
+        assert main(args) == 0
+        text = capsys.readouterr().out
+        lines = text.splitlines()
+        assert lines[0] == "variant,snr_db,acc_seed0,acc_seed1,mean_accuracy"
+        assert [line.split(",")[:2] for line in lines[1:]] == [
+            ["mel", "inf"], ["mel", "0.0"], ["mel-pcen", "inf"], ["mel-pcen", "0.0"]]
+        for line in lines[1:]:
+            *accs, mean = map(float, line.split(",")[2:])
+            assert len(accs) == 2
+            assert mean == pytest.approx(np.mean(accs), abs=1e-6)
+        path = tmp_path / "sweep.csv"
+        assert main(args + ["--out", str(path)]) == 0
+        assert capsys.readouterr().out == f"wrote {path}\n"
+        assert path.read_text() == text
 
 
 class TestStartup:

@@ -492,7 +492,7 @@ class TestWorkspaces:
     def test_second_step_reuses_the_workspaces(self, monkeypatch):
         # B=16, 1 s, float32: the first step makes the kept correlations
         # (~80 MiB) and the other buffers, the second takes them back
-        monkeypatch.setattr(tape, "_spares", {})
+        monkeypatch.setattr(tape, "_spare", None)
         cfg = variant_config("leaf")
         batch = sample_batch([make_task("pitch")], 16, seed=0, step=0)
         params = init_multitask_params(cfg, [make_task("pitch").num_classes], dtype=np.float32)
@@ -509,7 +509,7 @@ class TestWorkspaces:
     def test_other_shapes_leave_one_spare_set(self, monkeypatch):
         monkeypatch.setattr(tape, "GROUPS", 2)
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
-        monkeypatch.setattr(tape, "_spares", {})
+        monkeypatch.setattr(tape, "_spare", None)
         rng = np.random.default_rng(8)
         for n_samples in (300, 420, 300, 96):
             x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, 5, n=3)
@@ -518,9 +518,32 @@ class TestWorkspaces:
             del loss
             tape.filter_pool(x, kernels, pool_kernels, 3)
         size = tape._block_layout(96, 9)[0]
-        assert sorted(group for _, group in tape._spares) == [0, 1]
-        for (_, group), ws in tape._spares.items():
-            assert ws.corr.shape == (1, 2 * (1, 2)[group], size)
+        key, (ws, spectra) = tape._spare
+        assert key[0] == (2, 96)
+        assert ws.corr.shape == (1, 2, 3, size)
+        assert spectra is None  # the last call had nothing to differentiate
+        # a node that dies after a later call hands back the last workspace
+        x, kernels, pool_kernels = filter_pool_inputs(rng, 420, 9, 5, n=3)
+        loss, _, _ = self.graph(x, kernels, pool_kernels, 1.0)
+        tape.filter_pool(x[:, :96], kernels, pool_kernels, 3)
+        del loss
+        key, (ws, spectra) = tape._spare
+        assert key[0] == (2, 420)
+        assert ws.corr.shape == (2, 2, 3, tape._block_layout(420, 9)[0])
+        assert spectra.shape == (2, tape._block_layout(420, 9)[0] // 2 + 1)
+
+    def test_spare_serves_any_grouping(self, monkeypatch):
+        monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
+        monkeypatch.setattr(tape, "_spare", None)
+        x, kernels, pool_kernels = filter_pool_inputs(np.random.default_rng(6), 300, 9, 5, n=3)
+        outs = []
+        for groups in (2, 1, 3):
+            monkeypatch.setattr(tape, "GROUPS", groups)
+            outs.append(tape.filter_pool(x, kernels, pool_kernels, 3).value)
+            if groups == 2:
+                ws = tape._spare[1][0]
+            assert tape._spare[1][0] is ws
+        assert all(np.array_equal(out, outs[0]) for out in outs)
 
 
 def scatter_transposed_pool(g, pool_kernels, stride, n_samples):

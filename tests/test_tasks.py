@@ -26,8 +26,10 @@ class TestMakeTask:
         assert make_task("noisecolor").num_classes == 3
 
     def test_unknown_name(self):
-        with pytest.raises(UnknownTask):
+        with pytest.raises(UnknownTask, match="^no task generator named 'speech'$"):
             make_task("speech")
+        with pytest.raises(UnknownTask, match="^no task generator named 'speech'$"):
+            generate_example(TaskSpec(0, "speech", 2, np.inf), 1, seed=0)
 
     def test_with_snr(self):
         task = make_task("pitch").with_snr(5.0)

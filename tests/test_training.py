@@ -88,6 +88,24 @@ class TestAdam:
         with pytest.raises(ShapeMismatch):
             adam_step(state, params, grads, MICRO)
 
+    def test_state_for_other_keys_is_shape_mismatch(self):
+        params = ParamSet({"head0_bias": np.zeros(3)})
+        grads = ParamSet({k: np.zeros_like(v) for k, v in params.items()})
+        state = init_adam(ParamSet({"head0_bias": np.zeros(3), "head1_bias": np.zeros(2)}), lr=0.1)
+        with pytest.raises(ShapeMismatch, match="optimizer state does not match parameter set"):
+            adam_step(state, params, grads, MICRO)
+
+    def test_convnorm_step_keeps_unit_kernels_in_float32(self):
+        cfg = variant_config("convnorm", n_filters=6, filter_len=65)
+        params = init_multitask_params(cfg, [3], dtype=np.float32)
+        rng = np.random.default_rng(4)
+        grads = ParamSet({k: rng.standard_normal(v.shape).astype(np.float32) for k, v in params.items()})
+        _, stepped = adam_step(init_adam(params, lr=1e-2), params, grads, cfg)
+        kernels = stepped["conv_kernels"]
+        assert kernels.dtype == np.float32
+        assert not np.array_equal(kernels, params["conv_kernels"])
+        np.testing.assert_allclose(np.linalg.norm(kernels.astype(np.float64), axis=1), 1.0, rtol=1e-6)
+
 
 def triples(task, n, seed, task_index=0):
     rng = np.random.default_rng(seed)
