@@ -17,7 +17,7 @@ import numpy as np
 
 from . import io as leafio
 from .autodiff import grad_check_report
-from .errors import LeafError, ShapeMismatch
+from .errors import ShapeMismatch
 from .frontend import (
     VARIANT_NAMES,
     FrontendConfig,
@@ -296,9 +296,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except LeafError as err:
-        print(f"{type(err).__name__}: {err}", file=sys.stderr)
-        return 1
     except Exception as err:  # contract: report and exit, never a traceback
         print(f"{type(err).__name__}: {err}", file=sys.stderr)
         return 1

@@ -142,7 +142,7 @@ class Var:
         return sub(self, other)
 
     def __rsub__(self, other):
-        return rsub(self, other)
+        return sub(other, self)
 
     def __mul__(self, other):
         return mul(self, other)
@@ -154,7 +154,7 @@ class Var:
         return div(self, other)
 
     def __rtruediv__(self, other):
-        return rdiv(self, other)
+        return div(other, self)
 
     def __neg__(self):
         return neg(self)
@@ -235,16 +235,6 @@ def sub(a, b):
     return _node(out, (a, b), vjp)
 
 
-def rsub(a, b):
-    """``b - a`` with ``a`` a Var and ``b`` a constant."""
-    out = _value(b) - _value(a)
-
-    def vjp(g):
-        return (_grad_for(a, -g),)
-
-    return _node(out, (a,), vjp)
-
-
 def mul(a, b):
     va, vb = _value(a), _value(b)
     out = va * vb
@@ -267,17 +257,6 @@ def div(a, b):
         return ga, gb
 
     return _node(out, (a, b), vjp)
-
-
-def rdiv(a, b):
-    """``b / a`` with ``a`` a Var and ``b`` a constant."""
-    va, vb = _value(a), _value(b)
-    out = vb / va
-
-    def vjp(g):
-        return (_grad_for(a, -g * vb / (va * va)),)
-
-    return _node(out, (a,), vjp)
 
 
 def neg(a):

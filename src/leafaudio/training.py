@@ -50,11 +50,11 @@ def init_adam(params: ParamSet, lr: float) -> AdamState:
 
 
 def adam_step(state: AdamState, params: ParamSet, grads: Gradients,
-              cfg: FrontendConfig, trainable=None) -> tuple[AdamState, ParamSet]:
-    """One bias-corrected ADAM update followed by constraint projection.
+              cfg: FrontendConfig) -> tuple[AdamState, ParamSet]:
+    """One bias-corrected ADAM update of every key, then constraint projection.
 
-    ``trainable`` optionally restricts which keys move (e.g. frozen
-    frontend); moments of untouched keys stay zero.
+    A key whose gradient has been zero since step 1 keeps zero moments, so
+    its update is ``0 / (0 + eps) = 0`` and its value keeps its bits.
     """
     params.require_congruent(grads)
     if set(state.first_moment) != set(params):
@@ -66,11 +66,6 @@ def adam_step(state: AdamState, params: ParamSet, grads: Gradients,
     m_out, v_out = {}, {}
     for key, value in params.items():
         g = grads[key]
-        if trainable is not None and key not in trainable:
-            m_out[key] = state.first_moment[key]
-            v_out[key] = state.second_moment[key]
-            new_params[key] = value.copy()
-            continue
         m = ADAM_BETA1 * state.first_moment[key] + (1.0 - ADAM_BETA1) * g
         v = ADAM_BETA2 * state.second_moment[key] + (1.0 - ADAM_BETA2) * (g * g)
         update = (m / bias1) / (np.sqrt(v / bias2) + ADAM_EPS)
@@ -143,15 +138,24 @@ def stack_batch(batch, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def multitask_loss(batch, model: MultiHead) -> float:
-    """Batch loss of (Waveform, label, task_id) triples under the model."""
+    """Batch loss of (Waveform, label, task_id) triples under the model.
+
+    The parameters enter as constants: no graph is kept for a backward pass.
+    """
     xs, labels, task_ids = stack_batch(batch, np.float64)
-    loss, _ = multitask_graph(xs, labels, task_ids, model.params, model.cfg, model.n_tasks)
+    constants = {name: tape.constant(value) for name, value in model.params.items()}
+    loss, _ = multitask_graph(xs, labels, task_ids, constants, model.cfg, model.n_tasks)
     return float(loss.value)
 
 
-def multitask_loss_and_grad(batch, params: ParamSet, cfg: FrontendConfig, n_tasks: int,
+def multitask_loss_and_grad(batch, params, cfg: FrontendConfig, n_tasks: int,
                             dtype=np.float32):
-    """Batch loss and its exact reverse-mode gradient; also returns labels, task ids."""
+    """Batch loss and its exact reverse-mode gradient; also returns labels, task ids.
+
+    ``params`` maps names to arrays or Vars.  A name given as a
+    ``tape.constant`` gets a zero gradient, and no part of the graph that
+    only it reaches is differentiated.
+    """
     xs, labels, task_ids = stack_batch(batch, dtype)
     loss, leaves = multitask_graph(xs, labels, task_ids, params, cfg, n_tasks)
     value = float(loss.value)
@@ -188,15 +192,16 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
     class_counts = [t.num_classes for t in tasks]
     params = init_multitask_params(cfg, class_counts, dtype=dtype)
     state = init_adam(params, lr)
-    trainable = None
-    if freeze_frontend:
-        trainable = {k for k in params if k.startswith("head")}
+    frozen = {k for k in params if freeze_frontend and not k.startswith("head")}
     metrics: list[dict] = []
     snapshots = {0: params.copy()}
     for step in range(1, steps + 1):
         batch = sample_batch(tasks, batch_size, seed, step)
-        loss, grads, _, _ = multitask_loss_and_grad(batch, params, cfg, len(tasks), dtype=dtype)
-        state, params = adam_step(state, params, grads, cfg, trainable=trainable)
+        # a frozen name enters as a constant: its gradient is zero from step 1, so
+        # its ADAM moments stay zero and its update is 0 / (0 + eps) = 0
+        inputs = {k: tape.constant(v) if k in frozen else v for k, v in params.items()}
+        loss, grads, _, _ = multitask_loss_and_grad(batch, inputs, cfg, len(tasks), dtype=dtype)
+        state, params = adam_step(state, params, grads, cfg)
         if step % log_every == 0 or step == steps:
             accs = _batch_accuracies(batch, params, cfg, dtype)
             for k in range(len(tasks)):
@@ -312,6 +317,8 @@ def noise_sweep(task: TaskSpec, snr_list, variants: list[FrontendConfig], seed: 
     """
     if n_seeds < 1:
         raise ValueError(f"noise sweep needs at least 1 seed, got n_seeds={n_seeds}")
+    if eval_clips < 1:
+        raise ValueError(f"noise sweep needs at least 1 evaluation clip, got eval_clips={eval_clips}")
     rows = []
     for cfg in variants:
         for snr in snr_list:

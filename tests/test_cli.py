@@ -481,6 +481,18 @@ class TestNoiseSweepConfig:
         assert captured.out == ""
         assert captured.err == "ValueError: noise sweep needs at least 1 seed, got n_seeds=0\n"
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_eval_clips_below_1_exits_1_before_training(self, value, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(training, "train", lambda *args, **kwargs: runs.append(args))
+        # the last --eval-clips wins over TINY's
+        assert main(["noise-sweep", "--frontends", "mel", *self.TINY, "--eval-clips", value]) == 1
+        captured = capsys.readouterr()
+        assert runs == []
+        assert captured.out == ""
+        assert captured.err == (f"ValueError: noise sweep needs at least 1 evaluation clip, "
+                                f"got eval_clips={value}\n")
+
     @pytest.mark.parametrize("flag, value, message", STEPS_OR_BATCH_BELOW_1)
     def test_steps_or_batch_below_1_exits_1_and_names_it(self, flag, value, message, monkeypatch, capsys):
         monkeypatch.setattr(training, "sample_batch", no_batch)

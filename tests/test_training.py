@@ -205,6 +205,35 @@ class TestTrain:
         # frontend untouched
         np.testing.assert_array_equal(result.snapshots[0]["eta"], result.model.params["eta"])
 
+    @pytest.mark.parametrize("variant", ["leaf", "leaf-log", "convnorm", "mel-pcen"])
+    def test_frozen_run_keeps_every_frontend_bit(self, variant):
+        cfg = variant_config(variant, n_filters=6, filter_len=65, pool_len=65, pool_stride=80)
+        task = micro_task(num_classes=2)
+        result = train([task], cfg, steps=3, batch_size=4, lr=1e-2, seed=19, freeze_frontend=True)
+        init, final = result.snapshots[0], result.model.params
+        frontend = [k for k in init if not k.startswith("head")]
+        assert frontend
+        for k in frontend:
+            assert final[k].dtype == init[k].dtype
+            assert final[k].tobytes() == init[k].tobytes(), k
+        assert not np.array_equal(final["head0_bias"], init["head0_bias"])
+
+    def test_frozen_step_keeps_no_frontend_graph(self):
+        # B=16, 1 s, float32: a learned step keeps filter_pool's correlations
+        # for the kernel gradient; a frozen one runs the frontend forward-only
+        cfg = variant_config("leaf")
+        tasks = [make_task("pitch")]
+        peaks = {}
+        for frozen in (False, True):
+            train(tasks, cfg, steps=1, batch_size=16, lr=1e-3, seed=0, freeze_frontend=frozen)
+            tracemalloc.start()
+            try:
+                train(tasks, cfg, steps=1, batch_size=16, lr=1e-3, seed=0, freeze_frontend=frozen)
+                peaks[frozen] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[True] < peaks[False] / 2, peaks
+
 
 class TestEvaluate:
     def test_chance_level_for_zero_head(self):
