@@ -38,7 +38,8 @@ class ShapeMismatch(LeafError):
 
 
 class CorruptSnapshot(LeafError, ValueError):
-    """Snapshot directory lacks a file, or a file disagrees with its manifest."""
+    """Snapshot directory lacks a file, a file disagrees with its manifest
+    or does not parse, or a parameter block holds NaN or infinity."""
 
 
 class UnknownTask(LeafError):

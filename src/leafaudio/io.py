@@ -4,8 +4,10 @@ Feature file layout (little-endian): magic ``LEAF``, u32 version = 1,
 u32 frame count M, u32 channel count N, u32 frame rate, then M*N float32
 values in time-major order.  Snapshots store each parameter vector in the
 same container (frame rate 0) plus a manifest of name, length, and the
-CRC32 of the whole block file, header included; a missing file or a block
-that disagrees with the manifest fails to load with ``CorruptSnapshot``.
+CRC32 of the whole block file, header included.  A block is parsed from
+the very bytes its checksum was taken over; a missing file, a block that
+disagrees with the manifest or a non-finite value fails to load with
+``CorruptSnapshot``.
 
 A config file's keys are ``FrontendConfig`` field names; any other key is
 rejected.
@@ -38,20 +40,24 @@ def write_feature_file(path, feature_map: FeatureMap) -> None:
 
 
 def read_feature_file(path) -> FeatureMap:
-    with open(path, "rb") as fh:
-        head = fh.read(HEADER.size)
-        if len(head) < HEADER.size:
-            raise ValueError(f"{path}: truncated header")
-        magic, version, m, n, frame_rate = HEADER.unpack(head)
-        if magic != MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}")
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported version {version}")
-        payload = fh.read(4 * m * n)
+    values, frame_rate = _parse(Path(path).read_bytes(), path)
+    return FeatureMap(values, float(frame_rate))
+
+
+def _parse(blob: bytes, path):
+    """The (M, N) float32 values and the frame rate in the bytes ``blob``
+    of the file ``path``; bytes past the payload are ignored."""
+    if len(blob) < HEADER.size:
+        raise ValueError(f"{path}: truncated header")
+    magic, version, m, n, frame_rate = HEADER.unpack_from(blob)
+    if magic != MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    if version != VERSION:
+        raise ValueError(f"{path}: unsupported version {version}")
+    payload = blob[HEADER.size: HEADER.size + 4 * m * n]
     if len(payload) != 4 * m * n:
         raise ValueError(f"{path}: truncated payload")
-    values = np.frombuffer(payload, dtype="<f4").reshape(m, n)
-    return FeatureMap(values, float(frame_rate))
+    return np.frombuffer(payload, dtype="<f4").reshape(m, n), frame_rate
 
 
 def _write_array(path, array: np.ndarray) -> bytes:
@@ -62,12 +68,6 @@ def _write_array(path, array: np.ndarray) -> bytes:
     blob = HEADER.pack(MAGIC, VERSION, data.shape[0], data.shape[1], 0) + data.tobytes()
     Path(path).write_bytes(blob)
     return blob
-
-
-def _read_array(path) -> np.ndarray:
-    fm_like = read_feature_file(path)
-    values = fm_like.values.astype(np.float32)
-    return values[:, 0] if values.shape[1] == 1 else values
 
 
 def save_params(directory, params: ParamSet) -> None:
@@ -82,7 +82,8 @@ def save_params(directory, params: ParamSet) -> None:
 
 
 def load_params(directory) -> ParamSet:
-    """Read a snapshot; a missing or damaged file raises CorruptSnapshot."""
+    """Read a snapshot; a missing or damaged file, or a non-finite value,
+    raises CorruptSnapshot."""
     directory = Path(directory)
     # a damaged byte decodes to U+FFFD, so its line fails one of the checks below
     manifest = _read_snapshot_file(directory / "manifest.txt").decode(errors="replace")
@@ -94,12 +95,18 @@ def load_params(directory) -> ParamSet:
         except ValueError:
             raise CorruptSnapshot(f"{directory / 'manifest.txt'}: malformed line {line!r}") from None
         path = directory / f"{name}.leaf"
-        if f"{zlib.crc32(_read_snapshot_file(path)) & 0xFFFFFFFF:08x}" != checksum:
+        blob = _read_snapshot_file(path)
+        if f"{zlib.crc32(blob) & 0xFFFFFFFF:08x}" != checksum:
             raise CorruptSnapshot(f"{path}: checksum mismatch")
-        value = _read_array(path)
+        try:
+            value = _parse(blob, path)[0].astype(np.float32)
+        except ValueError as err:
+            raise CorruptSnapshot(str(err)) from None
         if value.size != length:
             raise CorruptSnapshot(f"{path}: length mismatch")
-        values[name] = value
+        if not np.all(np.isfinite(value)):
+            raise CorruptSnapshot(f"{path}: non-finite value")
+        values[name] = value[:, 0] if value.shape[1] == 1 else value
     return ParamSet(values)
 
 

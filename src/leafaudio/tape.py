@@ -20,28 +20,30 @@ overlap-save block from the signal, transforms it, correlates it with the
 bank, squares it into a small haloed energy buffer, pools every frame
 whose window the block completes and carries the unfinished tail into the
 next block.  No full-rate array outlives its block; the block's
-correlations and conjugate spectrum are kept only while a kernel is
-differentiated.
+correlations are kept only while a kernel is differentiated, and its
+spectrum is never kept.
 
 The adjoint walks the same rows and blocks.  Per row, the frame gradient,
 times the 2 of d|z|^2, is spread back over the samples by the transposed
 pooling, one batched matmul over the channels.  Per block, ``2 g corr`` is
-written into one reused FFT-length buffer and transformed, and its
-spectrum times the conjugate block spectrum is added into a single (2, N, F)
-accumulator, whose one inverse FFT gives the kernel gradient; the block's
-energy is squared again from its kept correlations into one row's buffer,
-which the pooling-kernel gradient reads.
+written into one reused FFT-length buffer and transformed; the block's
+spectrum is made again from the signal, and the product of the two, one
+of them conjugated, is added into a single (2, N, F) accumulator, whose
+one inverse FFT gives the kernel gradient.  The block's energy is squared
+again from its kept correlations into one row's buffer, which the
+pooling-kernel gradient reads.
 
 All of that work is per channel, so :func:`filter_pool` splits the N
 channels into ``GROUPS`` contiguous groups, where ``GROUPS`` is the number
 of CPUs the process may run on, capped at N and at one group per
 ``MIN_GROUP_WORK`` channel-samples of FFT work.  Each group is one
 independent task on the package's worker pool (``workers``), forward and
-backward: it makes its own block spectra, runs the streaming loop above
-and writes its own channels of the output and its own kernels' gradients;
-with one group it runs in the calling thread.  Every number is computed by
-the same operations whatever the grouping, so values and gradients do not
-depend on ``GROUPS``, bit for bit.
+backward, and shares nothing with the other groups: in each pass it makes
+its own block spectra, runs the streaming loop above and writes its own
+channels of the output or its own kernels' gradients.  With one group it
+runs in the calling thread.  Every number is computed by the same
+operations whatever the grouping, so values and gradients do not depend
+on ``GROUPS``, bit for bit.
 
 One workspace is lent per call: the padded kernels, the spectrum product,
 the correlations, the pooling buffer and, for the adjoint, ``d_corr`` and
@@ -424,15 +426,16 @@ def filter_pool(x, kernels, pool_kernels, stride):
     block (overlap-save) when T exceeds ``FFT_BLOCK``; each frame is pooled
     as soon as the block that completes its window is made.  The channels
     run as up to ``GROUPS`` contiguous groups, each one task on the worker
-    pool that makes the signal's block spectra itself; the result does not
-    depend on the grouping.  Only ``kernels`` and ``pool_kernels`` are
-    differentiated; the adjoint computes both gradients whenever either is
-    live.
+    pool, forward and backward, that makes the signal's block spectra
+    itself; the result does not depend on the grouping.  Only ``kernels``
+    and ``pool_kernels`` are differentiated; the adjoint computes both
+    gradients whenever either is live.
 
     The call works in one workspace, the spare of the last call shape or a
     new one, and each group in the views of its own channels.  A call with
     nothing live hands the workspace back as it returns; otherwise the node
-    keeps it, with every block's correlations, until the node dies.
+    keeps it, with every block's correlations, until the node dies.  The
+    node keeps no block spectra: the backward makes them again.
     """
     if _live(x):
         raise ValueError("filter_pool does not differentiate its signal; pass x as a constant")
@@ -450,32 +453,27 @@ def filter_pool(x, kernels, pool_kernels, stride):
     size, span, n_blocks = _block_layout(n_samples, width)
     # everything the workspace's shapes and dtypes depend on; FFT_BLOCK
     # enters through size
-    key = (vx.shape, vx.dtype, vk.shape, vk.dtype, pool_width, stride, dtype, live, size)
-    ws, spectra = _take_spare(key) or _workspace(n, vx.dtype, vk.dtype, dtype, batch, n_samples, width,
-                                                 pool_width, stride, live)
+    key = (vx.shape, vk.shape, vk.dtype, pool_width, stride, dtype, live, size)
+    ws = _take_spare(key) or _workspace(n, vk.dtype, dtype, batch, n_samples, width, pool_width, stride, live)
     bounds = _channel_groups(n, batch * n_blocks * size * n)
-    # each group works in the views of its own channels of every buffer
-    views = [SimpleNamespace(**{name: buf[..., lo:hi, :] for name, buf in vars(ws).items()})
-             for lo, hi in bounds]
-    # each group lays its blocks out in a row of ``blocks``, made here
-    # because an array made and freed in a pool thread costs page faults;
-    # the first group keeps every item's conjugate spectrum
+    # each group works in the views of its own channels of every buffer and
+    # lays its blocks out in a row of ``blocks``, made here because an array
+    # made and freed in a pool thread costs page faults
     blocks = np.empty((len(bounds), size), dtype=vx.dtype)
-    workers.run([functools.partial(_forward_group, view, vx, vk[2 * lo: 2 * hi], vp[lo:hi], stride,
-                                   out[:, lo:hi], live, block, spectra if lo == 0 else None)
-                 for view, block, (lo, hi) in zip(views, blocks, bounds)])
+    groups = [(SimpleNamespace(**{name: buf[..., lo:hi, :] for name, buf in vars(ws).items()}),
+               vx, block, vk[2 * lo: 2 * hi], vp[lo:hi], stride) for block, (lo, hi) in zip(blocks, bounds)]
+    workers.run([functools.partial(_forward_group, *group, out[:, lo:hi], live)
+                 for group, (lo, hi) in zip(groups, bounds)])
     if not live:
-        _give_back(key, (ws, spectra))
+        _give_back(key, ws)
         return constant(out)
-    backwards = [_backward_group(view, spectra, vk[2 * lo: 2 * hi], vp[lo:hi], stride, n_samples)
-                 for view, (lo, hi) in zip(views, bounds)]
 
     def vjp(g):
-        parts = workers.run([functools.partial(backward, g[:, lo:hi])
-                             for backward, (lo, hi) in zip(backwards, bounds)])
+        parts = workers.run([functools.partial(_backward_group, *group, g[:, lo:hi])
+                             for group, (lo, hi) in zip(groups, bounds)])
         return None, np.concatenate([gk for gk, _ in parts]), np.concatenate([gp for _, gp in parts])
 
-    weakref.finalize(vjp, _give_back, key, (ws, spectra))
+    weakref.finalize(vjp, _give_back, key, ws)
     return _node(out, (x, kernels, pool_kernels), vjp)
 
 
@@ -486,18 +484,19 @@ def _channel_groups(n, work):
     return workers.bounds(n, max(1, min(GROUPS, n, work // MIN_GROUP_WORK)))
 
 
-def _workspace(n, signal_dtype, kernel_dtype, dtype, batch, n_samples, width, pool_width, stride, live):
-    """The buffers of :func:`filter_pool` calls of one shape: a namespace
-    of those with the N channels on their second-last axis, and the
-    (row, block) items' conjugate signal spectra when ``live``, else None.
+def _workspace(n, kernel_dtype, dtype, batch, n_samples, width, pool_width, stride, live):
+    """The buffers of :func:`filter_pool` calls of one shape, in a
+    namespace, each with the N channels on its second-last axis.  No
+    buffer holds a block spectrum: each group makes its own, forward and
+    backward.
 
-    The channel buffers are the forward's padded kernels and spectrum
-    product, each with [real; imaginary] on a leading axis of 2, the
-    correlations (every item's when ``live``, else one item's) and the
-    haloed pooling buffer, and with ``live`` the backward's ``d_corr`` and
-    ``energy``.  The backward accumulates its spectrum in the product's
-    buffer, and ``d_corr``'s imaginary half holds the square-sum temporary
-    of both passes.  The buffers made zero are written only where their
+    They are the forward's padded kernels and spectrum product, each with
+    [real; imaginary] on a leading axis of 2, the correlations (every
+    item's when ``live``, else one item's) and the haloed pooling buffer,
+    and with ``live`` the backward's ``d_corr`` and ``energy``.  The
+    backward accumulates its spectrum in the product's buffer, and
+    ``d_corr``'s imaginary half holds the square-sum temporary of both
+    passes.  The buffers made zero are written only where their
     nonzero values go, so the rest stays zero from call to call.
     """
     size, span, n_blocks = _block_layout(n_samples, width)
@@ -506,12 +505,11 @@ def _workspace(n, signal_dtype, kernel_dtype, dtype, batch, n_samples, width, po
         prod=np.empty((2, n, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
         corr=np.empty((batch * n_blocks if live else 1, 2, n, size), dtype=dtype),
         held=np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype))
-    if not live:
-        return ws, None
-    ws.d_corr = np.zeros((2, n, size), dtype=dtype)
-    lead = -(-pool_width // stride)
-    ws.energy = np.zeros((n, lead * stride + n_samples + pool_width - 1), dtype=dtype)
-    return ws, np.empty((batch * n_blocks, size // 2 + 1), dtype=np.result_type(signal_dtype, np.complex64))
+    if live:
+        ws.d_corr = np.zeros((2, n, size), dtype=dtype)
+        lead = -(-pool_width // stride)
+        ws.energy = np.zeros((n, lead * stride + n_samples + pool_width - 1), dtype=dtype)
+    return ws
 
 
 def _take_spare(key):
@@ -544,16 +542,15 @@ def _block_spectrum(row, start, half, block):
     return _fft.rfft(block)
 
 
-def _forward_group(ws, vx, vk, vp, stride, out, live, block, kept):
+def _forward_group(ws, vx, block, vk, vp, stride, out, live):
     """:func:`filter_pool`'s forward on the n channels of (2n, W) ``vk``
     and (n, P) ``vp``, written into the (B, n, M) view ``out``, in the
     views ``ws`` of those channels of the call's workspace.
 
     It makes the spectrum of each (row, block) item of the signal ``vx``
     itself, one block at a time, laid out in the buffer ``block``.  With
-    ``live`` it keeps every item's correlations in ``ws``; with ``kept``
-    it writes each item's conjugate spectrum into that row of ``kept``.
-    Plain numpy only, so that groups can run on threads of their own.
+    ``live`` it keeps every item's correlations in ``ws``.  Plain numpy
+    only, so that groups can run on threads of their own.
     """
     batch, n, n_frames = out.shape
     n_samples = vx.shape[1]
@@ -573,8 +570,6 @@ def _forward_group(ws, vx, vk, vp, stride, out, live, block, kept):
             xf = _block_spectrum(vx[b], start, (vk.shape[1] - 1) // 2, block)
             corr = ws.corr[b * n_blocks + i if live else 0]
             np.fft.irfft(np.multiply(xf, kf_conj, out=ws.prod), size, axis=-1, out=corr)
-            if kept is not None:
-                np.conjugate(xf, out=kept[b * n_blocks + i])
             # without a backward the imaginary half squares in place
             _square_sum(corr, keep, held[:, filled: filled + keep], ws.d_corr[1] if live else corr[1])
             filled += keep
@@ -594,13 +589,15 @@ def _forward_group(ws, vx, vk, vp, stride, out, live, block, kept):
             lo, filled = lo + cut, filled - cut
 
 
-def _backward_group(ws, spectra, vk, vp, stride, n_samples):
-    """``backward(g) -> (gk, gp)``: the gradients of one channel group's
-    (2n, W) ``vk`` and (n, P) ``vp`` for its (B, n, M) frame gradient
-    ``g``, from the correlations kept in ``ws`` and every (row, block)
-    item's conjugate signal spectrum."""
-    width = vk.shape[1]
-    n, pool_width = vp.shape
+def _backward_group(ws, vx, block, vk, vp, stride, g):
+    """The gradients (gk, gp) of one channel group's (2n, W) ``vk`` and
+    (n, P) ``vp`` for its (B, n, M) frame gradient ``g``, from the
+    correlations its forward kept in ``ws``.  Like the forward, it makes
+    the spectrum of each (row, block) item of ``vx`` itself, in ``block``.
+    """
+    batch, n, n_frames = g.shape
+    n_samples = vx.shape[1]
+    width, pool_width = vk.shape[1], vp.shape[1]
     half, pool_half = (width - 1) // 2, (pool_width - 1) // 2
     size, span, n_blocks = _block_layout(n_samples, width)
     dtype = ws.energy.dtype
@@ -610,41 +607,37 @@ def _backward_group(ws, spectra, vk, vp, stride, n_samples):
     # frame after frame, so the terms add in the order of one einsum over
     # the whole batch
     lead = -(-pool_width // stride)
-
-    def backward(g):
-        batch, _, n_frames = g.shape
-        d_corr, spec, energy = ws.d_corr, ws.prod, ws.energy  # d_corr is zero past ``span``
-        # the kernel gradient's spectrum is the sum over rows and blocks
-        # of xf conj(rfft(d corr)), accumulated as its conjugate:
-        # conj(a) b = conj(a conj(b)) exactly
-        spec[...] = 0.0
-        frame_weights = np.zeros((n, lead + n_frames), dtype=dtype)
-        frame_weights[:, 0] = 1.0
-        windows = sliding_window_view(energy, pool_width, axis=1)[:, ::stride][:, : lead + n_frames]
-        gp = np.zeros((n, pool_width), dtype=dtype)
-        for b in range(batch):
-            # d corr = 2 d_energy corr; the 2 is folded into g (exact)
-            d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, dtype)[0]
-            for i in range(n_blocks):
-                start = i * span
-                keep = min(span, n_samples - start)
-                corr = ws.corr[b * n_blocks + i]
-                at = lead * stride + pool_half + start
-                _square_sum(corr, keep, energy[:, at: at + keep], d_corr[1])
-                d_corr[..., keep:span] = 0.0  # a short last block: clear the previous block's tail
-                np.multiply(d_energy[:, start: start + keep], corr[..., :keep], out=d_corr[..., :keep])
-                term = _fft.rfft(d_corr, axis=-1)
-                term *= spectra[b * n_blocks + i]
-                spec += term
-            energy[:, :pool_width] = gp
-            frame_weights[:, lead:] = g[b]
-            gp = np.einsum("nm,nmp->np", frame_weights, windows)
-        dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
-        gk = np.empty_like(vk)
-        gk[0::2], gk[1::2] = np.concatenate([dk_full[..., size - half:], dk_full[..., : width - half]], axis=-1)
-        return gk, gp
-
-    return backward
+    d_corr, spec, energy = ws.d_corr, ws.prod, ws.energy  # d_corr is zero past ``span``
+    # the kernel gradient's spectrum is the sum over rows and blocks
+    # of xf conj(rfft(d corr)), accumulated as its conjugate:
+    # conj(a) b = conj(a conj(b)) exactly
+    spec[...] = 0.0
+    frame_weights = np.zeros((n, lead + n_frames), dtype=dtype)
+    frame_weights[:, 0] = 1.0
+    windows = sliding_window_view(energy, pool_width, axis=1)[:, ::stride][:, : lead + n_frames]
+    gp = np.zeros((n, pool_width), dtype=dtype)
+    for b in range(batch):
+        # d corr = 2 d_energy corr; the 2 is folded into g (exact)
+        d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, dtype)[0]
+        for i in range(n_blocks):
+            start = i * span
+            keep = min(span, n_samples - start)
+            corr = ws.corr[b * n_blocks + i]
+            at = lead * stride + pool_half + start
+            _square_sum(corr, keep, energy[:, at: at + keep], d_corr[1])
+            d_corr[..., keep:span] = 0.0  # a short last block: clear the previous block's tail
+            np.multiply(d_energy[:, start: start + keep], corr[..., :keep], out=d_corr[..., :keep])
+            term = _fft.rfft(d_corr, axis=-1)
+            xf = _block_spectrum(vx[b], start, half, block)
+            term *= np.conjugate(xf, out=xf)
+            spec += term
+        energy[:, :pool_width] = gp
+        frame_weights[:, lead:] = g[b]
+        gp = np.einsum("nm,nmp->np", frame_weights, windows)
+    dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
+    gk = np.empty_like(vk)
+    gk[0::2], gk[1::2] = np.concatenate([dk_full[..., size - half:], dk_full[..., : width - half]], axis=-1)
+    return gk, gp
 
 
 def _kernel_spectrum(kernels, shifted):

@@ -32,13 +32,21 @@ NOISE_COLORS = ("white", "lowpass", "highpass")
 
 @dataclass(frozen=True)
 class TaskSpec:
-    """One synthetic classification problem at a fixed noise level."""
+    """One synthetic classification problem at a fixed noise level.
+
+    ``snr_db`` is a finite number of dB, or +inf for clean clips; NaN and
+    -inf are refused with a ValueError that names them.
+    """
 
     task_id: int
     name: str
     num_classes: int
     snr_db: float
     duration_s: float = 1.0
+
+    def __post_init__(self):
+        if not (np.isfinite(self.snr_db) or self.snr_db == np.inf):
+            raise ValueError(f"SNR must be a finite number of dB or inf, got snr_db={self.snr_db}")
 
     def with_snr(self, snr_db: float) -> "TaskSpec":
         return replace(self, snr_db=snr_db)

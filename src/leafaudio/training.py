@@ -177,12 +177,14 @@ class TrainResult:
 
 
 def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: int,
-          lr: float, seed: int, *, log_every: int = 50, dtype=np.float32,
+          lr: float, seed: int, *, log_every: int = 50,
           freeze_frontend: bool = False) -> TrainResult:
-    """Deterministic multi-task training run.
+    """Deterministic float32 multi-task training run.
 
     Snapshots are taken at steps {0, steps//2, steps}.
     """
+    if not tasks:
+        raise ValueError(f"training needs at least 1 task, got tasks={tasks}")
     if steps < 1:
         raise ValueError(f"training needs at least 1 step, got steps={steps}")
     if batch_size < 1:
@@ -190,7 +192,7 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be a finite number above 0, got lr={lr}")
     class_counts = [t.num_classes for t in tasks]
-    params = init_multitask_params(cfg, class_counts, dtype=dtype)
+    params = init_multitask_params(cfg, class_counts, dtype=np.float32)
     state = init_adam(params, lr)
     frozen = {k for k in params if freeze_frontend and not k.startswith("head")}
     metrics: list[dict] = []
@@ -200,10 +202,10 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
         # a frozen name enters as a constant: its gradient is zero from step 1, so
         # its ADAM moments stay zero and its update is 0 / (0 + eps) = 0
         inputs = {k: tape.constant(v) if k in frozen else v for k, v in params.items()}
-        loss, grads, _, _ = multitask_loss_and_grad(batch, inputs, cfg, len(tasks), dtype=dtype)
+        loss, grads, _, _ = multitask_loss_and_grad(batch, inputs, cfg, len(tasks))
         state, params = adam_step(state, params, grads, cfg)
         if step % log_every == 0 or step == steps:
-            accs = _batch_accuracies(batch, params, cfg, dtype)
+            accs = _batch_accuracies(batch, params, cfg)
             for k in range(len(tasks)):
                 metrics.append({
                     "step": step, "task_id": k, "loss": loss,
@@ -215,8 +217,8 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
     return TrainResult(MultiHead(params, cfg, tuple(class_counts)), metrics, snapshots)
 
 
-def _batch_accuracies(batch, params, cfg, dtype):
-    xs, labels, task_ids = stack_batch(batch, dtype)
+def _batch_accuracies(batch, params, cfg):
+    xs, labels, task_ids = stack_batch(batch, np.float32)
     return {k: float(np.mean(logits.value.argmax(axis=1) == labels[rows]))
             for k, (rows, logits) in task_logits(xs, task_ids, params, cfg).items()}
 
@@ -319,10 +321,11 @@ def noise_sweep(task: TaskSpec, snr_list, variants: list[FrontendConfig], seed: 
         raise ValueError(f"noise sweep needs at least 1 seed, got n_seeds={n_seeds}")
     if eval_clips < 1:
         raise ValueError(f"noise sweep needs at least 1 evaluation clip, got eval_clips={eval_clips}")
+    # an SNR the task refuses fails here, before any training
+    noisy_tasks = [task.with_snr(snr) for snr in snr_list]
     rows = []
     for cfg in variants:
-        for snr in snr_list:
-            noisy_task = task.with_snr(snr)
+        for noisy_task in noisy_tasks:
             accs = []
             for s in range(n_seeds):
                 run_seed = seed + 1000 * s
@@ -331,7 +334,7 @@ def noise_sweep(task: TaskSpec, snr_list, variants: list[FrontendConfig], seed: 
                 accs.append(ev.accuracy)
             rows.append({
                 "variant": variant_name(cfg),
-                "snr_db": float(snr),
+                "snr_db": float(noisy_task.snr_db),
                 "accuracies": accs,
                 "mean_accuracy": float(np.mean(accs)),
             })

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import leafaudio
-from leafaudio import training
+from leafaudio import cli, training
 from leafaudio.cli import main
 from leafaudio.frontend import FrontendConfig, frontend_forward, variant_config
 from leafaudio.gabor import frequency_response, gabor_impulse_response, gabor_params_from_mels
@@ -146,13 +146,15 @@ class TestSnapshots:
         assert code == 1
         assert capsys.readouterr().err.startswith("ShapeMismatch:")
 
-    def test_nan_parameter_is_non_finite_features(self, leaf6, tone_wav, capsys):
+    @pytest.mark.parametrize("command", ["extract", "eval", "inspect"])
+    def test_nan_parameter_is_corrupt_snapshot(self, command, leaf6, tone_wav, capsys):
         values = dict(load_params(leaf6))
         values["pcen_delta"] = np.where(np.arange(6) == 2, np.nan, values["pcen_delta"])
         save_params(leaf6, ParamSet(values))
-        code = main(["extract", "--input", str(tone_wav), "--model", str(leaf6)] + self.LEAF6)
+        flags = {"extract": ["--input", str(tone_wav)], "eval": ["--n", "4", "--task", "am"], "inspect": []}
+        code = main([command, "--model", str(leaf6), *flags[command]] + self.LEAF6)
         assert code == 1
-        assert capsys.readouterr().err.startswith("NonFiniteFeatures:")
+        assert capsys.readouterr().err == f"CorruptSnapshot: {leaf6 / 'pcen_delta.leaf'}: non-finite value\n"
 
     def test_extract_and_inspect_share_the_check(self, leaf6, tone_wav, capsys):
         assert main(["extract", "--input", str(tone_wav), "--model", str(leaf6),
@@ -295,6 +297,17 @@ def no_batch(*args, **kwargs):
     raise AssertionError("a batch was drawn before the refusal")
 
 
+def no_training(*args, **kwargs):
+    raise AssertionError("training ran before the refusal")
+
+
+# an SNR of NaN or -inf, and the refusal that names it
+SNR_NAN_OR_MINUS_INF = [
+    pytest.param(value, f"ValueError: SNR must be a finite number of dB or inf, got snr_db={value}\n", id=value)
+    for value in ("nan", "-inf")
+]
+
+
 class TestTrainEvalCommands:
     def test_train_writes_artifacts_and_eval_loads(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -347,6 +360,27 @@ class TestTrainEvalCommands:
                      "--frontend", "mel", "--out", str(out)])
         assert code == 1
         assert capsys.readouterr().err == f"ValueError: {message}\n"
+        assert not out.exists()
+
+
+    def test_empty_task_list_exits_1_and_names_it(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(training, "sample_batch", no_batch)
+        out = tmp_path / "run"
+        code = main(["train", "--task", ",", "--steps", "1", "--batch", "2", "--frontend", "mel",
+                     "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "ValueError: training needs at least 1 task, got tasks=[]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("snr, error", SNR_NAN_OR_MINUS_INF)
+    def test_snr_nan_or_minus_inf_exits_1_before_training(self, snr, error, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(training, "sample_batch", no_batch)
+        monkeypatch.setattr(cli, "train", no_training)
+        out = tmp_path / "run"
+        code = main(["train", "--task", "pitch", "--steps", "1", "--batch", "2", f"--snr-db={snr}",
+                     "--frontend", "mel", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == error
         assert not out.exists()
 
 
@@ -431,12 +465,13 @@ class TestConfigFile:
 
 
 class TestSizeSettings:
-    """A channel count or kernel length below 1 is refused by name."""
+    """A channel count, kernel length or stride below 1 is refused by name."""
 
     @pytest.mark.parametrize("flags, name", [
         (["--filters", "0"], "n_filters"),
         (["--filters", "-3"], "n_filters"),
         (["--filter-len", "-1"], "filter_len"),
+        (["--stride", "0"], "pool_stride"),
     ])
     def test_flag_below_1_exits_1_and_names_it(self, flags, name, tone_wav, tmp_path, capsys):
         out = tmp_path / "out.leaf"
@@ -492,6 +527,16 @@ class TestNoiseSweepConfig:
         assert captured.out == ""
         assert captured.err == (f"ValueError: noise sweep needs at least 1 evaluation clip, "
                                 f"got eval_clips={value}\n")
+
+    @pytest.mark.parametrize("snr, error", SNR_NAN_OR_MINUS_INF)
+    def test_snr_nan_or_minus_inf_exits_1_before_training(self, snr, error, monkeypatch, capsys):
+        monkeypatch.setattr(training, "sample_batch", no_batch)
+        monkeypatch.setattr(training, "train", no_training)
+        # the last --snr-db wins over TINY's; the inf run would train first
+        assert main(["noise-sweep", "--frontends", "mel", *self.TINY, f"--snr-db=inf,{snr}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == error
 
     @pytest.mark.parametrize("flag, value, message", STEPS_OR_BATCH_BELOW_1)
     def test_steps_or_batch_below_1_exits_1_and_names_it(self, flag, value, message, monkeypatch, capsys):

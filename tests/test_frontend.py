@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from leafaudio import tape, workers
-from leafaudio.errors import BadRate, ZeroFilter
+from leafaudio.errors import BadRate, NonFiniteFeatures, ZeroFilter
 from leafaudio.frontend import (
     FrontendConfig,
     frontend_forward,
@@ -285,6 +285,13 @@ class TestFrontendForward:
         b = frontend_forward(x, params, CFG)
         assert np.array_equal(a.values, b.values)
 
+    def test_nan_parameter_is_non_finite_features(self):
+        cfg = variant_config("leaf", n_filters=6, filter_len=65)
+        params = dict(init_params(cfg, 2))
+        params["pcen_delta"] = np.where(np.arange(6) == 2, np.nan, params["pcen_delta"])
+        with pytest.raises(NonFiniteFeatures, match="^feature map contains non-finite values$"):
+            frontend_forward(tone(440.0, 0.1), params, cfg)
+
     def test_shift_quasi_invariance(self):
         # eta = 0.1 tone shifted by up to 8 samples: interior pooled outputs
         # move by < 1% relative
@@ -327,8 +334,13 @@ class TestMelFrontend:
 
     @pytest.mark.parametrize("grid, match", [(dict(fmin=-1.0), "fmin"), (dict(fmin=300.0, fmax=300.0), "fmin"),
                                              (dict(fmax=8001.0), "fmax"), (dict(n_fft=500), "n_fft"),
-                                             (dict(n_fft=0), "n_fft"), (dict(n_fft=256), "n_fft")],
-                             ids=["fmin<0", "fmin=fmax", "fmax>nyquist", "n_fft=500", "n_fft=0", "n_fft=256"])
+                                             (dict(n_fft=0), "n_fft"), (dict(n_fft=256), "n_fft"),
+                                             (dict(pool_len=400), "^pool_len must be odd$"),
+                                             (dict(pool_stride=0), "^pool_stride must be >= 1$"),
+                                             (dict(compression="sqrt"), "^compression must be one of"),
+                                             (dict(filtering="sinc"), "^filtering must be one of")],
+                             ids=["fmin<0", "fmin=fmax", "fmax>nyquist", "n_fft=500", "n_fft=0", "n_fft=256",
+                                  "pool_len=400", "pool_stride=0", "compression", "filtering"])
     def test_bad_design_grid(self, grid, match):
         # n_fft=256 is a power of two, but shorter than the 400-sample analysis window
         with pytest.raises(ValueError, match=match):

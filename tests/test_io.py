@@ -1,8 +1,14 @@
 """Binary format, config file, and snapshot round-trip tests."""
 
+import re
+import struct
+import zlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from leafaudio import io as leafio
 from leafaudio.errors import CorruptSnapshot
 from leafaudio.frontend import FeatureMap, FrontendConfig
 from leafaudio.io import (
@@ -53,6 +59,17 @@ class TestFeatureFile:
         with pytest.raises(ValueError):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("blob, message", [
+        (b"LEAF" + b"\x00" * 10, "truncated header"),
+        (struct.pack("<4sIIII", b"LEAF", 2, 1, 1, 100) + b"\x00" * 4, "unsupported version 2"),
+        (struct.pack("<4sIIII", b"LEAF", 1, 3, 2, 100) + b"\x00" * 20, "truncated payload"),
+    ], ids=["header", "version", "payload"])
+    def test_rejects_malformed_file(self, blob, message, tmp_path):
+        path = tmp_path / "bad.leaf"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            read_feature_file(path)
+
     def test_identical_writes_are_byte_identical(self, tmp_path):
         values = np.random.default_rng(1).standard_normal((7, 3)).astype(np.float32)
         a, b = tmp_path / "a.leaf", tmp_path / "b.leaf"
@@ -82,7 +99,7 @@ class TestSnapshots:
 
     @pytest.mark.parametrize("damage", [
         "missing manifest", "missing block", "malformed line", "length", "payload byte",
-        "header byte", "manifest byte", "swapped shape",
+        "header byte", "manifest byte", "swapped shape", "nan value", "inf value",
     ])
     def test_damage_is_corrupt_snapshot(self, damage, tmp_path):
         save_params(tmp_path, ParamSet({"eta": np.linspace(0, 0.5, 8, dtype=np.float32)}))
@@ -95,6 +112,9 @@ class TestSnapshots:
             manifest.write_text(manifest.read_text().replace(",8,", ",eight,"))
         elif damage == "length":
             manifest.write_text(manifest.read_text().replace(",8,", ",9,"))
+        elif damage in ("nan value", "inf value"):  # a block whose checksum holds
+            bad = np.nan if damage == "nan value" else -np.inf
+            save_params(tmp_path, ParamSet({"eta": np.array([0.1, bad, 0.3], dtype=np.float32)}))
         elif damage == "swapped shape":  # (8, 1) -> (1, 8): same length, valid header
             blob = block.read_bytes()
             block.write_bytes(blob[:8] + blob[12:16] + blob[8:12] + blob[16:])
@@ -106,6 +126,21 @@ class TestSnapshots:
             target.write_bytes(bytes(blob))
         with pytest.raises(CorruptSnapshot):
             load_params(tmp_path)
+
+    def test_values_are_the_bytes_that_were_checksummed(self, tmp_path, monkeypatch):
+        # the block is swapped for another valid one right after its checksum
+        # is taken: the values loaded are still the checksummed ones
+        eta = np.linspace(0, 0.5, 8, dtype=np.float32)
+        save_params(tmp_path / "other", ParamSet({"eta": eta + 1.0}))
+        save_params(tmp_path / "snap", ParamSet({"eta": eta}))
+        block, other = tmp_path / "snap" / "eta.leaf", (tmp_path / "other" / "eta.leaf").read_bytes()
+
+        def crc32_then_swap(data):
+            block.write_bytes(other)
+            return zlib.crc32(data)
+
+        monkeypatch.setattr(leafio, "zlib", SimpleNamespace(crc32=crc32_then_swap))
+        assert np.array_equal(load_params(tmp_path / "snap")["eta"], eta)
 
     def test_matrix_shape_preserved(self, tmp_path):
         params = ParamSet({"head0_weights": np.ones((5, 3), dtype=np.float32)})

@@ -5,6 +5,7 @@ check is independent of the package's own RIFF parser.
 """
 
 import math
+import re
 import struct
 import wave
 
@@ -37,6 +38,10 @@ class TestWaveform:
         w = Waveform(np.zeros(4), 16000)
         with pytest.raises(ValueError):
             w.samples[0] = 1.0
+
+
+# a 16 kHz 16-bit PCM mono fmt chunk's payload
+FMT = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
 
 
 class TestLoadWav:
@@ -94,6 +99,24 @@ class TestLoadWav:
         path = tmp_path / "stereo.wav"
         write_pcm16(path, np.zeros(64, dtype=np.int16), 16000, channels=2)
         with pytest.raises(UnsupportedFormat):
+            load_wav(path)
+
+    @pytest.mark.parametrize("chunks, error, message", [
+        ([(b"fmt ", FMT), (b"data", b"\x00" * 4, 100)], NotWav, "truncated b'data' chunk"),
+        ([(b"data", b"\x00" * 4)], NotWav, "missing fmt or data chunk"),
+        ([(b"fmt ", FMT)], NotWav, "missing fmt or data chunk"),
+        ([(b"fmt ", FMT[:14]), (b"data", b"\x00" * 4)], NotWav, "malformed fmt chunk"),
+        ([(b"fmt ", struct.pack("<H", 3) + FMT[2:]), (b"data", b"\x00" * 4)], UnsupportedFormat,
+         "audio format 3, expected PCM"),
+        ([(b"fmt ", FMT), (b"data", b"")], UnsupportedFormat, "empty data chunk"),
+    ], ids=["truncated-chunk", "no-fmt", "no-data", "short-fmt", "float-format", "empty-data"])
+    def test_malformed_container(self, chunks, error, message, tmp_path):
+        # a chunk is (id, payload) or (id, payload, the size its header claims)
+        body = b"".join(cid + struct.pack("<I", (*rest, len(payload))[0]) + payload
+                        for cid, payload, *rest in chunks)
+        path = tmp_path / "case.wav"
+        path.write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        with pytest.raises(error, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_wav(path)
 
     def test_rejects_non_pcm16(self, tmp_path):

@@ -368,6 +368,16 @@ class TestFilterPool:
         tape.backward(tape.reduce_sum(out))
         assert out.parents[1].grad.dtype == out.parents[2].grad.dtype == np.float32
 
+    @pytest.mark.parametrize("width, pool_width, n_kernels, message", [
+        (8, 5, 4, "kernel length must be odd"),
+        (9, 4, 4, "kernel length must be odd"),
+        (9, 5, 3, "3 filter kernels do not pair with 2 pooling kernels"),
+    ], ids=["even-kernel", "even-pool-kernel", "unpaired"])
+    def test_malformed_kernels_raise(self, width, pool_width, n_kernels, message):
+        x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, width, pool_width)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tape.filter_pool(x, kernels[:n_kernels], pool_kernels, 4)
+
     def test_live_signal_raises(self):
         x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
         with pytest.raises(ValueError):
@@ -518,19 +528,18 @@ class TestWorkspaces:
             del loss
             tape.filter_pool(x, kernels, pool_kernels, 3)
         size = tape._block_layout(96, 9)[0]
-        key, (ws, spectra) = tape._spare
+        key, ws = tape._spare
         assert key[0] == (2, 96)
         assert ws.corr.shape == (1, 2, 3, size)
-        assert spectra is None  # the last call had nothing to differentiate
+        assert not hasattr(ws, "d_corr")  # the last call had nothing to differentiate
         # a node that dies after a later call hands back the last workspace
         x, kernels, pool_kernels = filter_pool_inputs(rng, 420, 9, 5, n=3)
         loss, _, _ = self.graph(x, kernels, pool_kernels, 1.0)
         tape.filter_pool(x[:, :96], kernels, pool_kernels, 3)
         del loss
-        key, (ws, spectra) = tape._spare
+        key, ws = tape._spare
         assert key[0] == (2, 420)
         assert ws.corr.shape == (2, 2, 3, tape._block_layout(420, 9)[0])
-        assert spectra.shape == (2, tape._block_layout(420, 9)[0] // 2 + 1)
 
     def test_spare_serves_any_grouping(self, monkeypatch):
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
@@ -540,7 +549,7 @@ class TestWorkspaces:
         for groups in (2, 1, 3):
             monkeypatch.setattr(tape, "GROUPS", groups)
             outs.append(tape.filter_pool(x, kernels, pool_kernels, 3).value)
-            spares.append(tape._spare[1][0])
+            spares.append(tape._spare[1])
         assert spares[0] is spares[1] is spares[2]  # the key holds no channel bounds
         assert all(np.array_equal(out, outs[0]) for out in outs)
 

@@ -35,6 +35,14 @@ class TestMakeTask:
         task = make_task("pitch").with_snr(5.0)
         assert task.snr_db == 5.0
 
+    @pytest.mark.parametrize("snr", [np.nan, -np.inf])
+    def test_snr_nan_or_minus_inf_is_refused(self, snr):
+        message = f"^SNR must be a finite number of dB or inf, got snr_db={snr}$"
+        with pytest.raises(ValueError, match=message):
+            make_task("pitch", snr_db=snr)
+        with pytest.raises(ValueError, match=message):
+            make_task("pitch").with_snr(snr)
+
 
 class TestGenerateExample:
     def test_deterministic(self):
