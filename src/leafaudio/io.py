@@ -2,12 +2,12 @@
 
 Feature file layout (little-endian): magic ``LEAF``, u32 version = 1,
 u32 frame count M, u32 channel count N, u32 frame rate, then M*N float32
-values in time-major order.  Snapshots store each parameter vector in the
-same container (frame rate 0) plus a manifest of name, length, and the
-CRC32 of the whole block file, header included.  A block is parsed from
-the very bytes its checksum was taken over; a missing file, a block that
-disagrees with the manifest or a non-finite value fails to load with
-``CorruptSnapshot``.
+values in time-major order, and nothing else.  Snapshots store each
+parameter vector in the same container (frame rate 0) plus a manifest of
+name, length, and the CRC32 of the whole block file, header included.
+A block is parsed from the very bytes its checksum was taken over; a
+missing file, a block that disagrees with the manifest or a non-finite
+value fails to load with ``CorruptSnapshot``.
 
 A config file's keys are ``FrontendConfig`` field names; any other key is
 rejected.
@@ -46,7 +46,7 @@ def read_feature_file(path) -> FeatureMap:
 
 def _parse(blob: bytes, path):
     """The (M, N) float32 values and the frame rate in the bytes ``blob``
-    of the file ``path``; bytes past the payload are ignored."""
+    of the file ``path``, which must be exactly a header and its payload."""
     if len(blob) < HEADER.size:
         raise ValueError(f"{path}: truncated header")
     magic, version, m, n, frame_rate = HEADER.unpack_from(blob)
@@ -54,10 +54,11 @@ def _parse(blob: bytes, path):
         raise ValueError(f"{path}: bad magic {magic!r}")
     if version != VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
-    payload = blob[HEADER.size: HEADER.size + 4 * m * n]
-    if len(payload) != 4 * m * n:
-        raise ValueError(f"{path}: truncated payload")
-    return np.frombuffer(payload, dtype="<f4").reshape(m, n), frame_rate
+    extra = len(blob) - HEADER.size - 4 * m * n
+    if extra:
+        problem = "truncated payload" if extra < 0 else f"{extra} extra bytes after the payload"
+        raise ValueError(f"{path}: {problem}")
+    return np.frombuffer(blob, dtype="<f4", offset=HEADER.size).reshape(m, n), frame_rate
 
 
 def _write_array(path, array: np.ndarray) -> bytes:

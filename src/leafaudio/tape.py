@@ -720,13 +720,12 @@ def ema(feats, smooth):
             gf = adj * vs[:, None]
             gf[..., 0] = adj[..., 0]
         if _live(smooth) and n_frames > 1:
-            # d/d(1 - s) summed late to early, then d/ds early to late: the
-            # order of a graph with one node per frame, so float32 gradients
-            # keep the bits of that graph
-            d_keep = functools.reduce(np.add, (
-                _unbroadcast(adj[..., t] * out[..., t - 1], vs.shape) for t in range(n_frames - 1, 0, -1)))
-            gs = functools.reduce(np.add, (
-                _unbroadcast(adj[..., t] * vf[..., t], vs.shape) for t in range(1, n_frames)), -d_keep)
+            # the frames' terms, each summed over the batch axes, then added in
+            # a fixed order, d/d(1 - s) late to early and d/ds early to late,
+            # which keeps the gradient's bits (tests/test_golden.py)
+            frames = vs.shape + (n_frames - 1,)
+            d_keep = functools.reduce(np.add, _unbroadcast(adj[..., 1:] * out[..., :-1], frames).T[::-1])
+            gs = functools.reduce(np.add, _unbroadcast(adj[..., 1:] * vf[..., 1:], frames).T, -d_keep)
         return gf, gs
 
     return _node(out, (feats, smooth), vjp)

@@ -2,8 +2,9 @@
 and the bootstrap significance test.
 
 One classifier path, ``task_logits`` (features, time mean, own-head
-logits, written once over tape values), serves the training loss, the
-logged batch accuracy, ``evaluate`` and ``clip_logits``.
+logits, written once over tape values), serves ``evaluate``,
+``clip_logits`` and training, where one pass gives a step's loss and its
+logged batch accuracy.
 
 Training is deterministic given (seed, config): batches, noise, and
 evaluation sets all derive from SeedSequence folding, and every reduction
@@ -93,7 +94,9 @@ def multitask_graph(xs: np.ndarray, labels: np.ndarray, task_ids: np.ndarray,
     """Kronecker-masked multi-task loss: each example feeds only its own head.
 
     The total is the batch mean of per-example own-head cross-entropies;
-    with one task it is the plain mean cross-entropy of head 0.
+    with one task it is the plain mean cross-entropy of head 0.  Returns
+    ``(loss, leaves, correct)``, ``correct[b]`` whether example b's
+    own-head argmax is its label.
     """
     if np.any(task_ids >= n_tasks) or np.any(task_ids < 0):
         raise UnknownTask("batch contains a task id with no head")
@@ -102,10 +105,12 @@ def multitask_graph(xs: np.ndarray, labels: np.ndarray, task_ids: np.ndarray,
         for name, value in params.items()
     }
     total = None
+    correct = np.empty(xs.shape[0], dtype=bool)
     for rows, logits in task_logits(xs, task_ids, leaves, cfg).values():
         ce = tape.softmax_cross_entropy(logits, labels[rows])
         total = ce if total is None else total + ce
-    return total * (1.0 / xs.shape[0]), leaves
+        correct[rows] = logits.value.argmax(axis=1) == labels[rows]
+    return total * (1.0 / xs.shape[0]), leaves, correct
 
 
 def task_logits(xs: np.ndarray, task_ids: np.ndarray, params, cfg: FrontendConfig) -> dict:
@@ -144,20 +149,21 @@ def multitask_loss(batch, model: MultiHead) -> float:
     """
     xs, labels, task_ids = stack_batch(batch, np.float64)
     constants = {name: tape.constant(value) for name, value in model.params.items()}
-    loss, _ = multitask_graph(xs, labels, task_ids, constants, model.cfg, model.n_tasks)
+    loss, _, _ = multitask_graph(xs, labels, task_ids, constants, model.cfg, model.n_tasks)
     return float(loss.value)
 
 
 def multitask_loss_and_grad(batch, params, cfg: FrontendConfig, n_tasks: int,
                             dtype=np.float32):
-    """Batch loss and its exact reverse-mode gradient; also returns labels, task ids.
+    """``(loss, grads, correct, task_ids)``: the batch loss, its exact
+    reverse-mode gradient and ``multitask_graph``'s ``correct``.
 
     ``params`` maps names to arrays or Vars.  A name given as a
     ``tape.constant`` gets a zero gradient, and no part of the graph that
     only it reaches is differentiated.
     """
     xs, labels, task_ids = stack_batch(batch, dtype)
-    loss, leaves = multitask_graph(xs, labels, task_ids, params, cfg, n_tasks)
+    loss, leaves, correct = multitask_graph(xs, labels, task_ids, params, cfg, n_tasks)
     value = float(loss.value)
     if not np.isfinite(value):
         raise NonFiniteLoss(f"loss evaluated to {value}")
@@ -166,13 +172,13 @@ def multitask_loss_and_grad(batch, params, cfg: FrontendConfig, n_tasks: int,
         name: leaf.grad if leaf.grad is not None else np.zeros_like(leaf.value)
         for name, leaf in leaves.items()
     })
-    return value, grads, labels, task_ids
+    return value, grads, correct, task_ids
 
 
 @dataclass
 class TrainResult:
     model: MultiHead
-    metrics: list  # rows: dict(step, task_id, loss, accuracy)
+    metrics: list  # rows: dict(step, task_id, loss, accuracy), before the step's update
     snapshots: dict  # step -> ParamSet
 
 
@@ -202,25 +208,17 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
         # a frozen name enters as a constant: its gradient is zero from step 1, so
         # its ADAM moments stay zero and its update is 0 / (0 + eps) = 0
         inputs = {k: tape.constant(v) if k in frozen else v for k, v in params.items()}
-        loss, grads, _, _ = multitask_loss_and_grad(batch, inputs, cfg, len(tasks))
+        loss, grads, correct, task_ids = multitask_loss_and_grad(batch, inputs, cfg, len(tasks))
         state, params = adam_step(state, params, grads, cfg)
         if step % log_every == 0 or step == steps:
-            accs = _batch_accuracies(batch, params, cfg)
             for k in range(len(tasks)):
-                metrics.append({
-                    "step": step, "task_id": k, "loss": loss,
-                    "accuracy": accs.get(k, float("nan")),
-                })
+                mine = correct[task_ids == k]  # NaN if the batch has none of task k
+                metrics.append({"step": step, "task_id": k, "loss": loss,
+                                "accuracy": float(mine.mean()) if mine.size else float("nan")})
         if step == steps // 2:
             snapshots[step] = params.copy()
     snapshots[steps] = params.copy()
     return TrainResult(MultiHead(params, cfg, tuple(class_counts)), metrics, snapshots)
-
-
-def _batch_accuracies(batch, params, cfg):
-    xs, labels, task_ids = stack_batch(batch, np.float32)
-    return {k: float(np.mean(logits.value.argmax(axis=1) == labels[rows]))
-            for k, (rows, logits) in task_logits(xs, task_ids, params, cfg).items()}
 
 
 @dataclass(frozen=True)

@@ -132,8 +132,8 @@ class TestGradAgreement:
         xs_b, y_b, k_b = stack_batch(batch_b, np.float64)
         a, b = 0.7, -1.3
 
-        loss_a, leaves = multitask_graph(xs_a, y_a, k_a, params, CFG, 1)
-        loss_b, _ = multitask_graph(xs_b, y_b, k_b, leaves, CFG, 1)
+        loss_a, leaves, _ = multitask_graph(xs_a, y_a, k_a, params, CFG, 1)
+        loss_b, _, _ = multitask_graph(xs_b, y_b, k_b, leaves, CFG, 1)
         combined = a * loss_a + b * loss_b
         tape.backward(combined)
         combined_grads = {k: v.grad.copy() for k, v in leaves.items()}

@@ -547,6 +547,12 @@ class TestNoiseSweepConfig:
         assert captured.out == ""
         assert captured.err == f"ValueError: {message}\n"
 
+    def test_negative_snr_list_after_equals_sign_runs(self, capsys):
+        # after a space argparse reads "-5,0" as a flag; after "=" it is the value
+        assert main(["noise-sweep", "--frontends", "mel", "--filters", "8", *self.TINY, "--snr-db=-5,0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["mel", "-5.0"], ["mel", "0.0"]]
+
     def test_csv_has_one_row_per_variant_and_snr(self, tmp_path, capsys):
         args = ["noise-sweep", "--frontends", "mel,mel-pcen", "--filters", "8", *self.TINY,
                 "--snr-db", "inf,0", "--seeds", "2"]

@@ -63,7 +63,8 @@ class TestFeatureFile:
         (b"LEAF" + b"\x00" * 10, "truncated header"),
         (struct.pack("<4sIIII", b"LEAF", 2, 1, 1, 100) + b"\x00" * 4, "unsupported version 2"),
         (struct.pack("<4sIIII", b"LEAF", 1, 3, 2, 100) + b"\x00" * 20, "truncated payload"),
-    ], ids=["header", "version", "payload"])
+        (struct.pack("<4sIIII", b"LEAF", 1, 3, 2, 100) + b"\x00" * 36, "12 extra bytes after the payload"),
+    ], ids=["header", "version", "payload", "trailing"])
     def test_rejects_malformed_file(self, blob, message, tmp_path):
         path = tmp_path / "bad.leaf"
         path.write_bytes(blob)

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from leafaudio import tape
 from leafaudio.autodiff import perturbed_params
 from leafaudio.errors import BadRate, LengthMismatch, ShapeMismatch, UnknownTask
 from leafaudio.frontend import FrontendConfig, variant_config
@@ -26,6 +27,8 @@ from leafaudio.training import (
     multitask_loss,
     multitask_loss_and_grad,
     noise_sweep,
+    stack_batch,
+    task_logits,
     train,
 )
 
@@ -193,6 +196,37 @@ class TestTrain:
         save_params(tmp_path / "m", result.model.params)
         again = MultiHead(load_params(tmp_path / "m"), MICRO, result.model.class_counts)
         assert evaluate(result.model, task, 30, seed=5) == evaluate(again, task, 30, seed=5)
+
+    def test_a_logged_step_runs_the_frontend_once(self, monkeypatch):
+        calls = []
+        filter_pool = tape.filter_pool
+
+        def counting(*args):
+            calls.append(args)
+            return filter_pool(*args)
+
+        monkeypatch.setattr(tape, "filter_pool", counting)
+        train([micro_task()], MICRO, steps=4, batch_size=4, lr=1e-3, seed=11, log_every=1)
+        assert len(calls) == 4
+
+    def test_logged_accuracy_is_that_of_the_parameters_the_loss_came_from(self):
+        tasks = [micro_task("pitch", task_id=0), micro_task("am", task_id=1)]
+        steps, batch_size, seed = 4, 8, 3
+        result = train(tasks, MICRO, steps, batch_size, lr=0.05, seed=seed, log_every=1)
+        for step in (1, steps // 2 + 1):
+            # the step's loss came from the parameters of the step before
+            params = result.snapshots[step - 1]
+            xs, labels, task_ids = stack_batch(sample_batch(tasks, batch_size, seed, step), np.float32)
+            expected = [float("nan")] * len(tasks)
+            for k, (rows, logits) in task_logits(xs, task_ids, params, MICRO).items():
+                expected[k] = float(np.mean(logits.value.argmax(axis=1) == labels[rows]))
+            logged = [m["accuracy"] for m in result.metrics if m["step"] == step]
+            np.testing.assert_array_equal(logged, expected, err_msg=f"step {step}")
+
+    def test_learned_workspace_survives_a_logged_step(self):
+        train([micro_task()], MICRO, steps=2, batch_size=4, lr=1e-3, seed=11, log_every=1)
+        _, workspace = tape._spare
+        assert hasattr(workspace, "d_corr")
 
     def test_frozen_frontend_learns_separable_tones(self):
         # two widely separated pitches are linearly separable in the
