@@ -6,6 +6,7 @@ against naive O(T*W) loops and np.correlate, its pooling adjoint against
 an np.add.at scatter, the moving average against a frame-by-frame loop.
 """
 
+import functools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -608,6 +609,28 @@ class TestEma:
         weights = RNG.standard_normal((2, 3, 12))
         check_op(lambda v: tape.reduce_sum(tape.ema(v, s) * weights), f)
         check_op(lambda v: tape.reduce_sum(tape.ema(f, v) * weights), s)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 12), (4, 6, 2), (3, 5)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_smoothing_gradient_adds_frame_by_frame(self, shape, dtype):
+        # reference: one batch-summed term per frame, d/d(1 - s) added late
+        # to early, then d/ds early to late; the adjoint must keep its bits
+        f = RNG.uniform(0.0, 3.0, shape).astype(dtype)
+        s = RNG.uniform(0.05, 0.9, shape[-2]).astype(dtype)
+        g = RNG.standard_normal(shape).astype(dtype)
+        node = tape.ema(f, tape.leaf(s))
+        out, n_frames, batch_axes = node.value, shape[-1], tuple(range(len(shape) - 2))
+        adj = np.empty_like(out)
+        adj[..., -1] = g[..., -1]
+        for t in range(n_frames - 1, 0, -1):
+            adj[..., t - 1] = g[..., t - 1] + adj[..., t] * (1.0 - s)
+        d_keep = functools.reduce(np.add, ((adj[..., t] * out[..., t - 1]).sum(axis=batch_axes)
+                                           for t in range(n_frames - 1, 0, -1)))
+        expected = functools.reduce(np.add, ((adj[..., t] * f[..., t]).sum(axis=batch_axes)
+                                             for t in range(1, n_frames)), -d_keep)
+        _, gs = node.vjp(g)
+        assert gs.dtype == dtype
+        assert gs.tobytes() == expected.tobytes()
 
 
 class TestSoftmaxCrossEntropy:
