@@ -10,25 +10,19 @@ independent check.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Callable
 
 import numpy as np
 
 from .errors import NonFiniteLoss
-from .frontend import FrontendConfig
+from .frontend import FrontendConfig, variant_config
 from .params import Gradients, ParamSet, init_params
 from .signal import FRONTEND_RATE, ToneSpec, Waveform, add_noise_snr, synth_tones
 from .training import MultiHead, multitask_loss, multitask_loss_and_grad
 
-GRADCHECK_VARIANTS = (
-    ("gabor", "log"),
-    ("gabor", "pcen"),
-    ("gabor", "spcen"),
-    ("normalized_conv", "spcen"),
-    ("mel", "spcen"),
-    ("mel", "log"),
-)
+GRADCHECK_VARIANTS = ("leaf-log", "leaf-pcen", "leaf", "convnorm", "mel-pcen", "mel")
+# small sizes keep the finite-difference sweep tractable
+GRADCHECK_SIZES = {"n_filters": 6, "filter_len": 65, "pool_len": 65, "pool_stride": 80}
 
 
 def finite_diff(loss_fn: Callable[[ParamSet], float], params: ParamSet,
@@ -61,15 +55,8 @@ def relative_errors(analytic: Gradients, numeric: Gradients) -> dict[str, np.nda
 
 
 def gradcheck_config() -> FrontendConfig:
-    """Small configuration keeping the finite-difference sweep tractable."""
-    return FrontendConfig(
-        n_filters=6,
-        filter_len=65,
-        pool_len=65,
-        pool_stride=80,
-        compression="spcen",
-        filtering="gabor",
-    )
+    """The ``leaf`` variant at the gradient check's sizes."""
+    return variant_config("leaf", **GRADCHECK_SIZES)
 
 
 def synthetic_batch(seed: int, batch_size: int = 2, num_classes: int = 3) -> list[tuple[Waveform, int, int]]:
@@ -99,8 +86,8 @@ def perturbed_params(cfg: FrontendConfig, num_classes: int, seed: int) -> ParamS
 
 
 def grad_check_report(seed: int = 0) -> list[dict]:
-    """Reverse-mode vs finite-difference agreement for every variant of
-    ``gradcheck_config``.
+    """Reverse-mode vs finite-difference agreement for every variant in
+    ``GRADCHECK_VARIANTS`` at ``GRADCHECK_SIZES``.
 
     Returns one row per (variant, parameter group):
     ``{"variant", "param_group", "max_rel_err", "n_params"}``.
@@ -111,10 +98,9 @@ def grad_check_report(seed: int = 0) -> list[dict]:
     oracle itself for that group; at 1e-5 both truncation and roundoff sit
     well below the 1e-4 agreement target.
     """
-    base = gradcheck_config()
     rows = []
-    for filtering, compression in GRADCHECK_VARIANTS:
-        variant_cfg = replace(base, filtering=filtering, compression=compression)
+    for name in GRADCHECK_VARIANTS:
+        variant_cfg = variant_config(name, **GRADCHECK_SIZES)
         params = perturbed_params(variant_cfg, num_classes=3, seed=seed)
         batch = synthetic_batch(seed + 1)
         _, analytic, _, _ = multitask_loss_and_grad(batch, params, variant_cfg, n_tasks=1,
@@ -124,7 +110,7 @@ def grad_check_report(seed: int = 0) -> list[dict]:
         errors = relative_errors(analytic, numeric)
         for group in params:
             rows.append({
-                "variant": f"{filtering}/{compression}",
+                "variant": f"{variant_cfg.filtering}/{variant_cfg.compression}",
                 "param_group": group,
                 "max_rel_err": float(errors[group].max()),
                 "n_params": int(errors[group].size),

@@ -17,17 +17,17 @@ import numpy as np
 
 from . import io as leafio
 from .autodiff import grad_check_report
-from .errors import ShapeMismatch
 from .frontend import (
     VARIANT_NAMES,
     FrontendConfig,
     frontend_forward,
+    param_count,
     pooled_graph,
     require_frontend_rate,
     variant_config,
     variant_name,
 )
-from .params import ParamSet, frontend_param_values, init_params
+from .params import class_counts, frontend_param_values, init_multitask_params, init_params
 from .signal import FRONTEND_RATE, load_wav
 from .tasks import TASK_NAMES, make_task
 from .training import MultiHead, bootstrap_diff, evaluate, noise_sweep, train
@@ -124,19 +124,15 @@ def build_config(args, frontend=None) -> FrontendConfig:
     return replace(cfg, **overrides)
 
 
-def _load_or_init_params(args, cfg) -> ParamSet:
-    """The --model snapshot, checked against the variant; else the init (one two-class head)."""
+def _load_or_init_params(args, cfg):
+    """The --model snapshot, which must have exactly the keys and shapes of
+    the variant with its own heads; else the init (one two-class head)."""
     if not getattr(args, "model", None):
         return init_params(cfg, 2)
     params = leafio.load_params(args.model)
     flags = f"--frontend {variant_name(cfg)}, --filters {cfg.n_filters}"
-    frontend = ParamSet({k: v for k, v in params.items() if not k.startswith("head")})
-    frontend.require_congruent(frontend_param_values(cfg),
-                               what=f"frontend parameters in {args.model} ({flags})")
-    for key, value in params.items():
-        if key.startswith("head") and key.endswith("_weights") and value.shape[0] != cfg.n_filters:
-            raise ShapeMismatch(f"{key} in {args.model} has {value.shape[0]} rows, "
-                                f"not one per channel ({flags})")
+    init_multitask_params(cfg, class_counts(params)).require_congruent(
+        params, what=f"parameters in {args.model} ({flags})")
     return params
 
 
@@ -151,9 +147,8 @@ def cmd_extract(args) -> int:
         return 0
     params = _load_or_init_params(args, cfg)
     fm = frontend_forward(wav, params, cfg)
-    learnable = sum(v.size for k, v in params.items() if not k.startswith("head"))
     print(f"frontend={variant_name(cfg)} n_filters={cfg.n_filters} "
-          f"learnable_params={learnable} frames={fm.n_frames} channels={fm.n_channels}")
+          f"learnable_params={param_count(cfg)} frames={fm.n_frames} channels={fm.n_channels}")
     if args.out:
         leafio.write_feature_file(args.out, fm)
         print(f"wrote {args.out}")
@@ -198,12 +193,7 @@ def cmd_eval(args) -> int:
     cfg = build_config(args)
     params = _load_or_init_params(args, cfg)
     task = make_task(args.task, task_id=args.task_index, snr_db=args.snr_db)
-    counts = {}
-    for key in params:
-        if key.startswith("head") and key.endswith("_bias"):
-            counts[int(key[4:-5])] = params[key].size
-    class_counts = tuple(counts[k] for k in sorted(counts))
-    model = MultiHead(params, cfg, class_counts)
+    model = MultiHead(params, cfg, class_counts(params))
     ev = evaluate(model, task, args.n, args.seed, task_index=args.task_index)
     print(f"accuracy={ev.accuracy:.4f} ci95={ev.ci95:.4f} n={ev.n_examples}")
     return 0
@@ -294,6 +284,8 @@ COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "extract" and args.compare and (args.model or args.out):
+        parser.error("extract --compare cannot be combined with --model or --out")
     try:
         return COMMANDS[args.command](args)
     except Exception as err:  # contract: report and exit, never a traceback

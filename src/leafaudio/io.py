@@ -1,10 +1,11 @@
 """Binary feature files, key=value config files, and model snapshots.
 
 Feature file layout (little-endian): magic ``LEAF``, u32 version = 1,
-u32 frame count M, u32 channel count N, u32 frame rate, then M*N float32
-values in time-major order, and nothing else.  Snapshots store each
-parameter vector in the same container (frame rate 0) plus a manifest of
-name, length, and the CRC32 of the whole block file, header included.
+u32 frame count M, u32 channel count N, u32 frame rate in whole Hz (a
+feature map at any other rate is refused), then M*N float32 values in
+time-major order, and nothing else.  Snapshots store each parameter vector
+in the same container (frame rate 0) plus a manifest of name, length, and
+the CRC32 of the whole block file, header included.
 A block is parsed from the very bytes its checksum was taken over; a
 missing file, a block that disagrees with the manifest or a non-finite
 value fails to load with ``CorruptSnapshot``.
@@ -32,10 +33,13 @@ HEADER = struct.Struct("<4sIIII")
 
 
 def write_feature_file(path, feature_map: FeatureMap) -> None:
+    rate = feature_map.frame_rate
+    if rate != round(rate):  # before the file is opened, so none is left behind
+        raise ValueError(f"{path}: frame rate {rate} Hz is not a whole number; a feature file stores whole Hz")
     data = np.ascontiguousarray(feature_map.values, dtype="<f4")
     m, n = data.shape
     with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, m, n, round(feature_map.frame_rate)))
+        fh.write(HEADER.pack(MAGIC, VERSION, m, n, round(rate)))
         fh.write(data.tobytes())
 
 

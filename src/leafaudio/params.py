@@ -3,8 +3,9 @@
 A ParamSet maps parameter names to real vectors/matrices.  Frontend keys
 depend on the variant (eta/sigma or conv_kernels, pool_widths, pcen_*);
 task k's linear classifier head is ``head{k}_weights``/``head{k}_bias``,
-so a single-task model has ``head0_*``.  ``constraint_bounds`` is the one
-table of allowed ranges that ``project_params`` clamps into.
+so a single-task model has ``head0_*``; ``class_counts`` reads a model's
+head sizes back for ``init_multitask_params``.  ``constraint_bounds`` is
+the one table of allowed ranges that ``project_params`` clamps into.
 """
 
 from __future__ import annotations
@@ -51,14 +52,15 @@ class ParamSet(Mapping):
     def astype(self, dtype) -> "ParamSet":
         return ParamSet({k: v.astype(dtype) for k, v in self._values.items()})
 
-    def congruent(self, other: Mapping) -> bool:
-        if set(self) != set(other):
-            return False
-        return all(np.shape(other[k]) == v.shape for k, v in self._values.items())
-
     def require_congruent(self, other: Mapping, what: str = "gradients") -> None:
-        if not self.congruent(other):
-            raise ShapeMismatch(f"{what} do not match parameter shapes")
+        """Raise ShapeMismatch naming the first key that ``other`` lacks, else
+        shapes differently, else has and ``self`` does not."""
+        problems = [f"{k} is missing" for k in self if k not in other]
+        problems += [f"{k} has shape {np.shape(other[k])}, not {v.shape}"
+                     for k, v in self._values.items() if k in other and np.shape(other[k]) != v.shape]
+        problems += [f"{k} is unexpected" for k in other if k not in self]
+        if problems:
+            raise ShapeMismatch(f"{what} do not match parameter shapes: {problems[0]}")
 
     def flat(self) -> np.ndarray:
         return np.concatenate([v.ravel() for v in self._values.values()]) if self._values else np.zeros(0)
@@ -105,6 +107,14 @@ def init_multitask_params(cfg: FrontendConfig, class_counts: list[int], dtype=np
         values[f"head{k}_weights"] = np.zeros((cfg.n_filters, n_classes), dtype=dtype)
         values[f"head{k}_bias"] = np.zeros(n_classes, dtype=dtype)
     return ParamSet(values)
+
+
+def class_counts(params: Mapping) -> tuple[int, ...]:
+    """Class counts of head0, head1, ... up to the first missing head{k}_bias."""
+    counts = []
+    while f"head{len(counts)}_bias" in params:
+        counts.append(params[f"head{len(counts)}_bias"].size)
+    return tuple(counts)
 
 
 def init_params(cfg: FrontendConfig, num_classes: int, dtype=np.float64) -> ParamSet:

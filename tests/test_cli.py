@@ -16,7 +16,7 @@ from leafaudio.cli import main
 from leafaudio.frontend import FrontendConfig, frontend_forward, variant_config
 from leafaudio.gabor import frequency_response, gabor_impulse_response, gabor_params_from_mels
 from leafaudio.io import load_params, read_feature_file, save_params
-from leafaudio.params import ParamSet, init_params
+from leafaudio.params import ParamSet, frontend_param_values, init_params
 from leafaudio.signal import ToneSpec, load_wav, synth_tones
 
 
@@ -63,6 +63,27 @@ class TestExtract:
         out = capsys.readouterr().out.strip().splitlines()
         assert out[0] == "channel,correlation"
         assert len(out) == 41
+
+    @pytest.mark.parametrize("flags", [["--model"], ["--out"], ["--model", "--out"]],
+                             ids=["model", "out", "both"])
+    def test_compare_excludes_model_and_out(self, flags, tone_wav, tmp_path, capsys):
+        paths = {"--model": tmp_path / "no-such-model", "--out": tmp_path / "c.leaf"}
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", "--input", str(tone_wav), "--compare"]
+                 + [arg for flag in flags for arg in (flag, str(paths[flag]))])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "leafaudio: error: extract --compare cannot be combined with --model or --out")
+        assert not paths["--out"].exists()
+
+    def test_out_refuses_a_frame_rate_that_is_not_whole_hz(self, tone_wav, tmp_path, capsys):
+        out = tmp_path / "f.leaf"
+        code = main(["extract", "--input", str(tone_wav), "--stride", "150", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ValueError: {out}: frame rate 106.66666666666667 Hz is not a whole number; "
+            "a feature file stores whole Hz\n")
+        assert not out.exists()
 
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["extract", "--input", str(tmp_path / "nope.wav")])
@@ -163,6 +184,37 @@ class TestSnapshots:
                      "--filters", "6", "--filter-len", "65"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2 and all(line.startswith("ShapeMismatch:") for line in err)
+
+    def _save_leaf6(self, path, heads):
+        """A leaf6 snapshot with heads ``{index: (weights shape, bias length)}``."""
+        values = frontend_param_values(variant_config("leaf", n_filters=6, filter_len=65))
+        for k, (shape, n_classes) in heads.items():
+            values[f"head{k}_weights"] = np.zeros(shape)
+            values[f"head{k}_bias"] = np.zeros(n_classes)
+        save_params(path, ParamSet(values))
+        return path
+
+    def test_gap_in_head_numbering_is_shape_mismatch(self, tmp_path, capsys):
+        path = self._save_leaf6(tmp_path / "gap", {0: ((6, 3), 3), 2: ((6, 3), 3)})
+        code = main(["eval", "--model", str(path), "--n", "4", "--task", "am",
+                     "--task-index", "2"] + self.LEAF6)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ShapeMismatch: parameters in {path} (--frontend leaf, --filters 6) do not match "
+            "parameter shapes: head2_weights is unexpected\n")
+
+    def test_head_columns_must_match_bias_length(self, tmp_path, capsys):
+        path = self._save_leaf6(tmp_path / "cols", {0: ((6, 4), 3)})
+        code = main(["eval", "--model", str(path), "--n", "4", "--task", "am"] + self.LEAF6)
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"ShapeMismatch: parameters in {path} (--frontend leaf, --filters 6) do not match "
+            "parameter shapes: head0_weights has shape (6, 4), not (6, 3)\n")
+
+    def test_snapshot_without_heads_extracts(self, tone_wav, tmp_path, capsys):
+        path = self._save_leaf6(tmp_path / "frontend-only", {})
+        assert main(["extract", "--input", str(tone_wav), "--model", str(path)] + self.LEAF6) == 0
+        assert "learnable_params=42 frames=100 channels=6" in capsys.readouterr().out
 
     @pytest.mark.parametrize("damage", ["missing block", "flipped byte"])
     def test_damaged_snapshot_is_corrupt_snapshot(self, leaf6, damage, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from leafaudio import tape, workers
-from leafaudio.errors import BadRate, NonFiniteFeatures, ZeroFilter
+from leafaudio.errors import BadRate, NonFiniteFeatures, ShapeMismatch, ZeroFilter
 from leafaudio.frontend import (
     FrontendConfig,
     frontend_forward,
@@ -23,7 +23,7 @@ from leafaudio.frontend import (
     variant_config,
 )
 from leafaudio.gabor import gabor_impulse_response, mel_matrix
-from leafaudio.params import frontend_param_values, init_multitask_params, init_params
+from leafaudio.params import class_counts, frontend_param_values, init_multitask_params, init_params
 from leafaudio.signal import ToneSpec, Waveform, synth_tones
 from leafaudio.tasks import make_task, sample_batch
 from leafaudio.training import multitask_loss_and_grad
@@ -388,6 +388,31 @@ class TestParamCount:
         assert param_count(FrontendConfig(filtering="gabor", compression="pcen")) == 240
         conv = FrontendConfig(filtering="normalized_conv", compression="spcen")
         assert param_count(conv) == 2 * 40 * 401 + 40 + 160
+
+
+class TestLayout:
+    LEAF6 = variant_config("leaf", n_filters=6, filter_len=65)
+
+    def test_class_counts_stop_at_the_first_missing_head(self):
+        params = dict(init_multitask_params(self.LEAF6, [3, 4, 2]))
+        assert class_counts(params) == (3, 4, 2)
+        del params["head1_bias"]
+        assert class_counts(params) == (3,)
+        assert class_counts(frontend_param_values(self.LEAF6)) == ()
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda v: v.pop("sigma"), "sigma is missing"),
+        (lambda v: v.update(pcen_root=np.zeros(5)), "pcen_root has shape (5,), not (6,)"),
+        (lambda v: v.update(head1_bias=np.zeros(2)), "head1_bias is unexpected"),
+    ], ids=["missing", "shape", "extra"])
+    def test_require_congruent_names_the_key(self, edit, problem):
+        layout = init_multitask_params(self.LEAF6, [3])
+        values = dict(layout)
+        edit(values)
+        with pytest.raises(ShapeMismatch) as exc:
+            layout.require_congruent(values, what="values")
+        assert str(exc.value) == f"values do not match parameter shapes: {problem}"
+        layout.require_congruent(dict(layout))
 
 
 class TestRenormalizeConv:

@@ -1,24 +1,33 @@
-"""Bit identity: sha256 digests of features and step gradients.
+"""Bit identity: sha256 digests of features, step gradients and CLI output.
 
 ``data/golden.json`` holds the digests of the ``features_graph`` values of
 every variant and of one two-task training step's loss and gradients, in
-float32 and float64, with the numpy and scipy versions they were made
-with.  Rounding may differ between library versions, so on other versions
-the test skips; it never compares at a tolerance.
+float32 and float64, of the ``extract`` feature files of ``leaf`` and
+``mel-pcen`` and of both ``inspect`` views of ``leaf`` at init, with the
+numpy and scipy versions they were made with.  Rounding may differ
+between library versions, so on other versions the test skips; it never
+compares at a tolerance.
 
 Regenerate the file, after a change that moves bits on purpose, with::
 
     PYTHONPATH=src python tests/test_golden.py
+
+It prints each digest that it adds, removes or changes before it writes.
 """
 
+import contextlib
 import hashlib
+import io
 import json
+import tempfile
+import wave
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+from leafaudio import cli
 from leafaudio.frontend import VARIANT_NAMES, features_graph, variant_config
 from leafaudio.params import frontend_param_values, init_multitask_params
 from leafaudio.tasks import make_task, sample_batch
@@ -30,6 +39,7 @@ DTYPES = (np.float32, np.float64)
 # a 1 s clip, and one of 3 overlap-save spans of 16384 - 400 samples plus
 # a 17-sample last block at the default 401-tap filters
 CLIP_LENGTHS = (16000, 3 * (16384 - 400) + 17)
+CLI_VARIANTS = ("leaf", "mel-pcen")
 
 
 def _versions():
@@ -55,10 +65,35 @@ def _step_inputs(cfg, dtype):
     return sample_batch(tasks, 4, seed=5, step=1), params
 
 
+def _cli_digests(clip):
+    """Digests of ``extract`` file bytes, on ``clip`` written as a 16-bit
+    WAV, and of ``inspect`` stdout."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        wav = Path(tmp) / "clip.wav"
+        with wave.open(str(wav), "wb") as fh:
+            fh.setnchannels(1)
+            fh.setsampwidth(2)
+            fh.setframerate(16000)
+            fh.writeframes(np.round(0.25 * clip * 32767).clip(-32768, 32767).astype("<i2").tobytes())
+        for name in CLI_VARIANTS:
+            feats = Path(tmp) / f"{name}.leaf"
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["extract", "--input", str(wav), "--frontend", name,
+                                 "--out", str(feats)]) == 0
+            out[f"cli/extract/{name}"] = hashlib.sha256(feats.read_bytes()).hexdigest()
+    for what in ("filters", "params"):
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(["inspect", "--frontend", "leaf", "--what", what]) == 0
+        out[f"cli/inspect/{what}"] = hashlib.sha256(stdout.getvalue().encode()).hexdigest()
+    return out
+
+
 def compute_digests():
     """{case name: sha256 hex digest} of every golden case."""
     clip = np.random.default_rng(3).standard_normal(max(CLIP_LENGTHS))
-    out = {}
+    out = _cli_digests(clip)
     for name in VARIANTS:
         cfg = variant_config(name)
         for dtype in DTYPES:
@@ -81,6 +116,21 @@ def test_digests_match_golden():
     assert compute_digests() == golden["digests"]
 
 
+def moved_digests(old, new):
+    """One line per case that is added, removed or changed from ``old`` to ``new``."""
+    return [f"{'added' if k not in old else 'removed' if k not in new else 'changed'} {k}"
+            for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k)]
+
+
+def test_moved_digests_names_each_move():
+    old, new = {"a": "1", "b": "2", "c": "3"}, {"b": "2", "c": "4", "d": "5"}
+    assert moved_digests(old, new) == ["removed a", "changed c", "added d"]
+    assert moved_digests(old, old) == []
+
+
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({"versions": _versions(), "digests": compute_digests()},
+    digests = compute_digests()
+    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
+    print("\n".join(moved_digests(old, digests)) or "no digest moved")
+    GOLDEN.write_text(json.dumps({"versions": _versions(), "digests": digests},
                                  indent=1, sort_keys=True) + "\n")
