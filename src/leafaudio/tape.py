@@ -5,6 +5,12 @@ stores its parent nodes and a vector-Jacobian-product closure; calling
 :func:`backward` on a scalar root walks the graph in reverse topological
 order and accumulates gradients into each leaf's ``grad`` attribute.
 
+Every operation gives one gradient rule per parent.  A live parent (a Var
+that requires a gradient) gets its rule's result, unbroadcast to its shape;
+a constant parent gets None, and its rule never runs.  The elementwise,
+shape and loss operations are each one :func:`_op` call; the two fused
+primitives below follow the same rule in their own adjoints.
+
 Only the operations this package needs exist here.  Operands that are not
 ``Var`` (python scalars, numpy arrays) are treated as constants and never
 become graph nodes, which both keeps graphs small and preserves the float32
@@ -186,8 +192,7 @@ def _value(x):
 
 
 def _node(value, parents, vjp) -> Var:
-    live = tuple(p for p in parents if isinstance(p, Var) and p.requires_grad)
-    if not live:
+    if not any(_live(p) for p in parents):
         return Var(value)
     return Var(value, parents, vjp, requires_grad=True)
 
@@ -207,65 +212,41 @@ def _live(x):
     return isinstance(x, Var) and x.requires_grad
 
 
-def _grad_for(x, g):
-    """Unbroadcast ``g`` onto operand ``x`` when ``x`` is a live Var."""
-    if _live(x):
-        return _unbroadcast(g, x.value.shape)
-    return None
+def _op(out, parents, *grads):
+    """A node of value ``out`` whose parent i gets ``grads[i](g)``,
+    unbroadcast to its shape.  A parent that is not a live Var gets None,
+    and its rule never runs."""
+
+    def adjoint(g):
+        return tuple(_unbroadcast(grad(g), parent.value.shape) if _live(parent) else None
+                     for parent, grad in zip(parents, grads))
+
+    return _node(out, parents, adjoint)
 
 
 # -- elementwise arithmetic ---------------------------------------------
 
 
 def add(a, b):
-    va, vb = _value(a), _value(b)
-    out = va + vb
-
-    def vjp(g):
-        return _grad_for(a, g), _grad_for(b, g)
-
-    return _node(out, (a, b), vjp)
+    return _op(_value(a) + _value(b), (a, b), lambda g: g, lambda g: g)
 
 
 def sub(a, b):
-    va, vb = _value(a), _value(b)
-    out = va - vb
-
-    def vjp(g):
-        return _grad_for(a, g), _grad_for(b, -g)
-
-    return _node(out, (a, b), vjp)
+    return _op(_value(a) - _value(b), (a, b), lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     va, vb = _value(a), _value(b)
-    out = va * vb
-
-    def vjp(g):
-        ga = _grad_for(a, g * vb) if _live(a) else None
-        gb = _grad_for(b, g * va) if _live(b) else None
-        return ga, gb
-
-    return _node(out, (a, b), vjp)
+    return _op(va * vb, (a, b), lambda g: g * vb, lambda g: g * va)
 
 
 def div(a, b):
     va, vb = _value(a), _value(b)
-    out = va / vb
-
-    def vjp(g):
-        ga = _grad_for(a, g / vb) if _live(a) else None
-        gb = _grad_for(b, -g * va / (vb * vb)) if _live(b) else None
-        return ga, gb
-
-    return _node(out, (a, b), vjp)
+    return _op(va / vb, (a, b), lambda g: g / vb, lambda g: -g * va / (vb * vb))
 
 
 def neg(a):
-    def vjp(g):
-        return (_grad_for(a, -g),)
-
-    return _node(-_value(a), (a,), vjp)
+    return _op(-_value(a), (a,), lambda g: -g)
 
 
 def power(a, b):
@@ -273,54 +254,33 @@ def power(a, b):
     va, vb = _value(a), _value(b)
     out = va ** vb
 
-    def vjp(g):
-        ga = _grad_for(a, g * vb * va ** (vb - 1)) if _live(a) else None
-        if _live(b):
-            # d(a^b)/db = a^b * ln a; define the a -> 0 limit as 0.
-            la = np.zeros_like(out)
-            np.log(va, out=la, where=va > 0)
-            gb = _unbroadcast(g * out * la, vb.shape)
-        else:
-            gb = None
-        return ga, gb
+    def grad_b(g):
+        # d(a^b)/db = a^b * ln a; define the a -> 0 limit as 0.
+        la = np.zeros_like(out)
+        np.log(va, out=la, where=va > 0)
+        return g * out * la
 
-    return _node(out, (a, b), vjp)
+    return _op(out, (a, b), lambda g: g * vb * va ** (vb - 1), grad_b)
 
 
 def exp(a):
     out = np.exp(_value(a))
-
-    def vjp(g):
-        return (_grad_for(a, g * out),)
-
-    return _node(out, (a,), vjp)
+    return _op(out, (a,), lambda g: g * out)
 
 
 def log(a):
     va = _value(a)
-
-    def vjp(g):
-        return (_grad_for(a, g / va),)
-
-    return _node(np.log(va), (a,), vjp)
+    return _op(np.log(va), (a,), lambda g: g / va)
 
 
 def sin(a):
     va = _value(a)
-
-    def vjp(g):
-        return (_grad_for(a, g * np.cos(va)),)
-
-    return _node(np.sin(va), (a,), vjp)
+    return _op(np.sin(va), (a,), lambda g: g * np.cos(va))
 
 
 def cos(a):
     va = _value(a)
-
-    def vjp(g):
-        return (_grad_for(a, -g * np.sin(va)),)
-
-    return _node(np.cos(va), (a,), vjp)
+    return _op(np.cos(va), (a,), lambda g: -g * np.sin(va))
 
 
 # -- reductions and shape ops --------------------------------------------
@@ -328,15 +288,14 @@ def cos(a):
 
 def reduce_sum(a, axis=None):
     va = _value(a)
-    out = va.sum(axis=axis)
 
-    def vjp(g):
+    def grad(g):
         g = np.asarray(g)
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, va.shape),)
+        return np.broadcast_to(g, va.shape)
 
-    return _node(out, (a,), vjp)
+    return _op(va.sum(axis=axis), (a,), grad)
 
 
 def reduce_mean(a, axis=None):
@@ -347,45 +306,29 @@ def reduce_mean(a, axis=None):
 
 def reshape(a, shape):
     va = _value(a)
-
-    def vjp(g):
-        return (g.reshape(va.shape),)
-
-    return _node(va.reshape(shape), (a,), vjp)
+    return _op(va.reshape(shape), (a,), lambda g: g.reshape(va.shape))
 
 
 def getitem(a, index):
     va = _value(a)
-    out = va[index]
 
-    def vjp(g):
+    def grad(g):
         acc = np.zeros_like(va)
         np.add.at(acc, index, g)
-        return (acc,)
+        return acc
 
-    return _node(out, (a,), vjp)
+    return _op(va[index], (a,), grad)
 
 
 def stack(items):
     """The items side by side along a new second axis."""
     out = np.stack([_value(x) for x in items], axis=1)
-
-    def vjp(g):
-        return tuple(_grad_for(x, np.take(g, i, axis=1)) for i, x in enumerate(items))
-
-    return _node(out, tuple(items), vjp)
+    return _op(out, tuple(items), *(lambda g, i=i: np.take(g, i, axis=1) for i in range(len(items))))
 
 
 def matmul(a, b):
     va, vb = _value(a), _value(b)
-    out = va @ vb
-
-    def vjp(g):
-        ga = _grad_for(a, g @ vb.T) if _live(a) else None
-        gb = _grad_for(b, va.T @ g) if _live(b) else None
-        return ga, gb
-
-    return _node(out, (a, b), vjp)
+    return _op(va @ vb, (a, b), lambda g: g @ vb.T, lambda g: va.T @ g)
 
 
 # -- DSP primitives -------------------------------------------------------
@@ -429,7 +372,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
     pool, forward and backward, that makes the signal's block spectra
     itself; the result does not depend on the grouping.  Only ``kernels``
     and ``pool_kernels`` are differentiated; the adjoint computes both
-    gradients whenever either is live.
+    gradients whenever either is live and returns None for a constant one.
 
     The call works in one workspace, the spare of the last call shape or a
     new one, and each group in the views of its own channels.  A call with
@@ -471,7 +414,8 @@ def filter_pool(x, kernels, pool_kernels, stride):
     def vjp(g):
         parts = workers.run([functools.partial(_backward_group, *group, g[:, lo:hi])
                              for group, (lo, hi) in zip(groups, bounds)])
-        return None, np.concatenate([gk for gk, _ in parts]), np.concatenate([gp for _, gp in parts])
+        return (None, np.concatenate([gk for gk, _ in parts]) if _live(kernels) else None,
+                np.concatenate([gp for _, gp in parts]) if _live(pool_kernels) else None)
 
     weakref.finalize(vjp, _give_back, key, ws)
     return _node(out, (x, kernels, pool_kernels), vjp)
@@ -745,12 +689,12 @@ def softmax_cross_entropy(logits, labels):
     log_probs = shifted - log_norm
     out = (-log_probs[rows, labels]).sum()
 
-    def vjp(g):
-        grad = np.exp(log_probs)
-        grad[rows, labels] -= 1.0
-        return (_grad_for(logits, g * grad),)
+    def grad(g):
+        probs = np.exp(log_probs)
+        probs[rows, labels] -= 1.0
+        return g * probs
 
-    return _node(np.asarray(out, dtype=vz.dtype), (logits,), vjp)
+    return _op(np.asarray(out, dtype=vz.dtype), (logits,), grad)
 
 
 # -- backward pass --------------------------------------------------------
@@ -769,7 +713,7 @@ def _toposort(root):
         seen.add(id(node))
         stack.append((node, True))
         for parent in node.parents:
-            if isinstance(parent, Var) and parent.requires_grad and id(parent) not in seen:
+            if _live(parent) and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 
@@ -785,9 +729,8 @@ def backward(root: Var) -> None:
     for node in reversed(order):
         if node.vjp is None or node.grad is None:
             continue
-        grads = node.vjp(node.grad)
-        for parent, grad in zip(node.parents, grads):
-            if grad is None or not isinstance(parent, Var) or not parent.requires_grad:
+        for parent, grad in zip(node.parents, node.vjp(node.grad)):
+            if grad is None:
                 continue
             if parent.grad is None:
                 parent.grad = grad

@@ -29,6 +29,9 @@ ADAM_EPS = 1e-8
 
 WINDOW_S = 1.0
 EVAL_BATCH_CLIPS = 64  # clips whose windows share one task_logits call in evaluate
+# resamples that bootstrap_diff draws at once: its memory is this many rows of
+# indices and differences, whatever the resample count
+BOOTSTRAP_BLOCK = 1024
 
 
 @dataclass
@@ -197,6 +200,8 @@ def train(tasks: list[TaskSpec], cfg: FrontendConfig, steps: int, batch_size: in
         raise ValueError(f"a batch needs at least 1 clip, got batch_size={batch_size}")
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"learning rate must be a finite number above 0, got lr={lr}")
+    if log_every < 1:
+        raise ValueError(f"metrics need a logging interval of at least 1 step, got log_every={log_every}")
     class_counts = [t.num_classes for t in tasks]
     params = init_multitask_params(cfg, class_counts, dtype=np.float32)
     state = init_adam(params, lr)
@@ -240,10 +245,11 @@ def _mean_window_logits(model: MultiHead, clips, task_index: int) -> np.ndarray:
     one-second windows.
 
     Every window of every clip goes through ``task_logits`` in one batch,
-    in the head's dtype.
+    in the head's dtype.  A clip not at the frontend's rate raises BadRate.
     """
     windows, owners = [], []
     for i, wav in enumerate(clips):
+        require_frontend_rate(wav)
         pieces = _split_windows(wav.samples, round(WINDOW_S * wav.sample_rate))
         windows += pieces
         owners += [i] * len(pieces)
@@ -303,9 +309,11 @@ def bootstrap_diff(acc_a, acc_b, iters: int = 100_000, seed: int = 0) -> tuple[f
         raise LengthMismatch("need at least two paired observations")
     diffs = a - b
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, diffs.size, size=(iters, diffs.size))
-    means = diffs[idx].mean(axis=1)
-    return float(diffs.mean()), float(np.mean(means <= 0.0))
+    at_or_below = 0
+    for start in range(0, iters, BOOTSTRAP_BLOCK):
+        idx = rng.integers(0, diffs.size, size=(min(BOOTSTRAP_BLOCK, iters - start), diffs.size))
+        at_or_below += int(np.count_nonzero(diffs[idx].mean(axis=1) <= 0.0))
+    return float(diffs.mean()), at_or_below / iters
 
 
 def noise_sweep(task: TaskSpec, snr_list, variants: list[FrontendConfig], seed: int, *,

@@ -5,17 +5,18 @@ import pytest
 
 from leafaudio import tape
 from leafaudio.autodiff import (
+    GRADCHECK_SIZES,
     finite_diff,
-    gradcheck_config,
     perturbed_params,
     relative_errors,
     synthetic_batch,
 )
 from leafaudio.errors import NonFiniteLoss
+from leafaudio.frontend import variant_config
 from leafaudio.params import ParamSet, init_params
 from leafaudio.training import MultiHead, multitask_graph, multitask_loss, multitask_loss_and_grad, stack_batch
 
-CFG = gradcheck_config()
+CFG = variant_config("leaf", **GRADCHECK_SIZES)
 
 
 def small_batch(seed=7, n=4, num_classes=3):

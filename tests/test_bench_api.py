@@ -58,15 +58,41 @@ def test_tracer_plans_patches_without_applying_them(spans):
     assert ("leafaudio.tape", "ema") in patched
 
 
-def test_traced_step_times_filter_pool_and_ema(spans):
+@pytest.fixture(scope="module")
+def traced_leaf_step(spans):
+    """A tracer that has run one single-task ``leaf`` training step."""
     cfg = variant_config("leaf", n_filters=4, filter_len=33, pool_len=33)
     rng = np.random.default_rng(0)
     batch = [(Waveform(0.1 * rng.standard_normal(1600), 16000), k % 2, 0) for k in range(2)]
     tracer = spans.Tracer(leafaudio)
     tracer.op(leafaudio.training.multitask_loss_and_grad, batch, init_params(cfg, 2), cfg, 1)
-    names = {span[0] for span in tracer.spans}
+    return tracer
+
+
+def test_traced_step_times_filter_pool_and_ema(traced_leaf_step):
+    names = {span[0] for span in traced_leaf_step.spans}
     for op in ("filter_pool", "ema"):
         assert {f"tape.{op}.fwd", f"tape.{op}.bwd"} <= names, op
+
+
+# the tape ops a leaf step runs, each with a forward and a backward span;
+# the graph input leaf and the composite reduce_mean have a forward span only
+LEAF_STEP_TAPE_OPS = ("add", "cos", "div", "ema", "exp", "filter_pool", "getitem", "matmul", "mul", "neg",
+                      "power", "reduce_sum", "reshape", "sin", "softmax_cross_entropy", "stack", "sub")
+
+
+def test_traced_step_spans_and_node_count_are_pinned(spans, traced_leaf_step):
+    # the tracer finds the tape's ops by name; a private node builder must
+    # never show up as an op, and no op may drop out of the spans or counts
+    names = {span[0] for span in traced_leaf_step.spans}
+    assert names == {"op", "tape.backward", "tape.leaf.fwd", "tape.reduce_mean.fwd",
+                     "frontend.features_graph", "frontend.gabor_kernel_graph",
+                     "frontend.pcen_graph", "frontend.pool_kernel_graph",
+                     *(f"tape.{op}.{way}" for op in LEAF_STEP_TAPE_OPS for way in ("fwd", "bwd"))}
+    assert traced_leaf_step.counts[0]["tape.nodes"] == 55
+    (summary,) = spans.summarize(traced_leaf_step.spans, traced_leaf_step.op_id + 1)
+    assert summary["tape.elementwise.calls"] == 55
+    assert summary["tape.elementwise.bwd_calls"] == 45
 
 
 @pytest.fixture(scope="module")

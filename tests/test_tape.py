@@ -384,6 +384,15 @@ class TestFilterPool:
         with pytest.raises(ValueError):
             tape.filter_pool(tape.leaf(x), kernels, pool_kernels, 4)
 
+    @pytest.mark.parametrize("live_kernels", [True, False], ids=["constant-pool-kernels", "constant-kernels"])
+    def test_adjoint_gives_a_constant_kernel_none(self, live_kernels):
+        x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
+        wrap = (tape.leaf, tape.constant) if live_kernels else (tape.constant, tape.leaf)
+        node = tape.filter_pool(x, wrap[0](kernels), wrap[1](pool_kernels), 4)
+        gx, gk, gp = node.vjp(np.ones(node.shape))
+        assert gx is None
+        assert (gp is None, gk is None) == (live_kernels, not live_kernels)
+
 
 class TestChannelGroups:
     """filter_pool's values and gradients do not depend on how many channel
@@ -650,6 +659,60 @@ class TestSoftmaxCrossEntropy:
         _, analytic = tape_grad(loss, logits)
         numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), logits)
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-9)
+
+
+def on_both(f):
+    """Unary op ``f`` run on each operand, the two results added."""
+    return lambda u, v: f(u) + f(v)
+
+
+# each op on a leaf and a constant operand, in either order
+ONE_RULE_OPS = {
+    "add": tape.add,
+    "sub": tape.sub,
+    "mul": tape.mul,
+    "div": tape.div,
+    "power": tape.power,
+    "matmul": tape.matmul,
+    "stack": lambda u, v: tape.stack([u, v]),
+    "neg": on_both(tape.neg),
+    "exp": on_both(tape.exp),
+    "log": on_both(tape.log),
+    "sin": on_both(tape.sin),
+    "cos": on_both(tape.cos),
+    "reduce_sum": on_both(lambda a: tape.reduce_sum(a, axis=0)),
+    "reshape": on_both(lambda a: tape.reshape(a, (16,))),
+    "getitem": on_both(lambda a: tape.getitem(a, (slice(1, None), [0, 2, 2]))),
+    "softmax_cross_entropy": on_both(lambda a: tape.softmax_cross_entropy(a, np.array([0, 3, 1, 3]))),
+}
+
+
+class TestOneRule:
+    """Every op gives a live parent its rule's gradient and a constant one
+    None, without running the constant's rule."""
+
+    def test_a_constant_parents_rule_never_runs(self):
+        def refuse(g):
+            raise AssertionError("a constant parent's rule ran")
+
+        x = tape.leaf(np.ones((1, 3)))
+        for const in (np.ones(3), tape.constant(np.ones(3))):
+            node = tape._op(np.ones((2, 3)), (x, const), lambda g: 2.0 * g, refuse)
+            gx, gc = node.vjp(np.ones((2, 3)))
+            assert gc is None
+            np.testing.assert_array_equal(gx, [[4.0, 4.0, 4.0]])  # unbroadcast to x's shape
+
+    @pytest.mark.parametrize("leaf_first", [True, False], ids=["leaf-first", "constant-first"])
+    @pytest.mark.parametrize("op", ONE_RULE_OPS.values(), ids=ONE_RULE_OPS.keys())
+    def test_a_constant_operand_gets_no_gradient(self, op, leaf_first):
+        x, c = np.random.default_rng(3).uniform(0.5, 2.0, (2, 4, 4))
+        grads = []
+        for const in (c, tape.constant(c)):
+            u = tape.leaf(x)
+            tape.backward(tape.reduce_sum(op(u, const) if leaf_first else op(const, u)))
+            grads.append(u.grad)
+        assert const.grad is None
+        assert grads[0].tobytes() == grads[1].tobytes()
 
 
 class TestBackward:

@@ -17,6 +17,7 @@ from leafaudio.signal import Waveform
 from leafaudio.tasks import TaskSpec, generate_example, make_task, sample_batch
 from leafaudio.tasks import test_set as held_out_set
 from leafaudio.training import (
+    BOOTSTRAP_BLOCK,
     AdamState,
     MultiHead,
     adam_step,
@@ -223,6 +224,12 @@ class TestTrain:
             logged = [m["accuracy"] for m in result.metrics if m["step"] == step]
             np.testing.assert_array_equal(logged, expected, err_msg=f"step {step}")
 
+    @pytest.mark.parametrize("log_every", [0, -1])
+    def test_log_every_below_1_is_refused(self, log_every):
+        with pytest.raises(ValueError, match=f"^metrics need a logging interval of at least 1 step, "
+                                             f"got log_every={log_every}$"):
+            train([micro_task()], MICRO, steps=2, batch_size=4, lr=1e-3, seed=11, log_every=log_every)
+
     def test_learned_workspace_survives_a_logged_step(self):
         train([micro_task()], MICRO, steps=2, batch_size=4, lr=1e-3, seed=11, log_every=1)
         _, workspace = tape._spare
@@ -291,6 +298,12 @@ class TestEvaluate:
         two = clip_logits(model, doubled)
         np.testing.assert_allclose(one, two, rtol=1e-5)
         assert one.argmax() == two.argmax()
+
+    def test_clip_at_another_rate_is_bad_rate(self):
+        cfg = variant_config("mel", n_filters=8)
+        model = MultiHead(init_multitask_params(cfg, [3]), cfg, (3,))
+        with pytest.raises(BadRate, match="got 44100 Hz"):
+            clip_logits(model, Waveform(np.zeros(44100), 44100))
 
     def test_accuracy_is_the_per_clip_argmax_of_clip_logits(self):
         # 2.5 s clips are two one-second windows each (the tail is dropped);
@@ -382,6 +395,30 @@ class TestBootstrap:
         iters = 100_000
         _, p = bootstrap_diff([1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], iters=iters, seed=3)
         assert abs(p - exact) < 2.0 / np.sqrt(iters)
+
+    @pytest.mark.parametrize("n", [3, 7, 1000, 1001])
+    def test_blocks_give_the_bits_of_one_draw(self, n):
+        # one (iters, n) draw of every resample, across two block boundaries
+        rng = np.random.default_rng(n)
+        a, b = rng.standard_normal(n) + 0.5 / np.sqrt(n), np.zeros(n)
+        iters = 2 * BOOTSTRAP_BLOCK + 5
+        diffs = a - b
+        idx = np.random.default_rng(9).integers(0, n, size=(iters, n))
+        expected = float(diffs.mean()), float(np.mean(diffs[idx].mean(axis=1) <= 0.0))
+        assert 0.0 < expected[1] < 1.0
+        assert bootstrap_diff(a, b, iters=iters, seed=9) == expected
+
+    def test_peak_memory_does_not_grow_with_iters(self):
+        a = np.random.default_rng(4).random(200)
+        peaks = {}
+        for iters in (2_000, 20_000):
+            tracemalloc.start()
+            try:
+                bootstrap_diff(a, a[::-1], iters=iters, seed=0)
+                peaks[iters] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20_000] <= 1.25 * peaks[2_000], peaks
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
