@@ -14,7 +14,7 @@ from .frontend import (
 )
 from .gabor import gabor_impulse_response, mel_matrix
 from .params import Gradients, ParamSet, init_params
-from .signal import ToneSpec, Waveform, add_noise_snr, load_wav, synth_tones
+from .signal import Waveform, add_noise_snr, load_wav, synth_tones
 from .autodiff import finite_diff, grad_check_report
 from .training import AdamState, MultiHead, adam_step, bootstrap_diff, evaluate, multitask_loss, noise_sweep, train
 

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import NonFiniteLoss
 from .frontend import FrontendConfig, variant_config
 from .params import Gradients, ParamSet, init_params
-from .signal import FRONTEND_RATE, ToneSpec, Waveform, add_noise_snr, synth_tones
+from .signal import FRONTEND_RATE, Waveform, add_noise_snr, synth_tones
 from .training import MultiHead, multitask_loss, multitask_loss_and_grad
 
 GRADCHECK_VARIANTS = ("leaf-log", "leaf-pcen", "leaf", "convnorm", "mel-pcen", "mel")
@@ -27,21 +27,23 @@ GRADCHECK_SIZES = {"n_filters": 6, "filter_len": 65, "pool_len": 65, "pool_strid
 
 def finite_diff(loss_fn: Callable[[ParamSet], float], params: ParamSet,
                 h_rel: float = 1e-4) -> Gradients:
-    """Central differences with per-coordinate step h = h_rel * max(1, |p|)."""
-    base = params.astype(np.float64)
-    flat = base.flat()
-    grad = np.zeros_like(flat)
-    for i in range(flat.size):
-        step = h_rel * max(1.0, abs(flat[i]))
-        probe = flat.copy()
-        probe[i] = flat[i] + step
-        hi = loss_fn(base.with_flat(probe))
-        probe[i] = flat[i] - step
-        lo = loss_fn(base.with_flat(probe))
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NonFiniteLoss("loss not finite during finite differencing")
-        grad[i] = (hi - lo) / (2.0 * step)
-    return base.with_flat(grad)
+    """Float64 central differences with per-coordinate step h = h_rel * max(1, |p|),
+    one element at a time: keys in order, each array in C order, a probe
+    copying only the array it perturbs."""
+    base = {name: np.asarray(value, dtype=np.float64) for name, value in params.items()}
+    grads = {name: np.zeros(value.shape) for name, value in base.items()}
+    for name, value in base.items():
+        for i in np.ndindex(value.shape):
+            step = h_rel * max(1.0, abs(value[i]))
+            probe = value.copy()
+            probe[i] = value[i] + step
+            hi = loss_fn(ParamSet({**base, name: probe}))
+            probe[i] = value[i] - step
+            lo = loss_fn(ParamSet({**base, name: probe}))
+            if not (np.isfinite(hi) and np.isfinite(lo)):
+                raise NonFiniteLoss("loss not finite during finite differencing")
+            grads[name][i] = (hi - lo) / (2.0 * step)
+    return Gradients(grads)
 
 
 def relative_errors(analytic: Gradients, numeric: Gradients) -> dict[str, np.ndarray]:
@@ -63,7 +65,7 @@ def synthetic_batch(seed: int, batch_size: int = 2, num_classes: int = 3) -> lis
         freq = float(rng.uniform(200.0, 6000.0))
         amp = float(rng.uniform(0.3, 1.0))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
-        x = synth_tones(ToneSpec((freq,), (amp,), 0.1, phases=(phase,)), FRONTEND_RATE)
+        x = synth_tones((freq,), (amp,), (phase,), 0.1, FRONTEND_RATE)
         x = add_noise_snr(x, 10.0, seed=int(rng.integers(2 ** 31)))
         batch.append((x, int(rng.integers(num_classes)), 0))
     return batch

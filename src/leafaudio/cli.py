@@ -214,11 +214,7 @@ def cmd_inspect(args) -> int:
     params = _load_or_init_params(args, cfg)
     n = cfg.n_filters
     rate = FRONTEND_RATE
-
-    def col(key):
-        return params[key] if key in params else None
-
-    eta, sigma = col("eta"), col("sigma")
+    eta, sigma = params.get("eta"), params.get("sigma")
     if args.what == "filters":
         print("channel,center_hz,sigma,fwhm_hz")
         for ch in range(n):
@@ -228,8 +224,8 @@ def cmd_inspect(args) -> int:
             print(f"{ch},{center},{sigma[ch] if sigma is not None else ''},{fwhm}")
         return 0
     print("channel,center_hz,sigma,pool_width,alpha,delta,root,smooth")
-    cols = [eta * rate if eta is not None else None, sigma, col("pool_widths"),
-            col("pcen_alpha"), col("pcen_delta"), col("pcen_root"), col("pcen_smooth")]
+    cols = [eta * rate if eta is not None else None, sigma,
+            *map(params.get, ("pool_widths", "pcen_alpha", "pcen_delta", "pcen_root", "pcen_smooth"))]
     for ch in range(n):
         cells = ["" if c is None else repr(float(c[ch])) for c in cols]
         print(",".join([str(ch)] + cells))

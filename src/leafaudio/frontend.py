@@ -205,8 +205,8 @@ def pooled_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig):
     """Pre-compression energies (B, N, M): filtering and pooling, or the mel
     projection at the same frame rate."""
     if cfg.filtering == "mel":
-        feats = mel_power_features(xs.astype(np.float64), cfg)
-        return tape.constant(np.ascontiguousarray(feats.transpose(0, 2, 1)).astype(xs.dtype))
+        feats = mel_power_features(xs, cfg)  # stft_power pads the samples in float64
+        return tape.constant(feats.transpose(0, 2, 1).astype(xs.dtype, order="C"))
     if cfg.filtering == "gabor":
         kernels = gabor_kernel_graph(leaves["eta"], leaves["sigma"], cfg.filter_len)
     else:

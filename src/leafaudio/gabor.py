@@ -68,16 +68,12 @@ def mel_matrix(cfg: FrontendConfig) -> np.ndarray:
     if np.any(np.diff(nearest) == 0):
         raise DegenerateTriangle("adjacent mel breakpoints fall on the same FFT bin")
     freqs = np.arange(cfg.n_fft // 2 + 1) * bin_hz
-    out = np.zeros((cfg.n_filters, len(freqs)))
-    for n in range(cfg.n_filters):
-        left, peak, right = breaks[n], breaks[n + 1], breaks[n + 2]
-        rising = (freqs - left) / (peak - left)
-        falling = (right - freqs) / (right - peak)
-        row = np.maximum(0.0, np.minimum(rising, falling))
-        top = row.max()
-        if top == 0.0:
-            raise DegenerateTriangle(f"mel filter {n} has no support on the bin grid")
-        out[n] = row / top
+    left, peak, right = breaks[:-2, None], breaks[1:-1, None], breaks[2:, None]
+    rows = np.maximum(0.0, np.minimum((freqs - left) / (peak - left), (right - freqs) / (right - peak)))
+    top = rows.max(axis=1, keepdims=True)
+    if np.any(top == 0.0):
+        raise DegenerateTriangle(f"mel filter {np.argmax(top == 0.0)} has no support on the bin grid")
+    out = rows / top
     out.flags.writeable = False
     return out
 

@@ -36,11 +36,7 @@ def write_feature_file(path, feature_map: FeatureMap) -> None:
     rate = feature_map.frame_rate
     if rate != round(rate):  # before the file is opened, so none is left behind
         raise ValueError(f"{path}: frame rate {rate} Hz is not a whole number; a feature file stores whole Hz")
-    data = np.ascontiguousarray(feature_map.values, dtype="<f4")
-    m, n = data.shape
-    with open(path, "wb") as fh:
-        fh.write(HEADER.pack(MAGIC, VERSION, m, n, round(rate)))
-        fh.write(data.tobytes())
+    Path(path).write_bytes(_encode(feature_map.values, round(rate)))
 
 
 def read_feature_file(path) -> FeatureMap:
@@ -65,14 +61,13 @@ def _parse(blob: bytes, path):
     return np.frombuffer(blob, dtype="<f4", offset=HEADER.size).reshape(m, n), frame_rate
 
 
-def _write_array(path, array: np.ndarray) -> bytes:
-    """Write one block; returns the file's bytes."""
-    data = np.ascontiguousarray(array, dtype="<f4")
+def _encode(values: np.ndarray, frame_rate: int) -> bytes:
+    """A file's bytes: the header and ``values`` as float32, a vector as
+    one column."""
+    data = np.ascontiguousarray(values, dtype="<f4")
     if data.ndim == 1:
         data = data[:, None]
-    blob = HEADER.pack(MAGIC, VERSION, data.shape[0], data.shape[1], 0) + data.tobytes()
-    Path(path).write_bytes(blob)
-    return blob
+    return HEADER.pack(MAGIC, VERSION, *data.shape, frame_rate) + data.tobytes()
 
 
 def save_params(directory, params: ParamSet) -> None:
@@ -81,8 +76,9 @@ def save_params(directory, params: ParamSet) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     lines = []
     for name, value in params.items():
-        checksum = zlib.crc32(_write_array(directory / f"{name}.leaf", value)) & 0xFFFFFFFF
-        lines.append(f"{name},{value.size},{checksum:08x}")
+        blob = _encode(value, 0)
+        (directory / f"{name}.leaf").write_bytes(blob)
+        lines.append(f"{name},{value.size},{zlib.crc32(blob) & 0xFFFFFFFF:08x}")
     (directory / "manifest.txt").write_text("\n".join(lines) + "\n", newline="\n")
 
 

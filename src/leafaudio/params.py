@@ -28,7 +28,7 @@ from .gabor import SIGMA_MIN, gabor_params_from_mels, sigma_max
 
 
 class ParamSet(Mapping):
-    """Ordered name -> ndarray mapping with congruence-checked arithmetic."""
+    """Ordered name -> ndarray mapping with a shape congruence check."""
 
     def __init__(self, values: Mapping[str, np.ndarray]):
         self._values = {k: np.asarray(v) for k, v in values.items()}
@@ -49,9 +49,6 @@ class ParamSet(Mapping):
     def copy(self) -> "ParamSet":
         return ParamSet({k: v.copy() for k, v in self._values.items()})
 
-    def astype(self, dtype) -> "ParamSet":
-        return ParamSet({k: v.astype(dtype) for k, v in self._values.items()})
-
     def require_congruent(self, other: Mapping, what: str = "gradients") -> None:
         """Raise ShapeMismatch naming the first key that ``other`` lacks, else
         shapes differently, else has and ``self`` does not."""
@@ -61,18 +58,6 @@ class ParamSet(Mapping):
         problems += [f"{k} is unexpected" for k in other if k not in self]
         if problems:
             raise ShapeMismatch(f"{what} do not match parameter shapes: {problems[0]}")
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([v.ravel() for v in self._values.values()]) if self._values else np.zeros(0)
-
-    def with_flat(self, vec: np.ndarray) -> "ParamSet":
-        out, offset = {}, 0
-        for k, v in self._values.items():
-            out[k] = vec[offset: offset + v.size].reshape(v.shape).astype(v.dtype)
-            offset += v.size
-        if offset != len(vec):
-            raise ShapeMismatch("flat vector length does not match parameter count")
-        return ParamSet(out)
 
 
 Gradients = ParamSet  # same keyed structure, one real per parameter
@@ -104,6 +89,8 @@ def init_multitask_params(cfg: FrontendConfig, class_counts: list[int], dtype=np
     (uniform softmax before training)."""
     values = frontend_param_values(cfg, dtype)
     for k, n_classes in enumerate(class_counts):
+        if n_classes < 2:  # one class: zero loss and zero gradient
+            raise ValueError(f"head {k} needs at least 2 classes, got {n_classes}")
         values[f"head{k}_weights"] = np.zeros((cfg.n_filters, n_classes), dtype=dtype)
         values[f"head{k}_bias"] = np.zeros(n_classes, dtype=dtype)
     return ParamSet(values)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,7 @@ class Waveform:
     sample_rate: int
 
     def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
+        samples = np.array(self.samples, dtype=np.float64)  # a copy: the caller's array stays writeable
         if samples.ndim != 1 or samples.size == 0:
             raise ValueError("waveform must be a non-empty 1-D sequence")
         if not np.all(np.isfinite(samples)):
@@ -38,26 +38,6 @@ class Waveform:
     def power(self) -> float:
         """Mean squared amplitude."""
         return float(np.mean(self.samples ** 2))
-
-
-@dataclass(frozen=True)
-class ToneSpec:
-    """Recipe for a sum of cosines, one amplitude and phase (radians) per
-    frequency."""
-
-    frequencies: tuple[float, ...]
-    amplitudes: tuple[float, ...]
-    duration_s: float
-    phases: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "frequencies", tuple(float(f) for f in self.frequencies))
-        object.__setattr__(self, "amplitudes", tuple(float(a) for a in self.amplitudes))
-        object.__setattr__(self, "phases", tuple(float(p) for p in self.phases))
-        if len(self.frequencies) != len(self.amplitudes):
-            raise ValueError("frequencies and amplitudes must pair up")
-        if len(self.phases) != len(self.frequencies):
-            raise ValueError("phases must pair up with frequencies")
 
 
 def load_wav(path) -> Waveform:
@@ -103,19 +83,25 @@ def load_wav(path) -> Waveform:
     return Waveform(raw.astype(np.float64) / 32768.0, int(rate))
 
 
-def synth_tones(spec: ToneSpec, rate: int) -> Waveform:
-    """Render ``spec`` as a sum of cosines at the given sample rate."""
-    for f in spec.frequencies:
+def synth_tones(frequencies, amplitudes, phases, duration_s: float, rate: int) -> Waveform:
+    """A sum of cosines at the given sample rate, one amplitude and phase
+    (radians) per frequency (Hz)."""
+    frequencies = [float(f) for f in frequencies]
+    if len(frequencies) != len(amplitudes):
+        raise ValueError("frequencies and amplitudes must pair up")
+    if len(phases) != len(frequencies):
+        raise ValueError("phases must pair up with frequencies")
+    for f in frequencies:
         if f >= rate / 2:
             raise AliasedFrequency(f"tone at {f} Hz >= Nyquist {rate / 2} Hz")
         if f <= 0:
             raise ValueError(f"tone frequency must be positive, got {f}")
-    n = round(spec.duration_s * rate)
+    n = round(duration_s * rate)
     if n <= 0:
         raise ValueError("duration too short for this sample rate")
     t = np.arange(n, dtype=np.float64)
     x = np.zeros(n, dtype=np.float64)
-    for f, a, phi in zip(spec.frequencies, spec.amplitudes, spec.phases):
+    for f, a, phi in zip(frequencies, amplitudes, phases):
         x += a * np.cos(2.0 * np.pi * f * t / rate + phi)
     return Waveform(x, rate)
 

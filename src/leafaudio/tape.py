@@ -143,8 +143,7 @@ class Var:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(self, other)
+    __radd__ = __add__
 
     def __sub__(self, other):
         return sub(self, other)
@@ -155,8 +154,7 @@ class Var:
     def __mul__(self, other):
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return mul(self, other)
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return div(self, other)
@@ -299,9 +297,8 @@ def reduce_sum(a, axis=None):
 
 
 def reduce_mean(a, axis=None):
-    va = _value(a)
-    count = va.size if axis is None else np.prod([va.shape[i] for i in np.atleast_1d(axis)])
-    return mul(reduce_sum(a, axis=axis), 1.0 / float(count))
+    total = reduce_sum(a, axis=axis)
+    return mul(total, 1.0 / float(_value(a).size // total.value.size))
 
 
 def reshape(a, shape):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import workers
 from .errors import UnknownTask
-from .signal import FRONTEND_RATE, ToneSpec, Waveform, add_noise_snr, gaussian_noise, synth_tones
+from .signal import FRONTEND_RATE, Waveform, add_noise_snr, gaussian_noise, synth_tones
 
 PITCH_FREQS = (400.0, 800.0, 1600.0, 3200.0)
 AM_RATES = (4.0, 16.0, 64.0)
@@ -64,15 +64,10 @@ def _task_entry(name: str):
     return TASKS[name]
 
 
-def _rng_for(task: TaskSpec, label: int, seed: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, task.task_id, label]))
-
-
 def _pitch_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Waveform:
     amp = rng.uniform(0.25, 1.0)
     phase = rng.uniform(0.0, 2.0 * np.pi)
-    spec = ToneSpec((PITCH_FREQS[label],), (amp,), task.duration_s, phases=(phase,))
-    return synth_tones(spec, FRONTEND_RATE)
+    return synth_tones((PITCH_FREQS[label],), (amp,), (phase,), task.duration_s, FRONTEND_RATE)
 
 
 def _am_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Waveform:
@@ -120,7 +115,7 @@ def generate_example(task: TaskSpec, label: int, seed: int) -> Waveform:
     if not 0 <= label < task.num_classes:
         raise ValueError(f"label {label} out of range for {task.name}")
     _, example = _task_entry(task.name)
-    rng = _rng_for(task, label, seed)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, task.task_id, label]))
     clean = example(task, label, rng)
     return add_noise_snr(clean, task.snr_db, seed=int(rng.integers(2 ** 31)))
 

@@ -146,14 +146,11 @@ def stack_batch(batch, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def multitask_loss(batch, model: MultiHead) -> float:
-    """Batch loss of (Waveform, label, task_id) triples under the model.
-
-    The parameters enter as constants: no graph is kept for a backward pass.
-    """
-    xs, labels, task_ids = stack_batch(batch, np.float64)
+    """Float64 batch loss of (Waveform, label, task_id) triples under the
+    model: ``multitask_loss_and_grad`` with every parameter a constant, so
+    no graph is kept for a backward pass."""
     constants = {name: tape.constant(value) for name, value in model.params.items()}
-    loss, _, _ = multitask_graph(xs, labels, task_ids, constants, model.cfg, model.n_tasks)
-    return float(loss.value)
+    return multitask_loss_and_grad(batch, constants, model.cfg, model.n_tasks, dtype=np.float64)[0]
 
 
 def multitask_loss_and_grad(batch, params, cfg: FrontendConfig, n_tasks: int,
@@ -307,6 +304,10 @@ def bootstrap_diff(acc_a, acc_b, iters: int = 100_000, seed: int = 0) -> tuple[f
         raise LengthMismatch("paired accuracy lists must have equal length")
     if a.size < 2:
         raise LengthMismatch("need at least two paired observations")
+    for name, values in (("a", a), ("b", b)):
+        bad = values[~np.isfinite(values)]
+        if bad.size:
+            raise ValueError(f"accuracy list {name} holds a non-finite value, {bad[0]}")
     diffs = a - b
     rng = np.random.default_rng(seed)
     at_or_below = 0

@@ -95,6 +95,45 @@ class TestFiniteDiff:
         np.testing.assert_allclose(grads["theta"], 2e4, rtol=1e-9)
 
 
+    def test_matches_a_flat_vector_oracle_bit_for_bit(self):
+        # the probes of one concatenated float64 vector, split back into keys
+        rng = np.random.default_rng(2)
+        params = ParamSet({"w": rng.standard_normal((2, 3)).astype(np.float32),
+                           "b": rng.standard_normal(4) * 30.0, "s": np.array(0.7)})
+
+        def loss(p):
+            return float(np.sum(np.sin(p["w"]) ** 2) * np.sum(np.cos(p["b"])) + p["s"] ** 3)
+
+        flat = np.concatenate([np.asarray(v, dtype=np.float64).ravel() for v in params.values()])
+
+        def unflat(vec):
+            out, offset = {}, 0
+            for k, v in params.items():
+                out[k] = vec[offset: offset + v.size].reshape(v.shape)
+                offset += v.size
+            return ParamSet(out)
+
+        expected = np.zeros_like(flat)
+        for i in range(flat.size):
+            step = 1e-4 * max(1.0, abs(flat[i]))
+            probe = flat.copy()
+            probe[i] = flat[i] + step
+            hi = loss(unflat(probe))
+            probe[i] = flat[i] - step
+            lo = loss(unflat(probe))
+            expected[i] = (hi - lo) / (2.0 * step)
+        grads = finite_diff(loss, params)
+        assert list(grads) == list(params)
+        for k, v in unflat(expected).items():
+            assert grads[k].dtype == np.float64 and np.array_equal(grads[k], v), k
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_is_refused(self, bad):
+        params = ParamSet({"theta": np.array([0.3, -1.2])})
+        with pytest.raises(NonFiniteLoss, match="^loss not finite during finite differencing$"):
+            finite_diff(lambda p: bad if p["theta"][1] < -1.2 else 1.0, params)
+
+
 class TestGradAgreement:
     def test_leaf_loss_matches_finite_differences(self):
         params = perturbed_params(CFG, num_classes=3, seed=5)
@@ -113,14 +152,14 @@ class TestGradAgreement:
         batch = small_batch(seed=6, n=2)
         _, analytic = loss_and_grad(batch, params)
         a = analytic["eta"][2]
-        flat = params.astype(np.float64).flat()  # eta occupies the first N slots
+        eta = params["eta"]
         errs = []
         for h in (1e-3, 1e-4, 1e-5):
-            probe = flat.copy()
-            probe[2] = flat[2] + h
-            hi = batch_loss(batch, params.with_flat(probe))
-            probe[2] = flat[2] - h
-            lo = batch_loss(batch, params.with_flat(probe))
+            probe = eta.copy()
+            probe[2] = eta[2] + h
+            hi = batch_loss(batch, ParamSet({**params, "eta": probe}))
+            probe[2] = eta[2] - h
+            lo = batch_loss(batch, ParamSet({**params, "eta": probe}))
             errs.append(abs((hi - lo) / (2 * h) - a))
         assert errs[0] / errs[1] > 30
         assert errs[1] / errs[2] > 30

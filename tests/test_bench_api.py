@@ -4,10 +4,9 @@
 renaming a function it names would otherwise only surface when the
 benchmark runs.  Building the tracer plans the patches and applies none.
 The filter stage and the PCEN smoother are tape primitives, which the
-tracer finds through ``tape.__all__``.  Every workload also runs one
-checked op here, so a change that breaks a workload fails this suite
-rather than the benchmark run; the slower correctness gates are left to
-the benchmark.
+tracer finds through ``tape.__all__``.  Every workload also runs four
+checked ops and then its correctness gates here, so a change that breaks
+a workload or a gate fails this suite rather than the benchmark run.
 """
 
 import importlib
@@ -109,12 +108,16 @@ def workloads():
 
 
 def test_every_workload_op_passes_its_check(workloads, tmp_path):
+    # ops 0-3 include every op a gate reads (train-leaf keeps steps 2 and 3)
     assert workloads.WORKLOADS
     for name, cls in workloads.WORKLOADS.items():
         workload = cls(0, str(tmp_path))
         workload.setup()
-        inputs = workload.prepare(0)
-        assert workload.check(inputs, workload.op(inputs)), name
+        for index in range(4):
+            inputs = workload.prepare(index)
+            assert workload.check(inputs, workload.op(inputs)), (name, index)
+        for gate in workload.gates():
+            assert gate.ok, (name, gate.name, gate.detail)
 
 
 def test_traced_eval_op_spans_stay_on_the_calling_thread(spans, workloads, tmp_path):

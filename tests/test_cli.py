@@ -17,7 +17,7 @@ from leafaudio.frontend import FrontendConfig, frontend_forward, variant_config
 from leafaudio.gabor import frequency_response, gabor_impulse_response, gabor_params_from_mels
 from leafaudio.io import load_params, read_feature_file, save_params
 from leafaudio.params import ParamSet, frontend_param_values, init_params
-from leafaudio.signal import ToneSpec, load_wav, synth_tones
+from leafaudio.signal import load_wav, synth_tones
 
 
 DATA = Path(__file__).parent / "data"
@@ -25,7 +25,7 @@ DATA = Path(__file__).parent / "data"
 
 @pytest.fixture
 def tone_wav(tmp_path):
-    x = synth_tones(ToneSpec((1000.0,), (0.5,), 1.0, phases=(0.0,)), 16000)
+    x = synth_tones((1000.0,), (0.5,), (0.0,), 1.0, 16000)
     ints = np.round(x.samples * 32767).astype("<i2")
     path = tmp_path / "tone.wav"
     with wave.open(str(path), "wb") as fh:
@@ -269,6 +269,18 @@ class TestBootstrapCommand:
         code = main(["bootstrap", "--a", "1,2", "--b", "1"])
         assert code == 1
         assert "LengthMismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("a, b, message", [
+        ("nan,0.8,0.7", "0.5,0.4,0.3", "accuracy list a holds a non-finite value, nan"),
+        ("0.9,0.8,0.7", "0.5,inf,0.3", "accuracy list b holds a non-finite value, inf"),
+        ("-inf,0.8,0.7", "-inf,0.4,0.3", "accuracy list a holds a non-finite value, -inf"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_accuracy_exits_1_and_names_it(self, a, b, message, capsys):
+        code = main(["bootstrap", f"--a={a}", f"--b={b}", "--iters", "100"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ValueError: {message}\n"
 
     @pytest.mark.parametrize("iters", ["0", "-5"])
     def test_iters_below_1_exits_1_and_names_it(self, iters, capsys):

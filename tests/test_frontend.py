@@ -9,6 +9,7 @@ import pytest
 from leafaudio import tape, workers
 from leafaudio.errors import BadRate, NonFiniteFeatures, ShapeMismatch, ZeroFilter
 from leafaudio.frontend import (
+    FeatureMap,
     FrontendConfig,
     frontend_forward,
     gabor_kernel_graph,
@@ -24,7 +25,7 @@ from leafaudio.frontend import (
 )
 from leafaudio.gabor import gabor_impulse_response, mel_matrix
 from leafaudio.params import class_counts, frontend_param_values, init_multitask_params, init_params
-from leafaudio.signal import ToneSpec, Waveform, synth_tones
+from leafaudio.signal import Waveform, synth_tones
 from leafaudio.tasks import make_task, sample_batch
 from leafaudio.training import multitask_loss_and_grad
 
@@ -33,7 +34,7 @@ MEL = variant_config("mel")
 
 
 def tone(freq, duration=1.0, amp=1.0, phase=0.0, rate=16000):
-    return synth_tones(ToneSpec((freq,), (amp,), duration, phases=(phase,)), rate)
+    return synth_tones((freq,), (amp,), (phase,), duration, rate)
 
 
 def squared_modulus(samples, kernels):
@@ -296,7 +297,7 @@ class TestFrontendForward:
         # eta = 0.1 tone shifted by up to 8 samples: interior pooled outputs
         # move by < 1% relative
         base = None
-        x = synth_tones(ToneSpec((1600.0,), (1.0,), 1.2, phases=(0.0,)), 16000)
+        x = synth_tones((1600.0,), (1.0,), (0.0,), 1.2, 16000)
         for shift in (0, 3, 8):
             shifted = Waveform(x.samples[shift: shift + 16000], 16000)
             interior = leaf_pooled(shifted)[10:-10]
@@ -364,6 +365,15 @@ class TestMelFrontend:
         with pytest.raises(BadRate):
             frontend_forward(Waveform(np.zeros(8000), 8000), init_params(MEL, 2), MEL)
 
+    def test_pooled_graph_casts_the_projection_once(self):
+        # the samples reach the STFT in float64 uncast; the energies come back
+        # (B, N, M), C-ordered, in the batch's dtype
+        xs = np.random.default_rng(4).standard_normal((2, 1700)).astype(np.float32)
+        out = pooled_graph(xs, {}, MEL).value
+        expected = mel_power_features(xs.astype(np.float64), MEL).transpose(0, 2, 1).astype(np.float32)
+        assert out.dtype == np.float32 and out.flags.c_contiguous
+        assert np.array_equal(out, expected)
+
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
     def test_row_shards_equal_the_whole_batch(self, monkeypatch, shards):
         monkeypatch.setattr(workers, "CPUS", shards)
@@ -392,6 +402,23 @@ class TestParamCount:
 
 class TestLayout:
     LEAF6 = variant_config("leaf", n_filters=6, filter_len=65)
+
+    def test_a_one_class_head_is_refused(self):
+        # a one-class softmax has zero loss and gradient, and its (N, 1)
+        # weights would load back from a snapshot as a vector
+        with pytest.raises(ValueError, match="^head 0 needs at least 2 classes, got 1$"):
+            init_multitask_params(self.LEAF6, [1, 3])
+        with pytest.raises(ValueError, match="^head 1 needs at least 2 classes, got 0$"):
+            init_multitask_params(self.LEAF6, [3, 0])
+
+    def test_unknown_variant_is_refused(self):
+        with pytest.raises(ValueError, match="^unknown frontend variant 'wavelet'; choose from "):
+            variant_config("wavelet")
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4)])
+    def test_feature_map_must_be_2d(self, shape):
+        with pytest.raises(ValueError, match=r"^feature map must be 2-D \(frames x channels\)$"):
+            FeatureMap(np.zeros(shape), 100.0)
 
     def test_class_counts_stop_at_the_first_missing_head(self):
         params = dict(init_multitask_params(self.LEAF6, [3, 4, 2]))

@@ -60,6 +60,20 @@ class TestMelMatrix:
             with pytest.raises(DegenerateTriangle):
                 mel_matrix(FrontendConfig(n_filters=40, fmin=60.0, fmax=300.0))
 
+    @pytest.mark.parametrize("cfg", [
+        FrontendConfig(), FrontendConfig(n_filters=1, fmin=0.0, fmax=8000.0),
+        FrontendConfig(n_filters=6, fmin=100.0, fmax=4000.0, n_fft=1024),
+    ], ids=["default", "one-filter", "six-filters-1024"])
+    def test_matches_a_per_channel_loop_bit_for_bit(self, cfg):
+        breaks = gabor.mel_breakpoints(cfg)
+        freqs = np.arange(cfg.n_fft // 2 + 1) * (16000 / cfg.n_fft)
+        expected = np.zeros((cfg.n_filters, len(freqs)))
+        for n in range(cfg.n_filters):
+            left, peak, right = breaks[n], breaks[n + 1], breaks[n + 2]
+            row = np.maximum(0.0, np.minimum((freqs - left) / (peak - left), (right - freqs) / (right - peak)))
+            expected[n] = row / row.max()
+        assert np.array_equal(mel_matrix(cfg), expected)
+
     def test_one_read_only_matrix_per_config(self):
         mm = mel_matrix(FrontendConfig(n_filters=7))
         assert mel_matrix(FrontendConfig(n_filters=7)) is mm

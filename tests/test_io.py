@@ -53,6 +53,13 @@ class TestFeatureFile:
         payload = np.frombuffer(path.read_bytes()[20:], dtype="<f4")
         np.testing.assert_array_equal(payload, [0, 1, 2, 3, 4, 5])
 
+    def test_empty_map_round_trip(self, tmp_path):
+        path = tmp_path / "empty.leaf"
+        write_feature_file(path, FeatureMap(np.zeros((0, 5)), 100.0))
+        assert path.read_bytes() == leafio.HEADER.pack(b"LEAF", 1, 0, 5, 100)
+        back = read_feature_file(path)
+        assert back.values.shape == (0, 5) and back.frame_rate == 100.0
+
     def test_rejects_bad_magic(self, tmp_path):
         path = tmp_path / "bad.leaf"
         path.write_bytes(b"WAVE" + b"\x00" * 32)
@@ -142,6 +149,13 @@ class TestSnapshots:
 
         monkeypatch.setattr(leafio, "zlib", SimpleNamespace(crc32=crc32_then_swap))
         assert np.array_equal(load_params(tmp_path / "snap")["eta"], eta)
+
+    def test_block_that_matches_its_checksum_but_does_not_parse(self, tmp_path):
+        blob = b"WAVE" + bytes(16)
+        (tmp_path / "eta.leaf").write_bytes(blob)
+        (tmp_path / "manifest.txt").write_text(f"eta,0,{zlib.crc32(blob):08x}\n")
+        with pytest.raises(CorruptSnapshot, match="bad magic b'WAVE'$"):
+            load_params(tmp_path)
 
     def test_matrix_shape_preserved(self, tmp_path):
         params = ParamSet({"head0_weights": np.ones((5, 3), dtype=np.float32)})

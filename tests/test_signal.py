@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from leafaudio.errors import AliasedFrequency, NotWav, SilentInput, UnsupportedFormat
-from leafaudio.signal import ToneSpec, Waveform, add_noise_snr, gaussian_noise, load_wav, synth_tones
+from leafaudio.signal import Waveform, add_noise_snr, gaussian_noise, load_wav, synth_tones
 
 
 def write_pcm16(path, samples_i16, rate, channels=1):
@@ -38,6 +38,12 @@ class TestWaveform:
         w = Waveform(np.zeros(4), 16000)
         with pytest.raises(ValueError):
             w.samples[0] = 1.0
+
+    def test_callers_array_stays_writeable(self):
+        x = np.zeros(10)
+        w = Waveform(x, 16000)
+        x[0] = 1.0
+        assert w.samples[0] == 0.0 and not w.samples.flags.writeable
 
 
 # a 16 kHz 16-bit PCM mono fmt chunk's payload
@@ -130,50 +136,65 @@ class TestLoadWav:
 
 class TestSynthTones:
     def test_closed_form_sample(self):
-        spec = ToneSpec((1000.0,), (1.0,), 1.0, phases=(0.0,))
-        w = synth_tones(spec, 16000)
+        w = synth_tones((1000.0,), (1.0,), (0.0,), 1.0, 16000)
         # cos(2*pi*1000*4/16000) = cos(pi/2) = 0
         assert abs(w.samples[4]) < 1e-12
         assert w.samples[0] == 1.0
         assert len(w.samples) == 16000
 
     def test_empty_spec_is_silence(self):
-        w = synth_tones(ToneSpec((), (), 0.5, phases=()), 16000)
+        w = synth_tones((), (), (), 0.5, 16000)
         assert np.all(w.samples == 0.0)
         assert len(w.samples) == 8000
 
     def test_antiphase_cancellation(self):
-        spec = ToneSpec((440.0, 440.0), (0.7, 0.7), 1.0, phases=(0.3, 0.3 + np.pi))
-        w = synth_tones(spec, 16000)
+        w = synth_tones((440.0, 440.0), (0.7, 0.7), (0.3, 0.3 + np.pi), 1.0, 16000)
         assert np.max(np.abs(w.samples)) < 1e-12
 
     def test_aliased_frequency(self):
-        with pytest.raises(AliasedFrequency):
-            synth_tones(ToneSpec((8000.0,), (1.0,), 1.0, phases=(0.0,)), 16000)
+        with pytest.raises(AliasedFrequency, match=r"^tone at 8000\.0 Hz >= Nyquist 8000\.0 Hz$"):
+            synth_tones((8000,), (1.0,), (0.0,), 1.0, 16000)
+
+    @pytest.mark.parametrize("amplitudes, phases, message", [
+        ((1.0, 0.5), (0.0,), "frequencies and amplitudes must pair up"),
+        ((1.0,), (0.0, 0.1), "phases must pair up with frequencies"),
+    ], ids=["amplitudes", "phases"])
+    def test_unpaired_lists_are_refused(self, amplitudes, phases, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            synth_tones((440.0,), amplitudes, phases, 1.0, 16000)
+
+    @pytest.mark.parametrize("freq", [0, -5.0])
+    def test_non_positive_frequency_is_refused(self, freq):
+        with pytest.raises(ValueError, match=f"^tone frequency must be positive, got {float(freq)}$"):
+            synth_tones((freq,), (1.0,), (0.0,), 1.0, 16000)
+
+    def test_duration_under_one_sample_is_refused(self):
+        with pytest.raises(ValueError, match="^duration too short for this sample rate$"):
+            synth_tones((440.0,), (1.0,), (0.0,), 0.4 / 16000, 16000)
 
 
 class TestAddNoiseSnr:
     def test_infinite_snr_is_identity(self):
-        x = synth_tones(ToneSpec((1000.0,), (1.0,), 1.0, phases=(0.0,)), 16000)
+        x = synth_tones((1000.0,), (1.0,), (0.0,), 1.0, 16000)
         assert add_noise_snr(x, math.inf, 3) is x
 
     def test_noise_power_matches_request(self):
         # P_x = 0.5 for a unit cosine; at 0 dB the noise power must match
-        x = synth_tones(ToneSpec((1000.0,), (1.0,), 1.0, phases=(0.0,)), 16000)
+        x = synth_tones((1000.0,), (1.0,), (0.0,), 1.0, 16000)
         assert abs(x.power() - 0.5) < 1e-6
         y = add_noise_snr(x, 0.0, seed=21)
         noise = y.samples - x.samples
         assert abs(float(np.mean(noise ** 2)) - 0.5) < 0.01  # within 2%
 
     def test_minus_five_db_gain_relation(self):
-        x = synth_tones(ToneSpec((800.0,), (1.0,), 1.0, phases=(0.0,)), 16000)
+        x = synth_tones((800.0,), (1.0,), (0.0,), 1.0, 16000)
         y = add_noise_snr(x, -5.0, seed=5)
         noise = y.samples - x.samples
         ratio = float(np.mean(noise ** 2)) / x.power()
         assert abs(ratio / 10.0 ** 0.5 - 1.0) < 0.05
 
     def test_empirical_snr_within_tolerance(self):
-        x = synth_tones(ToneSpec((600.0,), (0.8,), 1.0, phases=(0.0,)), 16000)
+        x = synth_tones((600.0,), (0.8,), (0.0,), 1.0, 16000)
         for snr in (20.0, 5.0, 0.0, -5.0):
             y = add_noise_snr(x, snr, seed=99)
             noise = y.samples - x.samples
@@ -181,7 +202,7 @@ class TestAddNoiseSnr:
             assert abs(measured - snr) < 0.2
 
     def test_deterministic_given_seed(self):
-        x = synth_tones(ToneSpec((600.0,), (0.8,), 0.5, phases=(0.0,)), 16000)
+        x = synth_tones((600.0,), (0.8,), (0.0,), 0.5, 16000)
         a = add_noise_snr(x, 10.0, seed=4)
         b = add_noise_snr(x, 10.0, seed=4)
         assert np.array_equal(a.samples, b.samples)

@@ -732,6 +732,12 @@ class TestBackward:
         x = np.array([1.5, -0.5])
         check_op(lambda v: tape.reduce_sum((v + 1.0) * (v * 2.0)), x)
 
+    def test_root_with_nothing_to_differentiate(self):
+        x = tape.constant(np.ones(4))
+        root = tape.reduce_sum(x * 2.0)
+        tape.backward(root)
+        assert root.grad is None and x.grad is None
+
     def test_grad_reset_between_backwards(self):
         x = tape.leaf(np.array(2.0))
         out = x * 3.0

@@ -10,7 +10,7 @@ import pytest
 
 from leafaudio import tape
 from leafaudio.autodiff import perturbed_params
-from leafaudio.errors import BadRate, LengthMismatch, ShapeMismatch, UnknownTask
+from leafaudio.errors import BadRate, LengthMismatch, NonFiniteLoss, ShapeMismatch, UnknownTask
 from leafaudio.frontend import FrontendConfig, variant_config
 from leafaudio.params import ParamSet, init_multitask_params
 from leafaudio.signal import Waveform
@@ -134,6 +134,14 @@ class TestMultitaskLoss:
         part1 = multitask_loss(batch[3:], model)
         np.testing.assert_allclose(full, (3 / 8) * part0 + (5 / 8) * part1, rtol=1e-9)
 
+    def test_nan_parameter_raises_non_finite_loss(self):
+        t0 = micro_task()
+        values = dict(init_multitask_params(MICRO, [t0.num_classes]))
+        values["head0_bias"] = np.array([0.0, np.nan, 0.0, 0.0])
+        model = MultiHead(ParamSet(values), MICRO, (t0.num_classes,))
+        with pytest.raises(NonFiniteLoss, match="^loss evaluated to nan$"):
+            multitask_loss(triples(t0, 2, seed=3), model)
+
     def test_absent_task_head_gradient_exactly_zero(self):
         t0 = micro_task("pitch", task_id=0)
         t1 = micro_task("am", task_id=1)
@@ -229,6 +237,15 @@ class TestTrain:
         with pytest.raises(ValueError, match=f"^metrics need a logging interval of at least 1 step, "
                                              f"got log_every={log_every}$"):
             train([micro_task()], MICRO, steps=2, batch_size=4, lr=1e-3, seed=11, log_every=log_every)
+
+    def test_one_class_task_is_refused_before_the_first_batch(self, monkeypatch):
+        def no_batch(*args):
+            raise AssertionError("a batch was drawn")
+
+        monkeypatch.setattr(sys.modules["leafaudio.training"], "sample_batch", no_batch)
+        with pytest.raises(ValueError, match="^head 1 needs at least 2 classes, got 1$"):
+            train([micro_task(), micro_task("am", task_id=1, num_classes=1)], MICRO,
+                  steps=2, batch_size=4, lr=1e-3, seed=11)
 
     def test_learned_workspace_survives_a_logged_step(self):
         train([micro_task()], MICRO, steps=2, batch_size=4, lr=1e-3, seed=11, log_every=1)
@@ -395,6 +412,17 @@ class TestBootstrap:
         iters = 100_000
         _, p = bootstrap_diff([1.0, 1.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], iters=iters, seed=3)
         assert abs(p - exact) < 2.0 / np.sqrt(iters)
+
+    @pytest.mark.parametrize("a, b, message", [
+        ([np.nan, 0.8, 0.7], [0.5, 0.4, 0.3], "a holds a non-finite value, nan"),
+        ([0.9, 0.8, 0.7], [0.5, np.nan, 0.3], "b holds a non-finite value, nan"),
+        ([np.inf, 0.8, 0.7], [np.inf, 0.4, 0.3], "a holds a non-finite value, inf"),
+        ([0.9, 0.8, 0.7], [0.5, 0.4, -np.inf], "b holds a non-finite value, -inf"),
+    ], ids=["nan-a", "nan-b", "inf-both", "-inf-b"])
+    def test_non_finite_accuracy_is_refused(self, a, b, message):
+        # refused before resampling, and before numpy can warn about inf - inf
+        with pytest.raises(ValueError, match=f"^accuracy list {message}$"):
+            bootstrap_diff(a, b, iters=100)
 
     @pytest.mark.parametrize("n", [3, 7, 1000, 1001])
     def test_blocks_give_the_bits_of_one_draw(self, n):
