@@ -4,8 +4,8 @@ The training loss (``training.multitask_loss_and_grad``, here with one
 task) is differentiated in reverse mode through the linear head,
 compression (including the PCEN moving-average recursion), pooling,
 squared-modulus filtering, and the Gabor parametrization.  A central
-finite-difference oracle on ``training.multitask_loss`` provides the
-independent check.
+finite-difference oracle on ``training.multitask_loss``, probing one
+parameter element at a time, provides the independent check.
 """
 
 from __future__ import annotations

@@ -3,9 +3,10 @@
 Feature file layout (little-endian): magic ``LEAF``, u32 version = 1,
 u32 frame count M, u32 channel count N, u32 frame rate in whole Hz (a
 feature map at any other rate is refused), then M*N float32 values in
-time-major order, and nothing else.  Snapshots store each parameter vector
-in the same container (frame rate 0) plus a manifest of name, length, and
-the CRC32 of the whole block file, header included.
+time-major order, and nothing else.  Snapshots store each parameter in
+the same container, encoded by the same helper (frame rate 0, a vector as
+one column), plus a manifest of name, length, and the CRC32 of the whole
+block file, header included.
 A block is parsed from the very bytes its checksum was taken over; a
 missing file, a block that disagrees with the manifest or a non-finite
 value fails to load with ``CorruptSnapshot``.

@@ -4,8 +4,9 @@ A ParamSet maps parameter names to real vectors/matrices.  Frontend keys
 depend on the variant (eta/sigma or conv_kernels, pool_widths, pcen_*);
 task k's linear classifier head is ``head{k}_weights``/``head{k}_bias``,
 so a single-task model has ``head0_*``; ``class_counts`` reads a model's
-head sizes back for ``init_multitask_params``.  ``constraint_bounds`` is
-the one table of allowed ranges that ``project_params`` clamps into.
+head sizes back for ``init_multitask_params``, which refuses a head of
+fewer than 2 classes.  ``constraint_bounds`` is the one table of allowed
+ranges that ``project_params`` clamps into.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Waveform ingestion, synthetic tones, and SNR-controlled noise injection.
 
 All operations are pure: they return new Waveform values and never mutate
-their inputs.  Gaussian noise is produced by an explicit Box-Muller
-transform over a seeded PCG64 stream so that noise realizations are
-reproducible across platforms.
+their inputs (a Waveform keeps a read-only copy of its samples).  Gaussian
+noise is produced by an explicit Box-Muller transform over a seeded PCG64
+stream so that noise realizations are reproducible across platforms.
 """
 
 from __future__ import annotations
