@@ -66,7 +66,7 @@ def synthetic_batch(seed: int, batch_size: int = 2, num_classes: int = 3) -> lis
         amp = float(rng.uniform(0.3, 1.0))
         phase = float(rng.uniform(0.0, 2.0 * np.pi))
         x = synth_tones((freq,), (amp,), (phase,), 0.1, FRONTEND_RATE)
-        x = add_noise_snr(x, 10.0, seed=int(rng.integers(2 ** 31)))
+        x = add_noise_snr(x, 10.0, rng)
         batch.append((x, int(rng.integers(num_classes)), 0))
     return batch
 

@@ -84,8 +84,9 @@ def save_params(directory, params: ParamSet) -> None:
 
 
 def load_params(directory) -> ParamSet:
-    """Read a snapshot; a missing or damaged file, or a non-finite value,
-    raises CorruptSnapshot."""
+    """Read a snapshot; a missing or damaged file, a non-finite value, or a
+    manifest name that is not a Python identifier or repeats, raises
+    CorruptSnapshot."""
     directory = Path(directory)
     # a damaged byte decodes to U+FFFD, so its line fails one of the checks below
     manifest = _read_snapshot_file(directory / "manifest.txt").decode(errors="replace")
@@ -96,6 +97,9 @@ def load_params(directory) -> ParamSet:
             length = int(length)
         except ValueError:
             raise CorruptSnapshot(f"{directory / 'manifest.txt'}: malformed line {line!r}") from None
+        if not name.isidentifier() or name in values:
+            raise CorruptSnapshot(f"{directory / 'manifest.txt'}: line {line!r} names "
+                                  f"{'a block twice' if name in values else 'no parameter'}")
         path = directory / f"{name}.leaf"
         blob = _read_snapshot_file(path)
         if f"{zlib.crc32(blob) & 0xFFFFFFFF:08x}" != checksum:

@@ -2,8 +2,8 @@
 
 All operations are pure: they return new Waveform values and never mutate
 their inputs (a Waveform keeps a read-only copy of its samples).  Gaussian
-noise is produced by an explicit Box-Muller transform over a seeded PCG64
-stream so that noise realizations are reproducible across platforms.
+noise is ``Generator.standard_normal`` on a seeded PCG64 stream, so a seed
+gives the same noise bits with the same numpy version on any CPU.
 """
 
 from __future__ import annotations
@@ -106,20 +106,8 @@ def synth_tones(frequencies, amplitudes, phases, duration_s: float, rate: int) -
     return Waveform(x, rate)
 
 
-def gaussian_noise(size: int, seed: int) -> np.ndarray:
-    """Standard normal samples from a seeded PCG64 stream via Box-Muller."""
-    rng = np.random.default_rng(seed)
-    pairs = (size + 1) // 2
-    u1 = 1.0 - rng.random(pairs)  # in (0, 1], keeps log finite
-    u2 = rng.random(pairs)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])
-    return z[:size]
-
-
-def add_noise_snr(x: Waveform, snr_db: float, seed: int) -> Waveform:
-    """Add seeded Gaussian noise scaled for the requested global SNR.
+def add_noise_snr(x: Waveform, snr_db: float, seed: int | np.random.Generator) -> Waveform:
+    """Add ``default_rng(seed).standard_normal`` noise at the requested global SNR.
 
     The gain g satisfies 10*log10(P_x / g^2) = snr_db with P the mean
     squared amplitude, treating the noise as exactly unit variance.
@@ -131,5 +119,5 @@ def add_noise_snr(x: Waveform, snr_db: float, seed: int) -> Waveform:
     if power == 0.0:
         raise SilentInput("cannot set a finite SNR against a silent signal")
     gain = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
-    noise = gaussian_noise(len(x.samples), seed)
+    noise = np.random.default_rng(seed).standard_normal(len(x.samples))
     return Waveform(x.samples + gain * noise, x.sample_rate)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import workers
 from .errors import UnknownTask
-from .signal import FRONTEND_RATE, Waveform, add_noise_snr, gaussian_noise, synth_tones
+from .signal import FRONTEND_RATE, Waveform, add_noise_snr, synth_tones
 
 PITCH_FREQS = (400.0, 800.0, 1600.0, 3200.0)
 AM_RATES = (4.0, 16.0, 64.0)
@@ -35,7 +35,8 @@ class TaskSpec:
     """One synthetic classification problem at a fixed noise level.
 
     ``snr_db`` is a finite number of dB, or +inf for clean clips; NaN and
-    -inf are refused with a ValueError that names them.
+    -inf are refused with a ValueError that names them, as is a class
+    count above the named generator's.
     """
 
     task_id: int
@@ -47,6 +48,9 @@ class TaskSpec:
     def __post_init__(self):
         if not (np.isfinite(self.snr_db) or self.snr_db == np.inf):
             raise ValueError(f"SNR must be a finite number of dB or inf, got snr_db={self.snr_db}")
+        if self.name in TASKS and self.num_classes > len(TASKS[self.name][0]):
+            raise ValueError(f"task {self.name!r} has {len(TASKS[self.name][0])} classes, "
+                             f"got num_classes={self.num_classes}")
 
     def with_snr(self, snr_db: float) -> "TaskSpec":
         return replace(self, snr_db=snr_db)
@@ -84,7 +88,7 @@ def _am_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Wavefor
 
 def _noise_color_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Waveform:
     n = round(task.duration_s * FRONTEND_RATE)
-    white = gaussian_noise(n, seed=int(rng.integers(2 ** 31)))
+    white = rng.standard_normal(n)
     color = NOISE_COLORS[label]
     if color == "white":
         shaped = white
@@ -117,7 +121,7 @@ def generate_example(task: TaskSpec, label: int, seed: int) -> Waveform:
     _, example = _task_entry(task.name)
     rng = np.random.default_rng(np.random.SeedSequence([seed, task.task_id, label]))
     clean = example(task, label, rng)
-    return add_noise_snr(clean, task.snr_db, seed=int(rng.integers(2 ** 31)))
+    return add_noise_snr(clean, task.snr_db, rng)
 
 
 def sample_batch(tasks: list[TaskSpec], batch_size: int, seed: int, step: int):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tape
-from .errors import LengthMismatch, NonFiniteLoss, ShapeMismatch, UnknownTask
+from .errors import LengthMismatch, NonFiniteFeatures, NonFiniteLoss, ShapeMismatch, UnknownTask
 from .frontend import FrontendConfig, features_graph, require_frontend_rate, variant_name
 from .params import Gradients, ParamSet, init_multitask_params, project_params
 from .tasks import TaskSpec, sample_batch, test_set
@@ -237,12 +237,14 @@ def _split_windows(samples: np.ndarray, window: int) -> list[np.ndarray]:
     return [samples[w * window: (w + 1) * window] for w in range(len(samples) // window)]
 
 
-def _mean_window_logits(model: MultiHead, clips, task_index: int) -> np.ndarray:
+def _mean_window_logits(model: MultiHead, clips, task_index: int, start: int = 0) -> np.ndarray:
     """(clips, classes) head logits, each clip's averaged over its
     one-second windows.
 
     Every window of every clip goes through ``task_logits`` in one batch,
-    in the head's dtype.  A clip not at the frontend's rate raises BadRate.
+    in the head's dtype.  A clip not at the frontend's rate raises BadRate,
+    and non-finite logits raise NonFiniteFeatures naming the first such
+    clip, counting the first of ``clips`` as clip ``start``.
     """
     windows, owners = [], []
     for i, wav in enumerate(clips):
@@ -253,7 +255,11 @@ def _mean_window_logits(model: MultiHead, clips, task_index: int) -> np.ndarray:
     xs = np.stack(windows).astype(model.params[f"head{task_index}_weights"].dtype)
     logits = task_logits(xs, np.full(len(xs), task_index), model.params, model.cfg)[task_index][1].value
     owners = np.asarray(owners)
-    return np.stack([logits[owners == i].mean(axis=0) for i in range(len(clips))])
+    means = np.stack([logits[owners == i].mean(axis=0) for i in range(len(clips))])
+    bad = np.flatnonzero(~np.isfinite(means).all(axis=1))
+    if bad.size:
+        raise NonFiniteFeatures(f"clip {start + bad[0]} has non-finite logits {means[bad[0]]}")
+    return means
 
 
 def clip_logits(model: MultiHead, waveform, task_index: int = 0) -> np.ndarray:
@@ -283,7 +289,7 @@ def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
     correct = 0
     for start in range(0, n_examples, EVAL_BATCH_CLIPS):
         chunk = test_set(task, min(EVAL_BATCH_CLIPS, n_examples - start), seed, start)
-        logits = _mean_window_logits(model, [wav for wav, _ in chunk], task_index)
+        logits = _mean_window_logits(model, [wav for wav, _ in chunk], task_index, start)
         correct += int(np.sum(logits.argmax(axis=1) == [label for _, label in chunk]))
     p = correct / n_examples
     ci = 1.96 * np.sqrt(p * (1.0 - p) / n_examples)

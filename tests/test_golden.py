@@ -4,9 +4,11 @@
 every variant and of one two-task training step's loss and gradients, in
 float32 and float64, of the ``extract`` feature files of ``leaf`` and
 ``mel-pcen`` and of both ``inspect`` views of ``leaf`` at init, with the
-numpy and scipy versions they were made with.  Rounding may differ
-between library versions, so on other versions the test skips; it never
-compares at a tolerance.
+numpy and scipy versions and numpy's dispatched SIMD targets they were
+made with.  Rounding may differ between library versions and between the
+SIMD loops numpy picks for a CPU (with AVX-512 off, most of the digests
+move), so on other versions or targets the test skips; it never compares
+at a tolerance.
 
 Regenerate the file, after a change that moves bits on purpose, with::
 
@@ -44,6 +46,12 @@ CLI_VARIANTS = ("leaf", "mel-pcen")
 
 def _versions():
     return {"numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _simd_targets():
+    """The SIMD targets numpy's optimized loops dispatch to on this CPU."""
+    info = np.lib.introspect.opt_func_info()
+    return sorted({target["current"] for signatures in info.values() for target in signatures.values()})
 
 
 def _digest(*arrays):
@@ -113,6 +121,9 @@ def test_digests_match_golden():
     golden = json.loads(GOLDEN.read_text())
     if golden["versions"] != _versions():
         pytest.skip(f"golden digests were made with {golden['versions']}, this is {_versions()}")
+    if golden["simd"] != _simd_targets():
+        pytest.skip(f"golden digests were made on numpy SIMD targets {golden['simd']}, "
+                    f"this CPU dispatches to {_simd_targets()}")
     assert compute_digests() == golden["digests"]
 
 
@@ -132,5 +143,5 @@ if __name__ == "__main__":
     digests = compute_digests()
     old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
     print("\n".join(moved_digests(old, digests)) or "no digest moved")
-    GOLDEN.write_text(json.dumps({"versions": _versions(), "digests": digests},
+    GOLDEN.write_text(json.dumps({"versions": _versions(), "simd": _simd_targets(), "digests": digests},
                                  indent=1, sort_keys=True) + "\n")

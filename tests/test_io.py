@@ -157,6 +157,18 @@ class TestSnapshots:
         with pytest.raises(CorruptSnapshot, match="bad magic b'WAVE'$"):
             load_params(tmp_path)
 
+    @pytest.mark.parametrize("name, problem", [("../x", "no parameter"), ("eta", "a block twice")],
+                             ids=["outside", "repeated"])
+    def test_manifest_name_must_be_one_new_parameter(self, tmp_path, name, problem):
+        # the block the line names exists and matches its checksum
+        save_params(tmp_path / "snap", ParamSet({"eta": np.linspace(0, 0.5, 8, dtype=np.float32)}))
+        manifest = tmp_path / "snap" / "manifest.txt"
+        (tmp_path / "x.leaf").write_bytes((tmp_path / "snap" / "eta.leaf").read_bytes())
+        line = manifest.read_text().strip().replace("eta", name, 1)
+        manifest.write_text(manifest.read_text() + line + "\n")
+        with pytest.raises(CorruptSnapshot, match=re.escape(f"line {line!r} names {problem}")):
+            load_params(tmp_path / "snap")
+
     def test_matrix_shape_preserved(self, tmp_path):
         params = ParamSet({"head0_weights": np.ones((5, 3), dtype=np.float32)})
         save_params(tmp_path / "m", params)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from leafaudio.errors import AliasedFrequency, NotWav, SilentInput, UnsupportedFormat
-from leafaudio.signal import Waveform, add_noise_snr, gaussian_noise, load_wav, synth_tones
+from leafaudio.signal import Waveform, add_noise_snr, load_wav, synth_tones
 
 
 def write_pcm16(path, samples_i16, rate, channels=1):
@@ -215,11 +215,15 @@ class TestAddNoiseSnr:
             add_noise_snr(x, 10.0, seed=0)
 
 
-class TestGaussianNoise:
-    def test_moments(self):
-        z = gaussian_noise(200_000, seed=13)
+    def test_noise_moments(self):
+        # at 0 dB against a unit-power clip the gain is 1: the noise itself
+        x = Waveform(np.ones(200_000), 16000)
+        z = add_noise_snr(x, 0.0, seed=13).samples - 1.0
         assert abs(float(np.mean(z))) < 0.01
         assert abs(float(np.var(z)) - 1.0) < 0.01
 
-    def test_odd_length(self):
-        assert len(gaussian_noise(7, seed=1)) == 7
+    def test_int_seed_is_its_generator(self):
+        x = synth_tones((600.0,), (0.8,), (0.0,), 0.1, 16000)
+        a = add_noise_snr(x, 5.0, 5)
+        b = add_noise_snr(x, 5.0, np.random.default_rng(5))
+        assert np.array_equal(a.samples, b.samples)

@@ -1,6 +1,11 @@
 """Task generator tests: determinism, class structure, noise application."""
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +35,11 @@ class TestMakeTask:
             make_task("speech")
         with pytest.raises(UnknownTask, match="^no task generator named 'speech'$"):
             generate_example(TaskSpec(0, "speech", 2, np.inf), 1, seed=0)
+
+    def test_more_classes_than_the_generator_are_refused(self):
+        with pytest.raises(ValueError, match="^task 'pitch' has 4 classes, got num_classes=7$"):
+            TaskSpec(0, "pitch", 7, np.inf)
+        assert TaskSpec(0, "pitch", 1, np.inf).num_classes == 1  # train refuses it, not the spec
 
     def test_with_snr(self):
         task = make_task("pitch").with_snr(5.0)
@@ -90,15 +100,20 @@ class TestGenerateExample:
         assert (high - white)[-10:].mean() > (high - white)[:10].mean()
 
     @pytest.mark.parametrize("label, digest", [
-        (0, "d2e9bace89fcb4f14ad965dd2a073c9b87583745535687d02b3d305a0c362746"),
-        (1, "4a6211d22ef4a6e062aa30d414fe6ecd9abb7893eda1425f5694a411e9b7df2d"),
-        (2, "f8715520fe2ebb28f24fd8b0b103bc9187f7c1659c01b646fcf3b60e35fe3512"),
+        (0, "92eec84aa16cbea5e64b613558ac32f03f2a19321e08357d6467117ea35a72ce"),
+        (1, "b99cb3cae872786d7fa0280adc5793ec667fe943530887a1f39fafae00f3e62a"),
+        (2, "97dcc851f88d20b1a2cdd04e982b7c0aae7acc35495cc42d78d717f6289a5d7e"),
     ], ids=["white", "lowpass", "highpass"])
     def test_noise_color_clips_are_pinned(self, label, digest):
         # sha256 of the float64 samples; any change to a filter's arithmetic moves a bit
         samples = generate_example(make_task("noisecolor"), label, seed=1234).samples
         assert samples.dtype == np.float64
         assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
+    def test_noisy_clip_is_pinned(self):
+        samples = generate_example(make_task("am", snr_db=5.0), 1, seed=7).samples
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == (
+            "2c4a1b560435d4b1a690596c3318e10031e3fe1d74cc363969965479d6f6a8e5")
 
     def test_snr_applied(self):
         clean = generate_example(make_task("pitch"), 0, seed=4)
@@ -110,6 +125,35 @@ class TestGenerateExample:
     def test_label_out_of_range(self):
         with pytest.raises(ValueError):
             generate_example(make_task("pitch"), 7, seed=0)
+
+
+def noisy_clip_digests():
+    """sha256 of a noisecolor clip of each color and of an am and a pitch
+    clip at 5 dB, with the SIMD targets numpy dispatches to in this process."""
+    info = np.lib.introspect.opt_func_info()
+    clips = [generate_example(make_task("noisecolor"), label, seed=7) for label in range(3)]
+    clips += [generate_example(make_task(name, snr_db=5.0), 1, seed=7) for name in ("am", "pitch")]
+    return {"digests": [hashlib.sha256(wav.samples.tobytes()).hexdigest() for wav in clips],
+            "simd": sorted({t["current"] for sigs in info.values() for t in sigs.values()})}
+
+
+def test_noisy_clips_do_not_depend_on_the_simd_level():
+    # a fresh interpreter in which only the baseline loops run: it disables
+    # the dispatch targets this process already disables and every other
+    # one numpy found on this CPU.  numpy refuses to disable the baseline,
+    # and warns about a target the CPU lacks
+    here = Path(__file__).parent
+    found = np.__config__.CONFIG["SIMD Extensions"].get("found", [])
+    disabled = " ".join([os.environ.get("NPY_DISABLE_CPU_FEATURES", ""), *found]).strip()
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c",
+         "import json, test_tasks; print(json.dumps(test_tasks.noisy_clip_digests()))"],
+        env=env, capture_output=True, text=True, check=True)
+    baseline_only = json.loads(child.stdout)
+    assert all(target.startswith("baseline") for target in baseline_only["simd"])
+    assert baseline_only["digests"] == noisy_clip_digests()["digests"]
 
 
 class TestBatchesAndTestSets:

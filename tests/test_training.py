@@ -10,7 +10,14 @@ import pytest
 
 from leafaudio import tape
 from leafaudio.autodiff import perturbed_params
-from leafaudio.errors import BadRate, LengthMismatch, NonFiniteLoss, ShapeMismatch, UnknownTask
+from leafaudio.errors import (
+    BadRate,
+    LengthMismatch,
+    NonFiniteFeatures,
+    NonFiniteLoss,
+    ShapeMismatch,
+    UnknownTask,
+)
 from leafaudio.frontend import FrontendConfig, variant_config
 from leafaudio.params import ParamSet, init_multitask_params
 from leafaudio.signal import Waveform
@@ -329,7 +336,7 @@ class TestEvaluate:
         cfg = variant_config("mel-pcen", n_filters=8)
         values = dict(init_multitask_params(cfg, [task.num_classes], dtype=np.float32))
         values["head0_weights"] = np.random.default_rng(37).standard_normal((8, 3)).astype(np.float32)
-        clips = held_out_set(task, 70, 41)
+        clips = held_out_set(task, 70, 42)
         # a head centred on the clips' mean logits, so that the windows of
         # one clip often disagree and window averaging decides the answer
         model = MultiHead(ParamSet(values), cfg, (task.num_classes,))
@@ -338,7 +345,7 @@ class TestEvaluate:
         first = [clip_logits(model, Waveform(wav.samples[:16000], 16000)).argmax() for wav, _ in clips]
         hits = [clip_logits(model, wav).argmax() == label for wav, label in clips]
         assert np.mean(hits) != np.mean(np.equal(first, [label for _, label in clips]))
-        assert evaluate(model, task, 70, seed=41).accuracy == np.mean(hits)
+        assert evaluate(model, task, 70, seed=42).accuracy == np.mean(hits)
 
 
 def seeded_mel_pcen_model(task, seed):
@@ -349,6 +356,25 @@ def seeded_mel_pcen_model(task, seed):
     values["head0_weights"] = rng.standard_normal((8, task.num_classes)).astype(np.float32)
     values["head0_bias"] = (0.1 * rng.standard_normal(task.num_classes)).astype(np.float32)
     return MultiHead(ParamSet(values), cfg, (task.num_classes,))
+
+
+class TestNonFiniteLogits:
+    def model(self, task):
+        # a NaN parameter, not an overflow: no warning precedes the refusal
+        values = dict(seeded_mel_pcen_model(task, 43).params)
+        values["pcen_alpha"] = values["pcen_alpha"].copy()
+        values["pcen_alpha"][0] = np.nan
+        return MultiHead(ParamSet(values), variant_config("mel-pcen", n_filters=8), (task.num_classes,))
+
+    def test_evaluate_refuses_them(self):
+        task = make_task("am")
+        with pytest.raises(NonFiniteFeatures, match=r"^clip 0 has non-finite logits \[nan nan nan\]$"):
+            evaluate(self.model(task), task, 12, seed=0)
+
+    def test_clip_logits_refuses_them(self):
+        task = make_task("am")
+        with pytest.raises(NonFiniteFeatures, match="^clip 0 has non-finite logits"):
+            clip_logits(self.model(task), generate_example(task, 0, seed=0))
 
 
 class TestEvaluateChunks:
