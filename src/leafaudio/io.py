@@ -85,8 +85,7 @@ def save_params(directory, params: ParamSet) -> None:
 
 def load_params(directory) -> ParamSet:
     """Read a snapshot; a missing or damaged file, a non-finite value, or a
-    manifest name that is not a Python identifier or repeats, raises
-    CorruptSnapshot."""
+    name that is not an identifier or repeats raises CorruptSnapshot."""
     directory = Path(directory)
     # a damaged byte decodes to U+FFFD, so its line fails one of the checks below
     manifest = _read_snapshot_file(directory / "manifest.txt").decode(errors="replace")

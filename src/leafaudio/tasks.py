@@ -34,9 +34,8 @@ NOISE_COLORS = ("white", "lowpass", "highpass")
 class TaskSpec:
     """One synthetic classification problem at a fixed noise level.
 
-    ``snr_db`` is a finite number of dB, or +inf for clean clips; NaN and
-    -inf are refused with a ValueError that names them, as is a class
-    count above the named generator's.
+    ``snr_db`` is a finite number of dB or +inf (clean clips); a ValueError
+    names NaN, -inf or more classes than the named generator has.
     """
 
     task_id: int

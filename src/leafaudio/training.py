@@ -242,9 +242,8 @@ def _mean_window_logits(model: MultiHead, clips, task_index: int, start: int = 0
     one-second windows.
 
     Every window of every clip goes through ``task_logits`` in one batch,
-    in the head's dtype.  A clip not at the frontend's rate raises BadRate,
-    and non-finite logits raise NonFiniteFeatures naming the first such
-    clip, counting the first of ``clips`` as clip ``start``.
+    in the head's dtype.  A clip not at the frontend's rate raises BadRate;
+    non-finite logits raise NonFiniteFeatures naming clip ``start + i``.
     """
     windows, owners = [], []
     for i, wav in enumerate(clips):

@@ -48,7 +48,7 @@ def _versions():
     return {"numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _simd_targets():
+def simd_targets():
     """The SIMD targets numpy's optimized loops dispatch to on this CPU."""
     info = np.lib.introspect.opt_func_info()
     return sorted({target["current"] for signatures in info.values() for target in signatures.values()})
@@ -121,9 +121,9 @@ def test_digests_match_golden():
     golden = json.loads(GOLDEN.read_text())
     if golden["versions"] != _versions():
         pytest.skip(f"golden digests were made with {golden['versions']}, this is {_versions()}")
-    if golden["simd"] != _simd_targets():
+    if golden["simd"] != simd_targets():
         pytest.skip(f"golden digests were made on numpy SIMD targets {golden['simd']}, "
-                    f"this CPU dispatches to {_simd_targets()}")
+                    f"this CPU dispatches to {simd_targets()}")
     assert compute_digests() == golden["digests"]
 
 
@@ -143,5 +143,5 @@ if __name__ == "__main__":
     digests = compute_digests()
     old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
     print("\n".join(moved_digests(old, digests)) or "no digest moved")
-    GOLDEN.write_text(json.dumps({"versions": _versions(), "simd": _simd_targets(), "digests": digests},
+    GOLDEN.write_text(json.dumps({"versions": _versions(), "simd": simd_targets(), "digests": digests},
                                  indent=1, sort_keys=True) + "\n")
