@@ -175,8 +175,12 @@ def cmd_train(args) -> int:
     cfg = build_config(args)
     names = [t.strip() for t in args.task.split(",") if t.strip()]
     tasks = [make_task(name, task_id=k, snr_db=args.snr_db) for k, name in enumerate(names)]
-    result = train(tasks, cfg, args.steps, args.batch, args.lr, args.seed)
     out = Path(args.out)
+    # refused before training, but made after it, so that a refused run leaves nothing
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"train --out must be a directory, got {out}: {existing} is not one")
+    result = train(tasks, cfg, args.steps, args.batch, args.lr, args.seed)
     out.mkdir(parents=True, exist_ok=True)
     (out / "metrics.csv").write_text(leafio.metrics_csv(result.metrics), newline="\n")
     for step, snap in result.snapshots.items():
@@ -247,6 +251,8 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise ValueError(f"noise-sweep --out must be a file in an existing directory, got {args.out}")
     task = make_task(args.task)
     snrs = [float(s) for s in args.snr_db.split(",")]
     variants = [build_config(args, name.strip()) for name in args.frontends.split(",")]

@@ -21,23 +21,25 @@ hand-written adjoint: :func:`filter_pool` (FFT filterbank, squared modulus
 and strided pooling) and :func:`ema` (the PCEN moving average over all
 frames).
 
-:func:`filter_pool` streams.  Row by row and block by block, it cuts an
-overlap-save block from the signal, transforms it, correlates it with the
-bank, squares it into a small haloed energy buffer, pools every frame
-whose window the block completes and carries the unfinished tail into the
-next block.  No full-rate array outlives its block; the block's
-correlations are kept only while a kernel is differentiated, and its
-spectrum is never kept.
+:func:`filter_pool` streams.  Row by row and block by block, one walk
+cuts an overlap-save block from the signal, transforms it, gets the
+block's correlations with the bank, squares them into a small haloed
+energy buffer, yields the windows of the frames that the block completes
+and carries the unfinished tail into the next block.  No full-rate array
+outlives its block; the block's correlations are kept only while a kernel
+is differentiated, and its spectrum is never kept.
 
-The adjoint walks the same rows and blocks.  Per row, the frame gradient,
-times the 2 of d|z|^2, is spread back over the samples by the transposed
-pooling, one batched matmul over the channels.  Per block, ``2 g corr`` is
-written into one reused FFT-length buffer and transformed; the block's
-spectrum is made again from the signal, and the product of the two, one
-of them conjugated, is added into a single (2, N, F) accumulator, whose
-one inverse FFT gives the kernel gradient.  The block's energy is squared
-again from its kept correlations into one row's buffer, which the
-pooling-kernel gradient reads.
+The forward and the adjoint are two consumers of that walk.  The forward
+makes each block's correlations by inverse FFT and pools its frames from
+their windows.  The adjoint reads the kept correlations, which the walk
+squares again into the same buffer, and adds each block's windows times
+their frames' gradient into the pooling-kernel gradient.  Per row, the
+frame gradient, times the 2 of d|z|^2, is spread back over the samples by
+the transposed pooling, one batched matmul over the channels.  Per block,
+``2 g corr`` is written into one reused FFT-length buffer and transformed,
+and its product with the block's spectrum, one of them conjugated, is
+added into a single (2, N, F) accumulator, whose one inverse FFT gives the
+kernel gradient.
 
 All of that work is per channel, so :func:`filter_pool` splits the N
 channels into ``GROUPS`` contiguous groups, where ``GROUPS`` is the number
@@ -45,23 +47,23 @@ of CPUs the process may run on, capped at N and at one group per
 ``MIN_GROUP_WORK`` channel-samples of FFT work.  Each group is one
 independent task on the package's worker pool (``workers``), forward and
 backward, and shares nothing with the other groups: in each pass it makes
-its own block spectra, runs the streaming loop above and writes its own
-channels of the output or its own kernels' gradients.  With one group it
-runs in the calling thread.  Every number is computed by the same
-operations whatever the grouping, so values and gradients do not depend
-on ``GROUPS``, bit for bit.
+its own block spectra, runs the walk above and writes its own channels of
+the output or its own kernels' gradients.  With one group it runs in the
+calling thread.  Every number is computed by the same operations whatever
+the grouping, so values and gradients do not depend on ``GROUPS``, bit for
+bit.
 
 One workspace is lent per call: the padded kernels, the spectrum product,
-the correlations, the pooling buffer and, for the adjoint, ``d_corr`` and
-``energy``, each holding the channels on one axis, so that a group works
-in views of its own.  A call takes the spare that the last call of its
-shape left, or makes one; one spare, of the last shape, is kept.  A call
-with nothing to differentiate hands the workspace back as it returns.  A
-differentiable node keeps it, with its correlations, until it dies: a
-finalizer on the node's adjoint then hands it back.  So two live graphs
-never share a buffer, ``backward`` may run twice on one graph, and each
-training step reuses the last one's memory instead of taking fresh pages
-from the system (~100 MB a step at B=16, 1 s, float32).
+the correlations, the pooling buffer and, for the adjoint, ``d_corr``,
+each holding the channels on one axis, so that a group works in views of
+its own.  A call takes the spare that the last call of its shape left, or
+makes one; one spare, of the last shape, is kept.  A call with nothing to
+differentiate hands the workspace back as it returns.  A differentiable
+node keeps it, with its correlations, until it dies: a finalizer on the
+node's adjoint then hands it back.  So two live graphs never share a
+buffer, ``backward`` may run twice on one graph, and each training step
+reuses the last one's memory instead of taking fresh pages from the system
+(~100 MB a step at B=16, 1 s, float32).
 """
 
 from __future__ import annotations
@@ -375,7 +377,8 @@ def filter_pool(x, kernels, pool_kernels, stride):
     new one, and each group in the views of its own channels.  A call with
     nothing live hands the workspace back as it returns; otherwise the node
     keeps it, with every block's correlations, until the node dies.  The
-    node keeps no block spectra: the backward makes them again.
+    node keeps no block spectra: the backward walks the blocks like the
+    forward, in the same pooling buffer, and makes them again.
     """
     if _live(x):
         raise ValueError("filter_pool does not differentiate its signal; pass x as a constant")
@@ -387,6 +390,8 @@ def filter_pool(x, kernels, pool_kernels, stride):
         raise ValueError("kernel length must be odd")
     if n_kernels != 2 * n:
         raise ValueError(f"{n_kernels} filter kernels do not pair with {n} pooling kernels")
+    if stride < 1:
+        raise ValueError(f"stride must be at least 1, got stride={stride}")
     dtype = np.result_type(vx.dtype, vk.dtype, np.float32)
     out = np.empty((batch, n, -(-n_samples // stride)), dtype=dtype)
     live = _live(kernels) or _live(pool_kernels)
@@ -394,7 +399,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
     # everything the workspace's shapes and dtypes depend on; FFT_BLOCK
     # enters through size
     key = (vx.shape, vk.shape, vk.dtype, pool_width, stride, dtype, live, size)
-    ws = _take_spare(key) or _workspace(n, vk.dtype, dtype, batch, n_samples, width, pool_width, stride, live)
+    ws = _take_spare(key) or _workspace(n, vk.dtype, dtype, batch, n_samples, width, pool_width, live)
     bounds = _channel_groups(n, batch * n_blocks * size * n)
     # each group works in the views of its own channels of every buffer and
     # lays its blocks out in a row of ``blocks``, made here because an array
@@ -402,7 +407,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
     blocks = np.empty((len(bounds), size), dtype=vx.dtype)
     groups = [(SimpleNamespace(**{name: buf[..., lo:hi, :] for name, buf in vars(ws).items()}),
                vx, block, vk[2 * lo: 2 * hi], vp[lo:hi], stride) for block, (lo, hi) in zip(blocks, bounds)]
-    workers.run([functools.partial(_forward_group, *group, out[:, lo:hi], live)
+    workers.run([functools.partial(_forward_group, *group, out[:, lo:hi])
                  for group, (lo, hi) in zip(groups, bounds)])
     if not live:
         _give_back(key, ws)
@@ -425,7 +430,7 @@ def _channel_groups(n, work):
     return workers.bounds(n, max(1, min(GROUPS, n, work // MIN_GROUP_WORK)))
 
 
-def _workspace(n, kernel_dtype, dtype, batch, n_samples, width, pool_width, stride, live):
+def _workspace(n, kernel_dtype, dtype, batch, n_samples, width, pool_width, live):
     """The buffers of :func:`filter_pool` calls of one shape, in a
     namespace, each with the N channels on its second-last axis.  No
     buffer holds a block spectrum: each group makes its own, forward and
@@ -434,7 +439,7 @@ def _workspace(n, kernel_dtype, dtype, batch, n_samples, width, pool_width, stri
     They are the forward's padded kernels and spectrum product, each with
     [real; imaginary] on a leading axis of 2, the correlations (every
     item's when ``live``, else one item's) and the haloed pooling buffer,
-    and with ``live`` the backward's ``d_corr`` and ``energy``.  The
+    and with ``live`` the backward's ``d_corr``.  The
     backward accumulates its spectrum in the product's buffer, and
     ``d_corr``'s imaginary half holds the square-sum temporary of both
     passes.  The buffers made zero are written only where their
@@ -448,8 +453,6 @@ def _workspace(n, kernel_dtype, dtype, batch, n_samples, width, pool_width, stri
         held=np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype))
     if live:
         ws.d_corr = np.zeros((2, n, size), dtype=dtype)
-        lead = -(-pool_width // stride)
-        ws.energy = np.zeros((n, lead * stride + n_samples + pool_width - 1), dtype=dtype)
     return ws
 
 
@@ -483,98 +486,92 @@ def _block_spectrum(row, start, half, block):
     return _fft.rfft(block)
 
 
-def _forward_group(ws, vx, block, vk, vp, stride, out, live):
-    """:func:`filter_pool`'s forward on the n channels of (2n, W) ``vk``
-    and (n, P) ``vp``, written into the (B, n, M) view ``out``, in the
-    views ``ws`` of those channels of the call's workspace.
+def _walk(ws, vx, block, vk, vp, stride, transform):
+    """The streaming walk of one channel group, with (2n, W) ``vk`` and
+    (n, P) ``vp``, over the rows and blocks of the signal ``vx``, in the
+    views ``ws`` of the group's channels of the workspace.
 
-    It makes the spectrum of each (row, block) item of the signal ``vx``
-    itself, one block at a time, laid out in the buffer ``block``.  With
-    ``live`` it keeps every item's correlations in ``ws``.  Plain numpy
-    only, so that groups can run on threads of their own.
+    Per block it makes the spectrum, in ``block``, and the correlations:
+    with ``transform`` by inverse FFT into ``ws.corr`` (kept for every
+    block when ``ws`` has a ``d_corr``), else it reads the kept ones.  It
+    squares them into ``ws.held`` and yields (row, start, keep, spectrum,
+    correlations, frames, windows): the block's first sample and length,
+    the slice of the frames whose window the block completes and their
+    (n, frames, P) windows, valid until the next block.  Plain numpy only,
+    so that groups can run on threads of their own.
     """
-    batch, n, n_frames = out.shape
-    n_samples = vx.shape[1]
-    pool_width = vp.shape[1]
+    batch, n_samples = vx.shape
+    width, pool_width = vk.shape[1], vp.shape[1]
     pool_half = (pool_width - 1) // 2
-    size, span, n_blocks = _block_layout(n_samples, vk.shape[1])
-    kf_conj = _kernel_spectrum(vk, ws.shifted)
+    n_frames = -(-n_samples // stride)
+    size, span, n_blocks = _block_layout(n_samples, width)
+    kf_conj = _kernel_spectrum(vk, ws.shifted) if transform else None
+    kept = hasattr(ws, "d_corr")
     # the haloed energy samples [lo, lo + filled) of one row: the unfinished
     # tail of the last frame window (< P), one block's span and the right halo
     held = ws.held
+    every_window = sliding_window_view(held, pool_width, axis=1)
     for b in range(batch):
         held[:, :pool_half] = 0.0
         lo, filled, done = 0, pool_half, 0
         for i in range(n_blocks):
             start = i * span
             keep = min(span, n_samples - start)
-            xf = _block_spectrum(vx[b], start, (vk.shape[1] - 1) // 2, block)
-            corr = ws.corr[b * n_blocks + i if live else 0]
-            np.fft.irfft(np.multiply(xf, kf_conj, out=ws.prod), size, axis=-1, out=corr)
-            # without a backward the imaginary half squares in place
-            _square_sum(corr, keep, held[:, filled: filled + keep], ws.d_corr[1] if live else corr[1])
+            xf = _block_spectrum(vx[b], start, (width - 1) // 2, block)
+            corr = ws.corr[b * n_blocks + i if kept else 0]
+            if transform:
+                np.fft.irfft(np.multiply(xf, kf_conj, out=ws.prod), size, axis=-1, out=corr)
+            energy = held[:, filled: filled + keep]
+            np.multiply(corr[0, :, :keep], corr[0, :, :keep], out=energy)
+            # the imaginary half squares in place unless it is kept
+            energy += np.multiply(corr[1, :, :keep], corr[1, :, :keep],
+                                  out=(ws.d_corr if kept else corr)[1, :, :keep])
             filled += keep
             if i == n_blocks - 1:
                 held[:, filled: filled + pool_half] = 0.0
                 filled += pool_half
                 ready = n_frames
             else:  # frames whose window ends inside what is held
-                ready = min(n_frames, (lo + filled - pool_width) // stride + 1)
-            if ready > done:
-                windows = sliding_window_view(held[:, done * stride - lo: filled], pool_width, axis=1)
-                out[b, :, done:ready] = np.einsum("nmp,np->nm", windows[:, ::stride][:, : ready - done], vp)
-                done = ready
+                ready = max(done, min(n_frames, (lo + filled - pool_width) // stride + 1))
+            windows = every_window[:, done * stride - lo:: stride][:, : ready - done]
+            yield b, start, keep, xf, corr, slice(done, ready), windows
+            done = ready
             # carry from the next frame's start on (it may start past all of it)
             cut = min(done * stride - lo, filled)
             held[:, : filled - cut] = held[:, cut: filled]
             lo, filled = lo + cut, filled - cut
 
 
+def _forward_group(ws, vx, block, vk, vp, stride, out):
+    """:func:`filter_pool`'s forward on one channel group: each frame of
+    the (B, n, M) view ``out`` pooled from its window on the walk."""
+    for b, _, _, _, _, frames, windows in _walk(ws, vx, block, vk, vp, stride, transform=True):
+        out[b, :, frames] = np.einsum("nmp,np->nm", windows, vp)
+
+
 def _backward_group(ws, vx, block, vk, vp, stride, g):
     """The gradients (gk, gp) of one channel group's (2n, W) ``vk`` and
-    (n, P) ``vp`` for its (B, n, M) frame gradient ``g``, from the
-    correlations its forward kept in ``ws``.  Like the forward, it makes
-    the spectrum of each (row, block) item of ``vx`` itself, in ``block``.
+    (n, P) ``vp`` for its (B, n, M) frame gradient ``g``, on the same walk
+    as the forward, over the correlations that it kept.
     """
-    batch, n, n_frames = g.shape
-    n_samples = vx.shape[1]
-    width, pool_width = vk.shape[1], vp.shape[1]
-    half, pool_half = (width - 1) // 2, (pool_width - 1) // 2
-    size, span, n_blocks = _block_layout(n_samples, width)
-    dtype = ws.energy.dtype
-    # einsum zeroes its output, so the sum over earlier rows enters each
-    # row's einsum as a leading frame of weight 1, followed by frames of
-    # weight 0 up to the row's haloed energy.  With stride > 1 einsum adds
-    # frame after frame, so the terms add in the order of one einsum over
-    # the whole batch
-    lead = -(-pool_width // stride)
-    d_corr, spec, energy = ws.d_corr, ws.prod, ws.energy  # d_corr is zero past ``span``
+    n_samples, width = vx.shape[1], vk.shape[1]
+    half = (width - 1) // 2
+    size, span, _ = _block_layout(n_samples, width)
+    d_corr, spec = ws.d_corr, ws.prod  # d_corr is zero past ``span``
     # the kernel gradient's spectrum is the sum over rows and blocks
     # of xf conj(rfft(d corr)), accumulated as its conjugate:
     # conj(a) b = conj(a conj(b)) exactly
     spec[...] = 0.0
-    frame_weights = np.zeros((n, lead + n_frames), dtype=dtype)
-    frame_weights[:, 0] = 1.0
-    windows = sliding_window_view(energy, pool_width, axis=1)[:, ::stride][:, : lead + n_frames]
-    gp = np.zeros((n, pool_width), dtype=dtype)
-    for b in range(batch):
-        # d corr = 2 d_energy corr; the 2 is folded into g (exact)
-        d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, dtype)[0]
-        for i in range(n_blocks):
-            start = i * span
-            keep = min(span, n_samples - start)
-            corr = ws.corr[b * n_blocks + i]
-            at = lead * stride + pool_half + start
-            _square_sum(corr, keep, energy[:, at: at + keep], d_corr[1])
-            d_corr[..., keep:span] = 0.0  # a short last block: clear the previous block's tail
-            np.multiply(d_energy[:, start: start + keep], corr[..., :keep], out=d_corr[..., :keep])
-            term = _fft.rfft(d_corr, axis=-1)
-            xf = _block_spectrum(vx[b], start, half, block)
-            term *= np.conjugate(xf, out=xf)
-            spec += term
-        energy[:, :pool_width] = gp
-        frame_weights[:, lead:] = g[b]
-        gp = np.einsum("nm,nmp->np", frame_weights, windows)
+    gp = np.zeros(vp.shape, dtype=d_corr.dtype)
+    for b, start, keep, xf, corr, frames, windows in _walk(ws, vx, block, vk, vp, stride, transform=False):
+        if not start:  # d corr = 2 d_energy corr; the 2 is folded into g (exact)
+            d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, d_corr.dtype)[0]
+        d_corr[..., keep:span] = 0.0  # a short last block: clear the previous block's tail
+        np.multiply(d_energy[:, start: start + keep], corr[..., :keep], out=d_corr[..., :keep])
+        term = _fft.rfft(d_corr, axis=-1)
+        term *= np.conjugate(xf, out=xf)
+        spec += term
+        gp += np.einsum("nm,nmp->np", g[b, :, frames], windows)
     dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
     gk = np.empty_like(vk)
     gk[0::2], gk[1::2] = np.concatenate([dk_full[..., size - half:], dk_full[..., : width - half]], axis=-1)
@@ -597,15 +594,6 @@ def _kernel_spectrum(kernels, shifted):
         rows[:, size - half:] = part[:, :half]
     spectrum = _fft.rfft(shifted, axis=-1)
     return np.conjugate(spectrum, out=spectrum)
-
-
-def _square_sum(corr, keep, dest, scratch):
-    """dest = energy of the first ``keep`` samples of a (2, n, size)
-    correlation block, [real; imaginary] on its first axis.  The imaginary
-    squares go through ``scratch``, n rows of at least ``keep`` samples,
-    which may be the imaginary half itself."""
-    np.multiply(corr[0, :, :keep], corr[0, :, :keep], out=dest)
-    dest += np.multiply(corr[1, :, :keep], corr[1, :, :keep], out=scratch[:, :keep])
 
 
 def _transposed_pool(g, pool_kernels, stride, n_samples, dtype):
@@ -660,13 +648,8 @@ def ema(feats, smooth):
         if _live(feats):
             gf = adj * vs[:, None]
             gf[..., 0] = adj[..., 0]
-        if _live(smooth) and n_frames > 1:
-            # the frames' terms, each summed over the batch axes, then added in
-            # a fixed order, d/d(1 - s) late to early and d/ds early to late,
-            # which keeps the gradient's bits (tests/test_golden.py)
-            frames = vs.shape + (n_frames - 1,)
-            d_keep = functools.reduce(np.add, _unbroadcast(adj[..., 1:] * out[..., :-1], frames).T[::-1])
-            gs = functools.reduce(np.add, _unbroadcast(adj[..., 1:] * vf[..., 1:], frames).T, -d_keep)
+        if _live(smooth):
+            gs = _unbroadcast((adj[..., 1:] * (vf[..., 1:] - out[..., :-1])).sum(axis=-1), vs.shape)
         return gf, gs
 
     return _node(out, (feats, smooth), vjp)

@@ -8,7 +8,8 @@ numpy and scipy versions and numpy's dispatched SIMD targets they were
 made with.  Rounding may differ between library versions and between the
 SIMD loops numpy picks for a CPU (with AVX-512 off, most of the digests
 move), so on other versions or targets the test skips; it never compares
-at a tolerance.
+at a tolerance.  ``test_cli.py``'s stored ``gradcheck --seed 0`` output
+skips by the same rule.
 
 Regenerate the file, after a change that moves bits on purpose, with::
 
@@ -117,13 +118,21 @@ def compute_digests():
     return out
 
 
-def test_digests_match_golden():
+def skip_off_the_golden_platform(what):
+    """Skip the calling test, naming both sides, unless numpy, scipy and
+    numpy's SIMD targets are those ``golden.json`` was made with; ``what``
+    names the stored numbers the test compares.  Returns the golden file."""
     golden = json.loads(GOLDEN.read_text())
     if golden["versions"] != _versions():
-        pytest.skip(f"golden digests were made with {golden['versions']}, this is {_versions()}")
+        pytest.skip(f"{what} were made with {golden['versions']}, this is {_versions()}")
     if golden["simd"] != simd_targets():
-        pytest.skip(f"golden digests were made on numpy SIMD targets {golden['simd']}, "
+        pytest.skip(f"{what} were made on numpy SIMD targets {golden['simd']}, "
                     f"this CPU dispatches to {simd_targets()}")
+    return golden
+
+
+def test_digests_match_golden():
+    golden = skip_off_the_golden_platform("golden digests")
     assert compute_digests() == golden["digests"]
 
 

@@ -3,10 +3,11 @@
 Every operation's vjp is checked against central finite differences on
 random inputs; the fused filter-pool primitive is additionally checked
 against naive O(T*W) loops and np.correlate, its pooling adjoint against
-an np.add.at scatter, the moving average against a frame-by-frame loop.
+an np.add.at scatter and its pooling kernels' gradient against a direct
+sum, the moving average and its smoothing gradient against frame-by-frame
+loops.
 """
 
-import functools
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -266,15 +267,31 @@ class TestDepthwisePool:
         np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
 
-def direct_filter_pool(x, kernels, pool_kernels, stride):
-    """Plain-numpy oracle: np.correlate, square-sum, pooling at kept frames."""
+def direct_energy(x, kernels):
+    """Plain-numpy oracle of the (B, N, T) energy: np.correlate, square-sum."""
     h = (kernels.shape[1] - 1) // 2
+    corr = np.array([[np.correlate(np.pad(row, h), k, "valid") for k in kernels] for row in x])
+    return corr[:, 0::2] ** 2 + corr[:, 1::2] ** 2
+
+
+def direct_filter_pool(x, kernels, pool_kernels, stride):
+    """Plain-numpy oracle: the direct energy, pooled at kept frames."""
     hp = (pool_kernels.shape[1] - 1) // 2
     m = -(-x.shape[1] // stride)
-    corr = np.array([[np.correlate(np.pad(row, h), k, "valid") for k in kernels] for row in x])
-    energy = corr[:, 0::2] ** 2 + corr[:, 1::2] ** 2
     return np.array([[np.correlate(np.pad(e, hp), pk, "valid")[::stride][:m]
-                      for e, pk in zip(row, pool_kernels)] for row in energy])
+                      for e, pk in zip(row, pool_kernels)] for row in direct_energy(x, kernels)])
+
+
+def direct_pool_kernel_grad(x, kernels, pool_width, stride, g):
+    """Plain-numpy oracle of the pooling kernels' gradient for frame
+    gradient g: gp[n, p] = sum over b, m of g[b, n, m] E[b, n, m*stride + p - hp],
+    with E the direct energy, zero outside the signal."""
+    hp = (pool_width - 1) // 2
+    padded = np.pad(direct_energy(x, kernels), ((0, 0), (0, 0), (hp, hp)))
+    gp = np.zeros((g.shape[1], pool_width))
+    for m in range(g.shape[2]):
+        gp += np.einsum("bn,bnp->np", g[..., m], padded[..., m * stride: m * stride + pool_width])
+    return gp
 
 
 def unit_rows(rng, shape):
@@ -296,6 +313,11 @@ STREAMING_EDGES = [
     # frame 3 reads samples 19..23, the last of block 0
     pytest.param(100, 5, 7, id="window-ends-on-boundary"),
     pytest.param(5, 3, 2, id="shorter-than-kernel"),
+]
+# (n_samples, pool_width, stride, FFT_BLOCK): one block, and the streaming edges
+ONE_BLOCK_AND_STREAMING_EDGES = [
+    pytest.param(300, 5, 3, tape.FFT_BLOCK, id="one-block"),
+    *[pytest.param(*case.values, 32, id=case.id) for case in STREAMING_EDGES],
 ]
 
 
@@ -361,6 +383,18 @@ class TestFilterPool:
             numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), value)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
+    def test_pool_kernel_gradient_matches_direct_oracle(self, monkeypatch, n_samples, pool_width, stride,
+                                                         fft_block):
+        monkeypatch.setattr(tape, "FFT_BLOCK", fft_block)
+        rng = np.random.default_rng(n_samples + pool_width)
+        x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width)
+        node = tape.filter_pool(x, kernels, tape.leaf(pool_kernels), stride)
+        g = rng.standard_normal(node.shape)
+        _, _, gp = node.vjp(g)
+        np.testing.assert_allclose(gp, direct_pool_kernel_grad(x, kernels, pool_width, stride, g),
+                                   rtol=0, atol=1e-12)
+
     def test_float32_in_float32_out(self):
         x, kernels, pool_kernels = filter_pool_inputs(RNG, 2000, 41, 21)
         out = tape.filter_pool(x.astype(np.float32), tape.leaf(kernels.astype(np.float32)),
@@ -378,6 +412,12 @@ class TestFilterPool:
         x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, width, pool_width)
         with pytest.raises(ValueError, match=f"^{message}$"):
             tape.filter_pool(x, kernels[:n_kernels], pool_kernels, 4)
+
+    @pytest.mark.parametrize("stride", [0, -2])
+    def test_stride_below_1_raises(self, stride):
+        x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
+        with pytest.raises(ValueError, match=f"^stride must be at least 1, got stride={stride}$"):
+            tape.filter_pool(x, kernels, pool_kernels, stride)
 
     def test_live_signal_raises(self):
         x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
@@ -406,10 +446,7 @@ class TestChannelGroups:
         return out.value, kv.grad, pv.grad
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", [
-        pytest.param(300, 5, 3, tape.FFT_BLOCK, id="one-block"),
-        *[pytest.param(*case.values, 32, id=case.id) for case in STREAMING_EDGES],
-    ])
+    @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
     def test_three_channels(self, monkeypatch, dtype, n_samples, pool_width, stride, fft_block):
         # N = 3: two groups split it 1 + 2, three or four give one channel each
         monkeypatch.setattr(tape, "FFT_BLOCK", fft_block)
@@ -619,27 +656,22 @@ class TestEma:
         check_op(lambda v: tape.reduce_sum(tape.ema(v, s) * weights), f)
         check_op(lambda v: tape.reduce_sum(tape.ema(f, v) * weights), s)
 
-    @pytest.mark.parametrize("shape", [(2, 3, 12), (4, 6, 2), (3, 5)])
+    @pytest.mark.parametrize("shape", [(2, 3, 12), (4, 6, 2), (3, 5), (2, 3, 1)])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_smoothing_gradient_adds_frame_by_frame(self, shape, dtype):
-        # reference: one batch-summed term per frame, d/d(1 - s) added late
-        # to early, then d/ds early to late; the adjoint must keep its bits
-        f = RNG.uniform(0.0, 3.0, shape).astype(dtype)
-        s = RNG.uniform(0.05, 0.9, shape[-2]).astype(dtype)
-        g = RNG.standard_normal(shape).astype(dtype)
-        node = tape.ema(f, tape.leaf(s))
-        out, n_frames, batch_axes = node.value, shape[-1], tuple(range(len(shape) - 2))
-        adj = np.empty_like(out)
-        adj[..., -1] = g[..., -1]
-        for t in range(n_frames - 1, 0, -1):
-            adj[..., t - 1] = g[..., t - 1] + adj[..., t] * (1.0 - s)
-        d_keep = functools.reduce(np.add, ((adj[..., t] * out[..., t - 1]).sum(axis=batch_axes)
-                                           for t in range(n_frames - 1, 0, -1)))
-        expected = functools.reduce(np.add, ((adj[..., t] * f[..., t]).sum(axis=batch_axes)
-                                             for t in range(1, n_frames)), -d_keep)
-        _, gs = node.vjp(g)
+    def test_smoothing_gradient_matches_frame_loop(self, shape, dtype):
+        # reference, in float64: d out[t]/ds = f[t] - out[t-1] + (1 - s) d out[t-1]/ds,
+        # frame by frame, times g and summed over the batch and the frames
+        f = RNG.uniform(0.0, 3.0, shape)
+        s = RNG.uniform(0.05, 0.9, shape[-2])
+        g = RNG.standard_normal(shape)
+        out, d_out = ema_loop(f, s), np.zeros(shape)
+        for t in range(1, shape[-1]):
+            d_out[..., t] = f[..., t] - out[..., t - 1] + (1.0 - s) * d_out[..., t - 1]
+        expected = (g * d_out).reshape(-1, *shape[-2:]).sum(axis=(0, 2))
+        _, gs = tape.ema(f.astype(dtype), tape.leaf(s.astype(dtype))).vjp(g.astype(dtype))
         assert gs.dtype == dtype
-        assert gs.tobytes() == expected.tobytes()
+        if dtype == np.float64:
+            np.testing.assert_allclose(gs, expected, rtol=1e-12)
 
 
 class TestSoftmaxCrossEntropy:
