@@ -136,7 +136,14 @@ def _load_or_init_params(args, cfg):
     return params
 
 
+def _require_file_out(command: str, out) -> None:
+    """Refuse an ``--out`` file that cannot be written, before any work is done."""
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise ValueError(f"{command} --out must be a file in an existing directory, got {out}")
+
+
 def cmd_extract(args) -> int:
+    _require_file_out("extract", args.out)
     cfg = build_config(args)
     wav = load_wav(args.input)
     if args.compare:
@@ -251,8 +258,7 @@ def cmd_bootstrap(args) -> int:
 
 
 def cmd_noise_sweep(args) -> int:
-    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-        raise ValueError(f"noise-sweep --out must be a file in an existing directory, got {args.out}")
+    _require_file_out("noise-sweep", args.out)
     task = make_task(args.task)
     snrs = [float(s) for s in args.snr_db.split(",")]
     variants = [build_config(args, name.strip()) for name in args.frontends.split(",")]

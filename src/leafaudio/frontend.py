@@ -40,6 +40,9 @@ PCEN_EPS = 1e-6
 
 SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# STFT frames per chunk of mel_power_features: eight 1 s rows at hop 160
+_CHUNK_FRAMES = 800
+
 COMPRESSIONS = ("log", "pcen", "spcen")
 FILTERINGS = ("gabor", "normalized_conv", "mel")
 
@@ -187,15 +190,23 @@ def mel_power_features(xs: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
     """STFT power at hop ``pool_stride`` projected on the mel filterbank, (B, M, N).
 
     Every row depends only on its own samples, so contiguous row shards
-    run on the worker pool, each writing its rows of the one output; the
-    result does not depend on the shard count, bit for bit.
+    run on the worker pool, each writing its rows of the one output. A
+    shard runs as consecutive chunks of whole rows, each of at most
+    ``_CHUNK_FRAMES`` STFT frames (a longer row is a chunk of its own), so
+    the STFT temporaries are bounded by one chunk per shard, not by the
+    batch. The result does not depend on the shard or chunk count, bit for
+    bit.
     """
     batch, n_samples = xs.shape
     mel = mel_matrix(cfg).T
-    out = np.empty((batch, -(-n_samples // cfg.pool_stride), cfg.n_filters))
+    n_frames = -(-n_samples // cfg.pool_stride)
+    out = np.empty((batch, n_frames, cfg.n_filters))
+    rows = max(1, _CHUNK_FRAMES // max(n_frames, 1))
 
     def project(lo, hi):
-        np.matmul(stft_power(xs[lo:hi], cfg.n_fft, cfg.pool_stride), mel, out=out[lo:hi])
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            np.matmul(stft_power(xs[start:stop], cfg.n_fft, cfg.pool_stride), mel, out=out[start:stop])
 
     workers.run([functools.partial(project, lo, hi) for lo, hi in workers.shards(batch)])
     return out

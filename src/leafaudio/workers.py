@@ -5,8 +5,10 @@ clip shards and ``frontend.mel_power_features`` its STFT row shards.  Each
 of them splits its work into contiguous parts with :func:`bounds`, computes
 every part by the same operations whatever the split, and writes or
 returns the parts in order, so results do not depend on the part count,
-bit for bit.  numpy and scipy release the interpreter lock in their array
-loops and FFTs, so the parts run on separate cores.
+bit for bit.  A mel row shard runs as consecutive chunks of whole rows, so
+its memory is one chunk's, not its share of the batch.  numpy and scipy
+release the interpreter lock in their array loops and FFTs, so the parts
+run on separate cores.
 
 A task run on the pool never submits to the pool: a worker waiting on the
 pool could wait on itself.  The pool is made on first use, not at import.

@@ -86,6 +86,17 @@ class TestExtract:
             "a feature file stores whole Hz\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("where", ["a-directory", "in-a-missing-directory"])
+    def test_out_that_cannot_be_written_exits_1_before_the_frontend(self, where, tone_wav, tmp_path,
+                                                                    monkeypatch, capsys):
+        monkeypatch.setattr(cli, "frontend_forward", no_frontend)
+        out = tmp_path if where == "a-directory" else tmp_path / "missing" / "x.leaf"
+        assert main(["extract", "--input", str(tone_wav), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"ValueError: extract --out must be a file in an existing directory, got {out}\n"
+        assert sorted(tmp_path.iterdir()) == [tone_wav]
+
     def test_missing_file_is_runtime_error(self, tmp_path, capsys):
         code = main(["extract", "--input", str(tmp_path / "nope.wav")])
         assert code == 1
@@ -363,6 +374,10 @@ STEPS_OR_BATCH_BELOW_1 = [
 
 def no_batch(*args, **kwargs):
     raise AssertionError("a batch was drawn before the refusal")
+
+
+def no_frontend(*args, **kwargs):
+    raise AssertionError("the frontend ran before the refusal")
 
 
 def no_training(*args, **kwargs):
