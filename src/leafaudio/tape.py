@@ -36,9 +36,9 @@ squares again into the same buffer, and adds each block's windows times
 their frames' gradient into the pooling-kernel gradient.  Per row, the
 frame gradient, times the 2 of d|z|^2, is spread back over the samples by
 the transposed pooling, one batched matmul over the channels.  Per block,
-``2 g corr`` is written into one reused FFT-length buffer and transformed,
+``2 g corr`` is written into a reused FFT-length buffer and transformed,
 and its product with the block's spectrum, one of them conjugated, is
-added into a single (2, N, F) accumulator, whose one inverse FFT gives the
+added into a single (2, N, F) accumulator, whose inverse FFT gives the
 kernel gradient.
 
 All of that work is per channel, so :func:`filter_pool` splits the N
@@ -49,26 +49,34 @@ independent task on the package's worker pool (``workers``), forward and
 backward, and shares nothing with the other groups: in each pass it makes
 its own block spectra, runs the walk above and writes its own channels of
 the output or its own kernels' gradients.  With one group it runs in the
-calling thread.  Every number is computed by the same operations whatever
-the grouping, so values and gradients do not depend on ``GROUPS``, bit for
-bit.
+calling thread.  Inside a block, a group runs its per-channel work, from
+the spectrum product to the squared energy forward and from ``d_corr`` to
+the spectrum accumulator backward, over chunks of channels whose
+correlations take about ``_CHUNK_BYTES`` (1 MiB: 4 channels of a float64
+``FFT_BLOCK``, 8 of a float32 1 s clip), in chunk-sized buffers.  Every
+number is computed by the same operations whatever the grouping and the
+chunking, so values and gradients depend on neither, bit for bit.
 
-One workspace is lent per call: the padded kernels, the spectrum product,
-the correlations, the pooling buffer and, for the adjoint, ``d_corr``,
-each holding the channels on one axis, so that a group works in views of
-its own.  A call takes the spare that the last call of its shape left, or
-makes one; one spare, of the last shape, is kept.  A call with nothing to
-differentiate hands the workspace back as it returns.  A differentiable
-node keeps it, with its correlations, until it dies: a finalizer on the
-node's adjoint then hands it back.  So two live graphs never share a
-buffer, ``backward`` may run twice on one graph, and each training step
-reuses the last one's memory instead of taking fresh pages from the system
-(~100 MB a step at B=16, 1 s, float32).
+One workspace is lent per call.  Only three of its buffers hold every
+channel, on one axis, so that a group works in views of its own:
+the kernel spectra, which the adjoint reuses as its accumulator, the
+pooling buffer and, for the adjoint, the kept correlations.  Each group
+gets a set of chunk buffers of its own.  A call takes the spare that the
+last call of its shape left, or makes one; one spare, of the last shape,
+is kept.  A call with nothing to differentiate hands the workspace back as
+it returns.  A differentiable node keeps it, with its correlations, until
+it dies: a finalizer on the node's adjoint then hands it back.  So two
+live graphs never share a buffer, ``backward`` may run twice on one graph,
+and each training step reuses the last one's memory instead of taking
+fresh pages from the system (92.5 MiB a step at B=16, 1 s, float32,
+79.1 MiB of it correlations; 21.1 MiB for a forward-only float64 call of
+``FFT_BLOCK`` samples a block).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import threading
 import weakref
 from types import SimpleNamespace
@@ -80,6 +88,11 @@ from scipy import fft as _fft
 from . import workers
 
 FFT_BLOCK = 16384
+# filter_pool runs each group's per-channel work over chunks of channels
+# whose correlations take about this many bytes (4 channels of a float64
+# FFT_BLOCK, 8 of a float32 1 s clip), in chunk-sized buffers: channel-wide
+# ones would set the memory of every call
+_CHUNK_BYTES = 2 ** 20
 
 # filter_pool's channel groups, one per CPU this process may run on, run
 # on the shared worker pool.  A group gets at least MIN_GROUP_WORK
@@ -369,20 +382,26 @@ def filter_pool(x, kernels, pool_kernels, stride):
     as soon as the block that completes its window is made.  The channels
     run as up to ``GROUPS`` contiguous groups, each one task on the worker
     pool, forward and backward, that makes the signal's block spectra
-    itself; the result does not depend on the grouping.  Only ``kernels``
-    and ``pool_kernels`` are differentiated; the adjoint computes both
+    itself, and a group's per-channel work runs over chunks of a few
+    channels; the result depends on neither.  Only ``kernels`` and
+    ``pool_kernels`` are differentiated; the adjoint computes both
     gradients whenever either is live and returns None for a constant one.
+    ``x`` must be 2-D and ``stride`` an integer of at least 1, or it
+    raises ``ValueError``.
 
     The call works in one workspace, the spare of the last call shape or a
-    new one, and each group in the views of its own channels.  A call with
-    nothing live hands the workspace back as it returns; otherwise the node
-    keeps it, with every block's correlations, until the node dies.  The
-    node keeps no block spectra: the backward walks the blocks like the
-    forward, in the same pooling buffer, and makes them again.
+    new one, and each group in the views of its own channels and in chunk
+    buffers of its own.  A call with nothing live hands the workspace back
+    as it returns; otherwise the node keeps it, with every block's
+    correlations, until the node dies.  The node keeps no block spectra:
+    the backward walks the blocks like the forward, in the same pooling
+    buffer, and makes them again.
     """
     if _live(x):
         raise ValueError("filter_pool does not differentiate its signal; pass x as a constant")
     vx, vk, vp = _value(x), _value(kernels), _value(pool_kernels)
+    if vx.ndim != 2:
+        raise ValueError(f"filter_pool takes a (batch, samples) signal, got shape {vx.shape}")
     batch, n_samples = vx.shape
     n_kernels, width = vk.shape
     n, pool_width = vp.shape
@@ -390,23 +409,31 @@ def filter_pool(x, kernels, pool_kernels, stride):
         raise ValueError("kernel length must be odd")
     if n_kernels != 2 * n:
         raise ValueError(f"{n_kernels} filter kernels do not pair with {n} pooling kernels")
+    try:
+        stride = operator.index(stride)
+    except TypeError:
+        raise ValueError(f"stride must be an integer, got stride={stride!r}") from None
     if stride < 1:
         raise ValueError(f"stride must be at least 1, got stride={stride}")
     dtype = np.result_type(vx.dtype, vk.dtype, np.float32)
     out = np.empty((batch, n, -(-n_samples // stride)), dtype=dtype)
     live = _live(kernels) or _live(pool_kernels)
     size, span, n_blocks = _block_layout(n_samples, width)
+    chunk = min(n, max(1, _CHUNK_BYTES // (2 * size * dtype.itemsize)))
     # everything the workspace's shapes and dtypes depend on; FFT_BLOCK
-    # enters through size
-    key = (vx.shape, vk.shape, vk.dtype, pool_width, stride, dtype, live, size)
-    ws = _take_spare(key) or _workspace(n, vk.dtype, dtype, batch, n_samples, width, pool_width, live)
+    # enters through size, _CHUNK_BYTES through chunk
+    key = (vx.shape, vk.shape, vk.dtype, pool_width, dtype, live, size, chunk)
+    ws = _take_spare(key) or _workspace(n, dtype, batch, n_samples, width, pool_width, live)
     bounds = _channel_groups(n, batch * n_blocks * size * n)
-    # each group works in the views of its own channels of every buffer and
-    # lays its blocks out in a row of ``blocks``, made here because an array
-    # made and freed in a pool thread costs page faults
+    # each group works in the views of its own channels of the channel-wide
+    # buffers, in a set of chunk buffers of its own and in a row of
+    # ``blocks``, all made here because an array made and freed in a pool
+    # thread costs page faults
+    ws.chunks += [_chunk_buffers(chunk, size, vk.dtype, dtype) for _ in range(len(bounds) - len(ws.chunks))]
     blocks = np.empty((len(bounds), size), dtype=vx.dtype)
-    groups = [(SimpleNamespace(**{name: buf[..., lo:hi, :] for name, buf in vars(ws).items()}),
-               vx, block, vk[2 * lo: 2 * hi], vp[lo:hi], stride) for block, (lo, hi) in zip(blocks, bounds)]
+    groups = [(SimpleNamespace(**{name: buf[..., lo:hi, :] for name, buf in vars(ws).items() if name != "chunks"},
+                               **vars(chunks)), vx, block, vk[2 * lo: 2 * hi], vp[lo:hi], stride)
+              for block, chunks, (lo, hi) in zip(blocks, ws.chunks, bounds)]
     workers.run([functools.partial(_forward_group, *group, out[:, lo:hi])
                  for group, (lo, hi) in zip(groups, bounds)])
     if not live:
@@ -430,30 +457,37 @@ def _channel_groups(n, work):
     return workers.bounds(n, max(1, min(GROUPS, n, work // MIN_GROUP_WORK)))
 
 
-def _workspace(n, kernel_dtype, dtype, batch, n_samples, width, pool_width, live):
+def _workspace(n, dtype, batch, n_samples, width, pool_width, live):
     """The buffers of :func:`filter_pool` calls of one shape, in a
-    namespace, each with the N channels on its second-last axis.  No
-    buffer holds a block spectrum: each group makes its own, forward and
-    backward.
+    namespace.  No buffer holds a block spectrum: each group makes its
+    own, forward and backward.
 
-    They are the forward's padded kernels and spectrum product, each with
-    [real; imaginary] on a leading axis of 2, the correlations (every
-    item's when ``live``, else one item's) and the haloed pooling buffer,
-    and with ``live`` the backward's ``d_corr``.  The
-    backward accumulates its spectrum in the product's buffer, and
-    ``d_corr``'s imaginary half holds the square-sum temporary of both
-    passes.  The buffers made zero are written only where their
-    nonzero values go, so the rest stays zero from call to call.
+    The channel-wide ones hold the N channels on their second-last axis:
+    the conjugate kernel spectra, with [real; imaginary] on a leading axis
+    of 2, which the backward reuses as its spectrum accumulator, the haloed
+    pooling buffer and, with ``live``, every item's and block's
+    correlations.  ``chunks`` holds a set of :func:`_chunk_buffers` for
+    each group a call has run, added as calls need them.
     """
     size, span, n_blocks = _block_layout(n_samples, width)
     ws = SimpleNamespace(
-        shifted=np.zeros((2, n, size), dtype=kernel_dtype),
-        prod=np.empty((2, n, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
-        corr=np.empty((batch * n_blocks if live else 1, 2, n, size), dtype=dtype),
-        held=np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype))
+        spectra=np.empty((2, n, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
+        held=np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype),
+        chunks=[])
     if live:
-        ws.d_corr = np.zeros((2, n, size), dtype=dtype)
+        ws.corr = np.empty((batch * n_blocks, 2, n, size), dtype=dtype)
     return ws
+
+
+def _chunk_buffers(chunk, size, kernel_dtype, dtype):
+    """One group's buffers for the work of up to ``chunk`` channels at a
+    time, each with [real; imaginary] on a leading axis of 2 (see
+    :func:`_walk`).  ``shifted`` is written only where kernels go, so the
+    rest stays zero from call to call."""
+    return SimpleNamespace(
+        shifted=np.zeros((2, chunk, size), dtype=kernel_dtype),
+        prod=np.empty((2, chunk, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
+        scratch=np.empty((2, chunk, size), dtype=dtype))
 
 
 def _take_spare(key):
@@ -486,27 +520,49 @@ def _block_spectrum(row, start, half, block):
     return _fft.rfft(block)
 
 
+def _chunks(ws):
+    """[lo, hi) bounds of the channel chunks of a group's views ``ws``: as
+    wide as its chunk buffers but the last.  Full chunks, not even ones:
+    scipy's FFT runs rows a SIMD vector's worth at a time, so leftover rows
+    cost more (float32, 16200 samples: 60 us a row in a 7-channel chunk, 47
+    in an 8-channel one)."""
+    n, width = ws.held.shape[0], ws.scratch.shape[1]
+    return [(lo, min(lo + width, n)) for lo in range(0, n, width)]
+
+
 def _walk(ws, vx, block, vk, vp, stride, transform):
     """The streaming walk of one channel group, with (2n, W) ``vk`` and
     (n, P) ``vp``, over the rows and blocks of the signal ``vx``, in the
-    views ``ws`` of the group's channels of the workspace.
+    views ``ws`` of the group's channels of the workspace and its own
+    chunk buffers.
 
-    Per block it makes the spectrum, in ``block``, and the correlations:
-    with ``transform`` by inverse FFT into ``ws.corr`` (kept for every
-    block when ``ws`` has a ``d_corr``), else it reads the kept ones.  It
-    squares them into ``ws.held`` and yields (row, start, keep, spectrum,
-    correlations, frames, windows): the block's first sample and length,
-    the slice of the frames whose window the block completes and their
-    (n, frames, P) windows, valid until the next block.  Plain numpy only,
-    so that groups can run on threads of their own.
+    The per-channel work runs over chunks of the group's channels, each
+    in (2, C, ...) chunk buffers that :func:`filter_pool` sizes so that
+    one chunk's correlations take about ``_CHUNK_BYTES``: ``shifted`` for
+    the padded kernels, ``prod`` for the spectrum product and ``scratch``
+    for the correlations when they are not kept, else for the backward's
+    ``d_corr``; its imaginary half holds the square-sum temporary.
+
+    With ``transform`` it first fills ``ws.spectra`` with the kernels'
+    conjugate spectra.  Per block it makes the signal's spectrum, in
+    ``block``, and the correlations: with ``transform`` by inverse FFT
+    (into ``ws.corr``, kept for every block, when there is one), else it
+    reads the kept ones.  It squares them into ``ws.held`` and yields (row,
+    start, keep, spectrum, correlations, frames, windows): the block's
+    first sample and length, its kept correlations or None, the slice of
+    the frames whose window the block completes and their (n, frames, P)
+    windows, valid until the next block.  Plain numpy only, so that groups
+    can run on threads of their own.
     """
     batch, n_samples = vx.shape
     width, pool_width = vk.shape[1], vp.shape[1]
     pool_half = (pool_width - 1) // 2
     n_frames = -(-n_samples // stride)
     size, span, n_blocks = _block_layout(n_samples, width)
-    kf_conj = _kernel_spectrum(vk, ws.shifted) if transform else None
-    kept = hasattr(ws, "d_corr")
+    chunks = _chunks(ws)
+    if transform:
+        _kernel_spectra(vk, ws.shifted, ws.spectra, chunks)
+    kept = hasattr(ws, "corr")
     # the haloed energy samples [lo, lo + filled) of one row: the unfinished
     # tail of the last frame window (< P), one block's span and the right halo
     held = ws.held
@@ -518,14 +574,17 @@ def _walk(ws, vx, block, vk, vp, stride, transform):
             start = i * span
             keep = min(span, n_samples - start)
             xf = _block_spectrum(vx[b], start, (width - 1) // 2, block)
-            corr = ws.corr[b * n_blocks + i if kept else 0]
-            if transform:
-                np.fft.irfft(np.multiply(xf, kf_conj, out=ws.prod), size, axis=-1, out=corr)
-            energy = held[:, filled: filled + keep]
-            np.multiply(corr[0, :, :keep], corr[0, :, :keep], out=energy)
-            # the imaginary half squares in place unless it is kept
-            energy += np.multiply(corr[1, :, :keep], corr[1, :, :keep],
-                                  out=(ws.d_corr if kept else corr)[1, :, :keep])
+            corr = ws.corr[b * n_blocks + i] if kept else None
+            for c_lo, c_hi in chunks:
+                part = corr[:, c_lo:c_hi] if kept else ws.scratch[:, : c_hi - c_lo]
+                if transform:
+                    np.fft.irfft(np.multiply(xf, ws.spectra[:, c_lo:c_hi], out=ws.prod[:, : c_hi - c_lo]),
+                                 size, axis=-1, out=part)
+                energy = held[c_lo:c_hi, filled: filled + keep]
+                np.multiply(part[0, :, :keep], part[0, :, :keep], out=energy)
+                # the imaginary half squares in place unless it is kept
+                energy += np.multiply(part[1, :, :keep], part[1, :, :keep],
+                                      out=ws.scratch[1, : c_hi - c_lo, :keep])
             filled += keep
             if i == n_blocks - 1:
                 held[:, filled: filled + pool_half] = 0.0
@@ -556,8 +615,9 @@ def _backward_group(ws, vx, block, vk, vp, stride, g):
     """
     n_samples, width = vx.shape[1], vk.shape[1]
     half = (width - 1) // 2
-    size, span, _ = _block_layout(n_samples, width)
-    d_corr, spec = ws.d_corr, ws.prod  # d_corr is zero past ``span``
+    size = ws.scratch.shape[-1]
+    chunks = _chunks(ws)
+    d_corr, spec = ws.scratch, ws.spectra
     # the kernel gradient's spectrum is the sum over rows and blocks
     # of xf conj(rfft(d corr)), accumulated as its conjugate:
     # conj(a) b = conj(a conj(b)) exactly
@@ -566,21 +626,29 @@ def _backward_group(ws, vx, block, vk, vp, stride, g):
     for b, start, keep, xf, corr, frames, windows in _walk(ws, vx, block, vk, vp, stride, transform=False):
         if not start:  # d corr = 2 d_energy corr; the 2 is folded into g (exact)
             d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, d_corr.dtype)[0]
-        d_corr[..., keep:span] = 0.0  # a short last block: clear the previous block's tail
-        np.multiply(d_energy[:, start: start + keep], corr[..., :keep], out=d_corr[..., :keep])
-        term = _fft.rfft(d_corr, axis=-1)
-        term *= np.conjugate(xf, out=xf)
-        spec += term
+        d_corr[..., keep:] = 0.0  # the rfft reads it all: clear what a longer block or an irfft left
+        np.conjugate(xf, out=xf)
+        for lo, hi in chunks:
+            part = d_corr[:, : hi - lo]
+            np.multiply(d_energy[lo:hi, start: start + keep], corr[:, lo:hi, :keep], out=part[..., :keep])
+            term = _fft.rfft(part, axis=-1)
+            term *= xf
+            spec[:, lo:hi] += term
         gp += np.einsum("nm,nmp->np", g[b, :, frames], windows)
-    dk_full = _fft.irfft(np.conjugate(spec, out=spec), size, axis=-1)
     gk = np.empty_like(vk)
-    gk[0::2], gk[1::2] = np.concatenate([dk_full[..., size - half:], dk_full[..., : width - half]], axis=-1)
+    for lo, hi in chunks:
+        dk = np.fft.irfft(np.conjugate(spec[:, lo:hi], out=spec[:, lo:hi]), size, axis=-1,
+                          out=d_corr[:, : hi - lo])
+        gk[2 * lo: 2 * hi: 2], gk[2 * lo + 1: 2 * hi: 2] = np.concatenate(
+            [dk[..., size - half:], dk[..., : width - half]], axis=-1)
     return gk, gp
 
 
-def _kernel_spectrum(kernels, shifted):
-    """Conjugate spectra of (2n, W) kernels for correlation at the length
-    of ``shifted``, a (2, n, size) buffer that is zero but where kernels go.
+def _kernel_spectra(kernels, shifted, spectra, chunks):
+    """Fill ``spectra`` (2, n, F) with the conjugate spectra of (2n, W)
+    kernels for correlation at the length of ``shifted``, chunk by chunk
+    of ``chunks`` in ``shifted``, a (2, C, size) buffer that is zero but
+    where kernels go.
 
     The real rows go to ``shifted[0]`` and the imaginary ones to
     ``shifted[1]``, and each kernel is laid out circularly with its center
@@ -589,11 +657,11 @@ def _kernel_spectrum(kernels, shifted):
     width = kernels.shape[1]
     half = (width - 1) // 2
     size = shifted.shape[-1]
-    for rows, part in zip(shifted, (kernels[0::2], kernels[1::2])):
-        rows[:, : width - half] = part[:, half:]
-        rows[:, size - half:] = part[:, :half]
-    spectrum = _fft.rfft(shifted, axis=-1)
-    return np.conjugate(spectrum, out=spectrum)
+    for lo, hi in chunks:
+        for rows, part in zip(shifted[:, : hi - lo], (kernels[2 * lo: 2 * hi: 2], kernels[2 * lo + 1: 2 * hi: 2])):
+            rows[:, : width - half] = part[:, half:]
+            rows[:, size - half:] = part[:, :half]
+        np.conjugate(_fft.rfft(shifted[:, : hi - lo], axis=-1), out=spectra[:, lo:hi])
 
 
 def _transposed_pool(g, pool_kernels, stride, n_samples, dtype):

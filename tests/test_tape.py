@@ -8,6 +8,7 @@ sum, the moving average and its smoothing gradient against frame-by-frame
 loops.
 """
 
+import re
 import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -419,6 +420,19 @@ class TestFilterPool:
         with pytest.raises(ValueError, match=f"^stride must be at least 1, got stride={stride}$"):
             tape.filter_pool(x, kernels, pool_kernels, stride)
 
+    @pytest.mark.parametrize("shape", [(100,), (1, 2, 100)], ids=["1-d", "3-d"])
+    def test_signal_that_is_not_2d_raises(self, shape):
+        _, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
+        message = re.escape(f"filter_pool takes a (batch, samples) signal, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tape.filter_pool(np.zeros(shape), kernels, pool_kernels, 4)
+
+    @pytest.mark.parametrize("stride", [2.5, 4.0, "4", None])
+    def test_non_integer_stride_raises(self, stride):
+        x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
+        with pytest.raises(ValueError, match=f"^stride must be an integer, got stride={re.escape(repr(stride))}$"):
+            tape.filter_pool(x, kernels, pool_kernels, stride)
+
     def test_live_signal_raises(self):
         x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
         with pytest.raises(ValueError):
@@ -492,6 +506,39 @@ class TestChannelGroups:
             assert grads1[name].dtype == np.float32
             assert np.any(grads1[name]), name
             assert np.array_equal(grads1[name], grads2[name]), name
+
+
+class TestChannelChunks:
+    """filter_pool's values and gradients do not depend on how many
+    channels a chunk of a group holds, bit for bit."""
+
+    @pytest.mark.parametrize("groups", [1, 2, 3])
+    @pytest.mark.parametrize("live", [True, False], ids=["live", "forward-only"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
+    def test_one_two_and_all_channels_a_chunk(self, monkeypatch, n_samples, pool_width, stride, fft_block,
+                                              dtype, live, groups):
+        # N = 5: chunks of 2 leave a 1-channel chunk in a group of 3 or 5
+        monkeypatch.setattr(tape, "FFT_BLOCK", fft_block)
+        monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
+        monkeypatch.setattr(tape, "GROUPS", groups)
+        rng = np.random.default_rng(n_samples + stride)
+        x, kernels, pool_kernels = (a.astype(dtype) for a in filter_pool_inputs(rng, n_samples, 9, pool_width, n=5))
+        weights = rng.standard_normal((2, 5, -(-n_samples // stride))).astype(dtype)
+        chunk_bytes = 2 * tape._block_layout(n_samples, 9)[0] * np.dtype(dtype).itemsize
+        results = []
+        for channels in (1, 2, 5):
+            monkeypatch.setattr(tape, "_CHUNK_BYTES", channels * chunk_bytes)
+            monkeypatch.setattr(tape, "_spare", None)
+            if live:
+                results.append(TestChannelGroups.values_and_grads(x, kernels, pool_kernels, stride, weights))
+            else:
+                results.append((tape.filter_pool(x, kernels, pool_kernels, stride).value,))
+            assert tape._spare[1].chunks[0].scratch.shape[1] == channels
+        for got in results[1:]:
+            for a, b in zip(got, results[0]):
+                assert a.dtype == b.dtype == dtype
+                assert np.array_equal(a, b)
 
 
 class TestWorkspaces:
@@ -577,8 +624,8 @@ class TestWorkspaces:
         size = tape._block_layout(96, 9)[0]
         key, ws = tape._spare
         assert key[0] == (2, 96)
-        assert ws.corr.shape == (1, 2, 3, size)
-        assert not hasattr(ws, "d_corr")  # the last call had nothing to differentiate
+        assert ws.spectra.shape == (2, 3, size // 2 + 1)
+        assert not hasattr(ws, "corr")  # the last call had nothing to differentiate
         # a node that dies after a later call hands back the last workspace
         x, kernels, pool_kernels = filter_pool_inputs(rng, 420, 9, 5, n=3)
         loss, _, _ = self.graph(x, kernels, pool_kernels, 1.0)
