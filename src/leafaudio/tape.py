@@ -57,20 +57,19 @@ correlations take about ``_CHUNK_BYTES`` (1 MiB: 4 channels of a float64
 number is computed by the same operations whatever the grouping and the
 chunking, so values and gradients depend on neither, bit for bit.
 
-One workspace is lent per call.  Only three of its buffers hold every
-channel, on one axis, so that a group works in views of its own:
-the kernel spectra, which the adjoint reuses as its accumulator, the
-pooling buffer and, for the adjoint, the kept correlations.  Each group
-gets a set of chunk buffers of its own.  A call takes the spare that the
-last call of its shape left, or makes one; one spare, of the last shape,
-is kept.  A call with nothing to differentiate hands the workspace back as
-it returns.  A differentiable node keeps it, with its correlations, until
-it dies: a finalizer on the node's adjoint then hands it back.  So two
-live graphs never share a buffer, ``backward`` may run twice on one graph,
-and each training step reuses the last one's memory instead of taking
-fresh pages from the system (92.5 MiB a step at B=16, 1 s, float32,
-79.1 MiB of it correlations; 21.1 MiB for a forward-only float64 call of
-``FFT_BLOCK`` samples a block).
+Each group of a call is lent a workspace of its own, which holds every
+buffer the group uses: its kernel spectra, which the adjoint reuses as
+its accumulator, its pooling buffer, for the adjoint its kept
+correlations, and its chunk buffers.  A call takes the spare that the
+last call of its shape and grouping left, or makes one; one spare, of the
+last shape, is kept.  A call with nothing to differentiate hands the
+workspaces back as it returns.  A differentiable node keeps them, with
+their correlations, until it dies: a finalizer on the node's adjoint then
+hands them back.  So two live graphs never share a buffer, ``backward``
+may run twice on one graph, and each training step reuses the last one's
+memory instead of taking fresh pages from the system (92.5 MiB a step at
+B=16, 1 s, float32, 79.1 MiB of it correlations; 21.1 MiB for a
+forward-only float64 call of ``FFT_BLOCK`` samples a block).
 """
 
 from __future__ import annotations
@@ -102,9 +101,9 @@ _CHUNK_BYTES = 2 ** 20
 # two groups, a 40-channel 1 s clip ~1.2x faster)
 GROUPS = workers.CPUS
 MIN_GROUP_WORK = 2 ** 18
-# filter_pool's spare workspace: (call shape, workspace) of the last one
-# handed back, or None.  The lock is reentrant: a node may die, and hand its
-# workspace back, in a garbage collection while this thread holds it
+# filter_pool's spare: (call shape and grouping, group workspaces) of the
+# last call that handed them back, or None.  The lock is reentrant: a dying
+# node may hand them back in a garbage collection while this thread holds it
 _spare = None
 _spare_lock = threading.RLock()
 
@@ -386,22 +385,22 @@ def filter_pool(x, kernels, pool_kernels, stride):
     channels; the result depends on neither.  Only ``kernels`` and
     ``pool_kernels`` are differentiated; the adjoint computes both
     gradients whenever either is live and returns None for a constant one.
-    ``x`` must be 2-D and ``stride`` an integer of at least 1, or it
-    raises ``ValueError``.
+    ``x``, ``kernels`` and ``pool_kernels`` must be 2-D and ``stride`` an
+    integer of at least 1, or it raises ``ValueError``.
 
-    The call works in one workspace, the spare of the last call shape or a
-    new one, and each group in the views of its own channels and in chunk
-    buffers of its own.  A call with nothing live hands the workspace back
-    as it returns; otherwise the node keeps it, with every block's
-    correlations, until the node dies.  The node keeps no block spectra:
-    the backward walks the blocks like the forward, in the same pooling
-    buffer, and makes them again.
+    Each group works in a workspace of its own, from the spare of the last
+    call shape and grouping or new.  A call with nothing live hands the
+    workspaces back as it returns; otherwise the node keeps them, with
+    every block's correlations, until the node dies.  The node keeps no
+    block spectra: the backward walks the blocks like the forward, in the
+    same pooling buffer, and makes them again.
     """
     if _live(x):
         raise ValueError("filter_pool does not differentiate its signal; pass x as a constant")
     vx, vk, vp = _value(x), _value(kernels), _value(pool_kernels)
-    if vx.ndim != 2:
-        raise ValueError(f"filter_pool takes a (batch, samples) signal, got shape {vx.shape}")
+    for what, value in (("a (batch, samples) signal", vx), ("(2N, W) kernels", vk), ("(N, P) pool_kernels", vp)):
+        if value.ndim != 2:
+            raise ValueError(f"filter_pool takes {what}, got shape {value.shape}")
     batch, n_samples = vx.shape
     n_kernels, width = vk.shape
     n, pool_width = vp.shape
@@ -419,34 +418,33 @@ def filter_pool(x, kernels, pool_kernels, stride):
     out = np.empty((batch, n, -(-n_samples // stride)), dtype=dtype)
     live = _live(kernels) or _live(pool_kernels)
     size, span, n_blocks = _block_layout(n_samples, width)
-    chunk = min(n, max(1, _CHUNK_BYTES // (2 * size * dtype.itemsize)))
-    # everything the workspace's shapes and dtypes depend on; FFT_BLOCK
-    # enters through size, _CHUNK_BYTES through chunk
-    key = (vx.shape, vk.shape, vk.dtype, pool_width, dtype, live, size, chunk)
-    ws = _take_spare(key) or _workspace(n, dtype, batch, n_samples, width, pool_width, live)
+    chunk = max(1, _CHUNK_BYTES // (2 * size * dtype.itemsize))
     bounds = _channel_groups(n, batch * n_blocks * size * n)
-    # each group works in the views of its own channels of the channel-wide
-    # buffers, in a set of chunk buffers of its own and in a row of
-    # ``blocks``, all made here because an array made and freed in a pool
-    # thread costs page faults
-    ws.chunks += [_chunk_buffers(chunk, size, vk.dtype, dtype) for _ in range(len(bounds) - len(ws.chunks))]
+    # everything the workspaces' shapes and dtypes depend on; FFT_BLOCK
+    # enters through size, _CHUNK_BYTES through chunk
+    key = (vx.shape, vk.shape, vk.dtype, pool_width, dtype, live, size, chunk, tuple(bounds))
+    spaces = _take_spare(key) or [_workspace(hi - lo, chunk, vk.dtype, dtype, batch * n_blocks, size, span,
+                                             pool_width, live) for lo, hi in bounds]
+    # each group also works in a row of ``blocks``, made here because an
+    # array made and freed in a pool thread costs page faults, and per call:
+    # kept in the workspaces, it raised an extract's peak RSS by ~1.2 MB,
+    # since glibc's mmap threshold follows what the process frees
     blocks = np.empty((len(bounds), size), dtype=vx.dtype)
-    groups = [(SimpleNamespace(**{name: buf[..., lo:hi, :] for name, buf in vars(ws).items() if name != "chunks"},
-                               **vars(chunks)), vx, block, vk[2 * lo: 2 * hi], vp[lo:hi], stride)
-              for block, chunks, (lo, hi) in zip(blocks, ws.chunks, bounds)]
+    groups = [(ws, vx, block, vk[2 * lo: 2 * hi], vp[lo:hi], stride)
+              for ws, block, (lo, hi) in zip(spaces, blocks, bounds)]
     workers.run([functools.partial(_forward_group, *group, out[:, lo:hi])
                  for group, (lo, hi) in zip(groups, bounds)])
     if not live:
-        _give_back(key, ws)
+        _give_back(key, spaces)
         return constant(out)
 
     def vjp(g):
-        parts = workers.run([functools.partial(_backward_group, *group, g[:, lo:hi])
-                             for group, (lo, hi) in zip(groups, bounds)])
-        return (None, np.concatenate([gk for gk, _ in parts]) if _live(kernels) else None,
-                np.concatenate([gp for _, gp in parts]) if _live(pool_kernels) else None)
+        gk, gp = np.empty(vk.shape, dtype=vk.dtype), np.zeros(vp.shape, dtype=dtype)
+        workers.run([functools.partial(_backward_group, *group, g[:, lo:hi], gk[2 * lo: 2 * hi], gp[lo:hi])
+                     for group, (lo, hi) in zip(groups, bounds)])
+        return None, gk if _live(kernels) else None, gp if _live(pool_kernels) else None
 
-    weakref.finalize(vjp, _give_back, key, ws)
+    weakref.finalize(vjp, _give_back, key, spaces)
     return _node(out, (x, kernels, pool_kernels), vjp)
 
 
@@ -457,53 +455,48 @@ def _channel_groups(n, work):
     return workers.bounds(n, max(1, min(GROUPS, n, work // MIN_GROUP_WORK)))
 
 
-def _workspace(n, dtype, batch, n_samples, width, pool_width, live):
-    """The buffers of :func:`filter_pool` calls of one shape, in a
-    namespace.  No buffer holds a block spectrum: each group makes its
-    own, forward and backward.
+def _workspace(n, chunk, kernel_dtype, dtype, items, size, span, pool_width, live):
+    """Every buffer of one :func:`filter_pool` channel group of ``n``
+    channels, in a namespace, for ``items`` blocks of ``size`` samples with
+    ``span`` of output each.  None holds a block spectrum: the group makes
+    its own, forward and backward.
 
-    The channel-wide ones hold the N channels on their second-last axis:
-    the conjugate kernel spectra, with [real; imaginary] on a leading axis
-    of 2, which the backward reuses as its spectrum accumulator, the haloed
-    pooling buffer and, with ``live``, every item's and block's
-    correlations.  ``chunks`` holds a set of :func:`_chunk_buffers` for
-    each group a call has run, added as calls need them.
+    Three hold all n channels: ``spectra``, the conjugate kernel spectra,
+    which the backward reuses as its spectrum accumulator, ``held``, the
+    haloed pooling buffer, and ``corr``, with ``live`` every item's and
+    block's correlations, else None.  ``shifted``, ``prod`` and ``scratch``
+    hold one chunk of channels (see :func:`_walk`), and ``chunks`` gives
+    the [lo, hi) bounds of the chunks, ``chunk`` wide but the last.  Full
+    chunks, not even ones: scipy's FFT runs rows a SIMD vector's worth at a
+    time, so leftover rows cost more (float32, 16200 samples: 60 us a row
+    in a 7-channel chunk, 47 in an 8-channel one).  ``shifted`` is written
+    only where kernels go, so the rest stays zero from call to call.
     """
-    size, span, n_blocks = _block_layout(n_samples, width)
-    ws = SimpleNamespace(
+    chunk = min(chunk, n)
+    return SimpleNamespace(
         spectra=np.empty((2, n, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
         held=np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype),
-        chunks=[])
-    if live:
-        ws.corr = np.empty((batch * n_blocks, 2, n, size), dtype=dtype)
-    return ws
-
-
-def _chunk_buffers(chunk, size, kernel_dtype, dtype):
-    """One group's buffers for the work of up to ``chunk`` channels at a
-    time, each with [real; imaginary] on a leading axis of 2 (see
-    :func:`_walk`).  ``shifted`` is written only where kernels go, so the
-    rest stays zero from call to call."""
-    return SimpleNamespace(
+        corr=np.empty((items, 2, n, size), dtype=dtype) if live else None,
         shifted=np.zeros((2, chunk, size), dtype=kernel_dtype),
         prod=np.empty((2, chunk, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
-        scratch=np.empty((2, chunk, size), dtype=dtype))
+        scratch=np.empty((2, chunk, size), dtype=dtype),
+        chunks=[(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)])
 
 
 def _take_spare(key):
-    """The spare workspace if it was made for calls shaped ``key``, else
-    None; either way no spare is left."""
+    """The spare group workspaces if they were made for calls shaped
+    ``key``, else None; either way no spare is left."""
     global _spare
     with _spare_lock:
         spare, _spare = _spare, None
     return spare[1] if spare is not None and spare[0] == key else None
 
 
-def _give_back(key, workspace):
-    """Keep ``workspace``, made for calls shaped ``key``, as the spare."""
+def _give_back(key, spaces):
+    """Keep ``spaces``, made for calls shaped ``key``, as the spare."""
     global _spare
     with _spare_lock:
-        _spare = key, workspace
+        _spare = key, spaces
 
 
 def _block_spectrum(row, start, half, block):
@@ -520,33 +513,22 @@ def _block_spectrum(row, start, half, block):
     return _fft.rfft(block)
 
 
-def _chunks(ws):
-    """[lo, hi) bounds of the channel chunks of a group's views ``ws``: as
-    wide as its chunk buffers but the last.  Full chunks, not even ones:
-    scipy's FFT runs rows a SIMD vector's worth at a time, so leftover rows
-    cost more (float32, 16200 samples: 60 us a row in a 7-channel chunk, 47
-    in an 8-channel one)."""
-    n, width = ws.held.shape[0], ws.scratch.shape[1]
-    return [(lo, min(lo + width, n)) for lo in range(0, n, width)]
-
-
 def _walk(ws, vx, block, vk, vp, stride, transform):
     """The streaming walk of one channel group, with (2n, W) ``vk`` and
     (n, P) ``vp``, over the rows and blocks of the signal ``vx``, in the
-    views ``ws`` of the group's channels of the workspace and its own
-    chunk buffers.
+    group's workspace ``ws``.
 
-    The per-channel work runs over chunks of the group's channels, each
-    in (2, C, ...) chunk buffers that :func:`filter_pool` sizes so that
-    one chunk's correlations take about ``_CHUNK_BYTES``: ``shifted`` for
-    the padded kernels, ``prod`` for the spectrum product and ``scratch``
-    for the correlations when they are not kept, else for the backward's
+    The per-channel work runs over the chunks ``ws.chunks`` of the group's
+    channels, each in (2, C, ...) chunk buffers, [real; imaginary], whose C
+    channels' correlations take about ``_CHUNK_BYTES``: ``shifted`` for the
+    padded kernels, ``prod`` for the spectrum product and ``scratch`` for
+    the correlations when they are not kept, else for the backward's
     ``d_corr``; its imaginary half holds the square-sum temporary.
 
     With ``transform`` it first fills ``ws.spectra`` with the kernels'
     conjugate spectra.  Per block it makes the signal's spectrum, in
     ``block``, and the correlations: with ``transform`` by inverse FFT
-    (into ``ws.corr``, kept for every block, when there is one), else it
+    (into ``ws.corr``, kept for every block, unless it is None), else it
     reads the kept ones.  It squares them into ``ws.held`` and yields (row,
     start, keep, spectrum, correlations, frames, windows): the block's
     first sample and length, its kept correlations or None, the slice of
@@ -559,10 +541,10 @@ def _walk(ws, vx, block, vk, vp, stride, transform):
     pool_half = (pool_width - 1) // 2
     n_frames = -(-n_samples // stride)
     size, span, n_blocks = _block_layout(n_samples, width)
-    chunks = _chunks(ws)
+    chunks = ws.chunks
     if transform:
         _kernel_spectra(vk, ws.shifted, ws.spectra, chunks)
-    kept = hasattr(ws, "corr")
+    kept = ws.corr is not None
     # the haloed energy samples [lo, lo + filled) of one row: the unfinished
     # tail of the last frame window (< P), one block's span and the right halo
     held = ws.held
@@ -608,21 +590,20 @@ def _forward_group(ws, vx, block, vk, vp, stride, out):
         out[b, :, frames] = np.einsum("nmp,np->nm", windows, vp)
 
 
-def _backward_group(ws, vx, block, vk, vp, stride, g):
-    """The gradients (gk, gp) of one channel group's (2n, W) ``vk`` and
-    (n, P) ``vp`` for its (B, n, M) frame gradient ``g``, on the same walk
-    as the forward, over the correlations that it kept.
-    """
+def _backward_group(ws, vx, block, vk, vp, stride, g, gk, gp):
+    """:func:`filter_pool`'s adjoint on one channel group: for its (B, n, M)
+    frame gradient ``g``, its (2n, W) ``vk``'s gradient written into ``gk``
+    and its (n, P) ``vp``'s added into the zeroed ``gp``, on the same walk
+    as the forward, over the correlations that it kept."""
     n_samples, width = vx.shape[1], vk.shape[1]
     half = (width - 1) // 2
     size = ws.scratch.shape[-1]
-    chunks = _chunks(ws)
+    chunks = ws.chunks
     d_corr, spec = ws.scratch, ws.spectra
     # the kernel gradient's spectrum is the sum over rows and blocks
     # of xf conj(rfft(d corr)), accumulated as its conjugate:
     # conj(a) b = conj(a conj(b)) exactly
     spec[...] = 0.0
-    gp = np.zeros(vp.shape, dtype=d_corr.dtype)
     for b, start, keep, xf, corr, frames, windows in _walk(ws, vx, block, vk, vp, stride, transform=False):
         if not start:  # d corr = 2 d_energy corr; the 2 is folded into g (exact)
             d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, d_corr.dtype)[0]
@@ -635,13 +616,11 @@ def _backward_group(ws, vx, block, vk, vp, stride, g):
             term *= xf
             spec[:, lo:hi] += term
         gp += np.einsum("nm,nmp->np", g[b, :, frames], windows)
-    gk = np.empty_like(vk)
     for lo, hi in chunks:
         dk = np.fft.irfft(np.conjugate(spec[:, lo:hi], out=spec[:, lo:hi]), size, axis=-1,
                           out=d_corr[:, : hi - lo])
         gk[2 * lo: 2 * hi: 2], gk[2 * lo + 1: 2 * hi: 2] = np.concatenate(
             [dk[..., size - half:], dk[..., : width - half]], axis=-1)
-    return gk, gp
 
 
 def _kernel_spectra(kernels, shifted, spectra, chunks):

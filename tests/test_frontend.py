@@ -310,8 +310,8 @@ class TestFrontendForward:
     @pytest.mark.parametrize("seconds, mib", [pytest.param(10, 32, id="10"), pytest.param(60, 38, id="60"),
                                               pytest.param(120, 48, id="120")])
     def test_extract_peak_memory_is_independent_of_length(self, monkeypatch, seconds, mib):
-        # float64, from a cold workspace: the kernel spectra (10.0 MiB), one
-        # pooling buffer (5.1 MiB), two groups' chunk buffers (6.0 MiB) and
+        # float64, from cold workspaces: two groups' kernel spectra (10.0
+        # MiB), pooling buffers (5.1 MiB) and chunk buffers (6.0 MiB), and
         # one block's spectrum, then the frame arrays of pooling and PCEN,
         # which grow with the frames: 24.0 / 30.2 / 39.4 MiB at 10 / 60 /
         # 120 s, bounded here with 8 MiB to spare.  Whole-clip full-rate
@@ -324,16 +324,63 @@ class TestFrontendForward:
         assert peak <= mib * 2 ** 20
 
     def test_train_step_holds_no_batch_energy(self, monkeypatch):
-        # one leaf step, B=16, 1 s, float32, from a cold workspace: the kept
-        # correlations (79.1 MiB), the kernel spectra (4.9 MiB), one pooling
-        # buffer and two groups' chunk buffers (5.9 MiB), not the (B, N, T)
-        # energy of the batch: a 104.2 MiB peak, bounded with 8 MiB to spare
+        # one leaf step, B=16, 1 s, float32, from cold workspaces: two
+        # groups' kept correlations (79.1 MiB), kernel spectra (4.9 MiB),
+        # pooling buffers (2.5 MiB) and chunk buffers (5.9 MiB), not the
+        # (B, N, T) energy of the batch: a 104.2 MiB peak, bounded with 8 MiB
+        # to spare
         monkeypatch.setattr(tape, "_spare", None)
         cfg = variant_config("leaf")
         batch = sample_batch([make_task("pitch")], 16, seed=0, step=0)
         params = init_multitask_params(cfg, [make_task("pitch").num_classes], dtype=np.float32)
         _, peak = traced_peak(lambda: multitask_loss_and_grad(batch, params, cfg, 1))
         assert peak <= 112 * 2 ** 20
+
+    @staticmethod
+    def spare_mib(*names):
+        """MiB of the arrays of the spare's workspaces, or of the named ones."""
+        return sum(buf.nbytes for ws in tape._spare[1] for name, buf in vars(ws).items()
+                   if isinstance(buf, np.ndarray) and (not names or name in names)) / 2 ** 20
+
+    def test_extract_spare_size(self, monkeypatch):
+        # the forward-only float64 spare of a 10 s clip in two groups, as the
+        # tape docstring, the README and ROADMAP item 4 state it; the rest of
+        # it is chunk buffers (6.0 MiB)
+        monkeypatch.setattr(tape, "GROUPS", 2)
+        monkeypatch.setattr(tape, "_spare", None)
+        x = Waveform(0.1 * np.random.default_rng(0).standard_normal(16000 * 10), 16000)
+        frontend_forward(x, frontend_param_values(CFG), CFG)
+        assert self.spare_mib() == pytest.approx(21.06, abs=0.05)
+        assert self.spare_mib("spectra") == pytest.approx(10.0, abs=0.05)
+        assert self.spare_mib("held") == pytest.approx(5.06, abs=0.05)
+
+    def test_train_step_spare_size(self, monkeypatch):
+        # the spare of a learned B=16, 1 s, float32 two-task step in two
+        # groups, as the tape docstring, the README and ROADMAP item 4 state it
+        monkeypatch.setattr(tape, "GROUPS", 2)
+        monkeypatch.setattr(tape, "_spare", None)
+        cfg = variant_config("leaf")
+        task_list = [make_task("pitch", task_id=0), make_task("am", task_id=1)]
+        batch = sample_batch(task_list, 16, seed=0, step=0)
+        params = init_multitask_params(cfg, [t.num_classes for t in task_list], dtype=np.float32)
+        multitask_loss_and_grad(batch, params, cfg, 2)
+        assert self.spare_mib() == pytest.approx(92.51, abs=0.05)
+        assert self.spare_mib("corr") == pytest.approx(79.1, abs=0.05)
+
+    @pytest.mark.parametrize("seconds", [10, 60])
+    def test_warm_extract_call_makes_no_channel_wide_buffer(self, monkeypatch, seconds):
+        # only the spare holds channel-wide buffers: a warm forward-only call
+        # at the extract shape makes its output, a block row per group and
+        # one block's temporaries, 2.26 MiB above its output at 10 and 60 s;
+        # the pooling buffer alone is 5.1 MiB, two groups' chunk buffers 6.0
+        monkeypatch.setattr(tape, "GROUPS", 2)
+        rng = np.random.default_rng(seconds)
+        x = 0.1 * rng.standard_normal((1, 16000 * seconds))
+        kernels = rng.standard_normal((2 * CFG.n_filters, CFG.filter_len))
+        pool_kernels = rng.uniform(0.1, 1.0, (CFG.n_filters, CFG.pool_len))
+        tape.filter_pool(x, kernels, pool_kernels, CFG.pool_stride)
+        out, peak = traced_peak(lambda: tape.filter_pool(x, kernels, pool_kernels, CFG.pool_stride).value)
+        assert peak - out.nbytes <= 4 * 2 ** 20
 
 
 class TestMelFrontend:

@@ -427,6 +427,20 @@ class TestFilterPool:
         with pytest.raises(ValueError, match=f"^{message}$"):
             tape.filter_pool(np.zeros(shape), kernels, pool_kernels, 4)
 
+    @pytest.mark.parametrize("operand, axes, shape", [
+        ("kernels", "(2N, W)", (36,)),
+        ("kernels", "(2N, W)", (1, 4, 9)),
+        ("pool_kernels", "(N, P)", (10,)),
+        ("pool_kernels", "(N, P)", (1, 2, 5)),
+    ], ids=["1-d-kernels", "3-d-kernels", "1-d-pool-kernels", "3-d-pool-kernels"])
+    def test_bank_that_is_not_2d_raises(self, operand, axes, shape):
+        x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
+        bank = {"kernels": kernels, "pool_kernels": pool_kernels}
+        bank[operand] = bank[operand].reshape(shape)
+        message = re.escape(f"filter_pool takes {axes} {operand}, got shape {shape}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tape.filter_pool(x, stride=4, **bank)
+
     @pytest.mark.parametrize("stride", [2.5, 4.0, "4", None])
     def test_non_integer_stride_raises(self, stride):
         x, kernels, pool_kernels = filter_pool_inputs(RNG, 100, 9, 5)
@@ -534,7 +548,7 @@ class TestChannelChunks:
                 results.append(TestChannelGroups.values_and_grads(x, kernels, pool_kernels, stride, weights))
             else:
                 results.append((tape.filter_pool(x, kernels, pool_kernels, stride).value,))
-            assert tape._spare[1].chunks[0].scratch.shape[1] == channels
+            assert all(ws.scratch.shape[1] == min(channels, len(ws.held)) for ws in tape._spare[1])
         for got in results[1:]:
             for a, b in zip(got, results[0]):
                 assert a.dtype == b.dtype == dtype
@@ -622,29 +636,31 @@ class TestWorkspaces:
             del loss
             tape.filter_pool(x, kernels, pool_kernels, 3)
         size = tape._block_layout(96, 9)[0]
-        key, ws = tape._spare
+        key, spaces = tape._spare
         assert key[0] == (2, 96)
-        assert ws.spectra.shape == (2, 3, size // 2 + 1)
-        assert not hasattr(ws, "corr")  # the last call had nothing to differentiate
-        # a node that dies after a later call hands back the last workspace
+        assert [ws.spectra.shape for ws in spaces] == [(2, 1, size // 2 + 1), (2, 2, size // 2 + 1)]
+        assert all(ws.corr is None for ws in spaces)  # the last call had nothing to differentiate
+        # a node that dies after a later call hands back the last workspaces
         x, kernels, pool_kernels = filter_pool_inputs(rng, 420, 9, 5, n=3)
         loss, _, _ = self.graph(x, kernels, pool_kernels, 1.0)
         tape.filter_pool(x[:, :96], kernels, pool_kernels, 3)
         del loss
-        key, ws = tape._spare
+        key, spaces = tape._spare
         assert key[0] == (2, 420)
-        assert ws.corr.shape == (2, 2, 3, tape._block_layout(420, 9)[0])
+        size = tape._block_layout(420, 9)[0]
+        assert [ws.corr.shape for ws in spaces] == [(2, 2, 1, size), (2, 2, 2, size)]
 
-    def test_spare_serves_any_grouping(self, monkeypatch):
+    def test_spare_holds_one_workspace_per_group(self, monkeypatch):
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
         monkeypatch.setattr(tape, "_spare", None)
         x, kernels, pool_kernels = filter_pool_inputs(np.random.default_rng(6), 300, 9, 5, n=3)
         outs, spares = [], []
-        for groups in (2, 1, 3):
+        for groups in (2, 2, 1, 3):
             monkeypatch.setattr(tape, "GROUPS", groups)
             outs.append(tape.filter_pool(x, kernels, pool_kernels, 3).value)
             spares.append(tape._spare[1])
-        assert spares[0] is spares[1] is spares[2]  # the key holds no channel bounds
+        assert spares[1] is spares[0] and all(a is b for a, b in zip(*spares[:2]))
+        assert [[len(ws.held) for ws in spare] for spare in spares[1:]] == [[1, 2], [3], [1, 1, 1]]
         assert all(np.array_equal(out, outs[0]) for out in outs)
 
 
