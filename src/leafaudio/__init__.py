@@ -7,13 +7,12 @@ from .frontend import (
     FeatureMap,
     FrontendConfig,
     frontend_forward,
-    param_count,
     renormalize_conv,
     variant_config,
     variant_name,
 )
 from .gabor import gabor_impulse_response, mel_matrix
-from .params import Gradients, ParamSet, init_params
+from .params import Gradients, ParamSet, init_params, param_count
 from .signal import Waveform, add_noise_snr, load_wav, synth_tones
 from .autodiff import finite_diff, grad_check_report
 from .training import AdamState, MultiHead, adam_step, bootstrap_diff, evaluate, multitask_loss, noise_sweep, train

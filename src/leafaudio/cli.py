@@ -21,13 +21,12 @@ from .frontend import (
     VARIANT_NAMES,
     FrontendConfig,
     frontend_forward,
-    param_count,
     pooled_graph,
     require_frontend_rate,
     variant_config,
     variant_name,
 )
-from .params import class_counts, frontend_param_values, init_multitask_params, init_params
+from .params import class_counts, frontend_param_values, init_multitask_params, init_params, param_count
 from .signal import FRONTEND_RATE, load_wav
 from .tasks import TASK_NAMES, make_task
 from .training import MultiHead, bootstrap_diff, evaluate, noise_sweep, train
@@ -145,6 +144,8 @@ def _require_file_out(command: str, out) -> None:
 def cmd_extract(args) -> int:
     _require_file_out("extract", args.out)
     cfg = build_config(args)
+    if args.out:  # a rate the file cannot store, before any work is done
+        leafio.whole_hz(args.out, cfg.frame_rate)
     wav = load_wav(args.input)
     if args.compare:
         correlations = mel_equivalence_correlations(cfg, wav)

@@ -277,11 +277,3 @@ def variant_config(name: str, **overrides) -> FrontendConfig:
         raise ValueError(f"unknown frontend variant {name!r}; choose from {sorted(by_name)}")
     filtering, compression = by_name[name]
     return FrontendConfig(filtering=filtering, compression=compression, **overrides)
-
-
-def param_count(cfg: FrontendConfig) -> int:
-    """Learnable frontend parameters of a variant (classifier excluded):
-    the total size of its initial values."""
-    from .params import frontend_param_values  # params imports this module
-
-    return sum(v.size for v in frontend_param_values(cfg).values())

@@ -33,11 +33,17 @@ VERSION = 1
 HEADER = struct.Struct("<4sIIII")
 
 
-def write_feature_file(path, feature_map: FeatureMap) -> None:
-    rate = feature_map.frame_rate
-    if rate != round(rate):  # before the file is opened, so none is left behind
+def whole_hz(path, rate: float) -> int:
+    """The frame rate ``rate`` in the whole Hz that the feature file
+    ``path`` stores, or a ValueError that names both."""
+    if rate != round(rate):
         raise ValueError(f"{path}: frame rate {rate} Hz is not a whole number; a feature file stores whole Hz")
-    Path(path).write_bytes(_encode(feature_map.values, round(rate)))
+    return round(rate)
+
+
+def write_feature_file(path, feature_map: FeatureMap) -> None:
+    # the rate is checked before the file is opened, so none is left behind
+    Path(path).write_bytes(_encode(feature_map.values, whole_hz(path, feature_map.frame_rate)))
 
 
 def read_feature_file(path) -> FeatureMap:

@@ -85,6 +85,12 @@ def frontend_param_values(cfg: FrontendConfig, dtype=np.float64) -> dict[str, np
     return {k: v.astype(dtype) for k, v in values.items()}
 
 
+def param_count(cfg: FrontendConfig) -> int:
+    """Learnable frontend parameters of a variant (classifier excluded):
+    the total size of its initial values."""
+    return sum(v.size for v in frontend_param_values(cfg).values())
+
+
 def init_multitask_params(cfg: FrontendConfig, class_counts: list[int], dtype=np.float64) -> ParamSet:
     """Shared frontend with one zero-initialized linear head per task
     (uniform softmax before training)."""

@@ -60,9 +60,11 @@ chunking, so values and gradients depend on neither, bit for bit.
 Each group of a call is lent a workspace of its own, which holds every
 buffer the group uses: its kernel spectra, which the adjoint reuses as
 its accumulator, its pooling buffer, for the adjoint its kept
-correlations, and its chunk buffers.  A call takes the spare that the
-last call of its shape and grouping left, or makes one; one spare, of the
-last shape, is kept.  A call with nothing to differentiate hands the
+correlations, and its chunk buffers.  Every buffer is scratch: nothing
+in it is read before the call writes it.  A call takes the spare that the
+last call with its workspace recipe (the arguments its workspaces are made
+from) and grouping left, or makes one; one spare, the last one handed
+back, is kept.  A call with nothing to differentiate hands the
 workspaces back as it returns.  A differentiable node keeps them, with
 their correlations, until it dies: a finalizer on the node's adjoint then
 hands them back.  So two live graphs never share a buffer, ``backward``
@@ -101,7 +103,7 @@ _CHUNK_BYTES = 2 ** 20
 # two groups, a 40-channel 1 s clip ~1.2x faster)
 GROUPS = workers.CPUS
 MIN_GROUP_WORK = 2 ** 18
-# filter_pool's spare: (call shape and grouping, group workspaces) of the
+# filter_pool's spare: ((workspace recipe, grouping), group workspaces) of the
 # last call that handed them back, or None.  The lock is reentrant: a dying
 # node may hand them back in a garbage collection while this thread holds it
 _spare = None
@@ -389,9 +391,9 @@ def filter_pool(x, kernels, pool_kernels, stride):
     integer of at least 1, or it raises ``ValueError``.
 
     Each group works in a workspace of its own, from the spare of the last
-    call shape and grouping or new.  A call with nothing live hands the
-    workspaces back as it returns; otherwise the node keeps them, with
-    every block's correlations, until the node dies.  The node keeps no
+    call with the same workspace recipe and grouping or new.  A call with
+    nothing live hands the workspaces back as it returns; otherwise the
+    node keeps them, with every block's correlations, until the node dies.  The node keeps no
     block spectra: the backward walks the blocks like the forward, in the
     same pooling buffer, and makes them again.
     """
@@ -420,31 +422,32 @@ def filter_pool(x, kernels, pool_kernels, stride):
     size, span, n_blocks = _block_layout(n_samples, width)
     chunk = max(1, _CHUNK_BYTES // (2 * size * dtype.itemsize))
     bounds = _channel_groups(n, batch * n_blocks * size * n)
-    # everything the workspaces' shapes and dtypes depend on; FFT_BLOCK
-    # enters through size, _CHUNK_BYTES through chunk
-    key = (vx.shape, vk.shape, vk.dtype, pool_width, dtype, live, size, chunk, tuple(bounds))
-    spaces = _take_spare(key) or [_workspace(hi - lo, chunk, vk.dtype, dtype, batch * n_blocks, size, span,
-                                             pool_width, live) for lo, hi in bounds]
+    recipe = (chunk, vk.dtype, dtype, batch * n_blocks, size, span, pool_width, live)
+    key = recipe, tuple(bounds)
+    spare = _swap_spare(None)
+    spaces = spare[1] if spare and spare[0] == key else [_workspace(hi - lo, *recipe) for lo, hi in bounds]
     # each group also works in a row of ``blocks``, made here because an
     # array made and freed in a pool thread costs page faults, and per call:
     # kept in the workspaces, it raised an extract's peak RSS by ~1.2 MB,
     # since glibc's mmap threshold follows what the process frees
     blocks = np.empty((len(bounds), size), dtype=vx.dtype)
-    groups = [(ws, vx, block, vk[2 * lo: 2 * hi], vp[lo:hi], stride)
+    # the bank as (2, N, W) [real; imaginary] pairs, the layout of the chunk buffers
+    pairs = vk.reshape(n, 2, width).swapaxes(0, 1)
+    groups = [(ws, vx, block, pairs[:, lo:hi], vp[lo:hi], stride)
               for ws, block, (lo, hi) in zip(spaces, blocks, bounds)]
     workers.run([functools.partial(_forward_group, *group, out[:, lo:hi])
                  for group, (lo, hi) in zip(groups, bounds)])
     if not live:
-        _give_back(key, spaces)
+        _swap_spare((key, spaces))
         return constant(out)
 
     def vjp(g):
-        gk, gp = np.empty(vk.shape, dtype=vk.dtype), np.zeros(vp.shape, dtype=dtype)
-        workers.run([functools.partial(_backward_group, *group, g[:, lo:hi], gk[2 * lo: 2 * hi], gp[lo:hi])
-                     for group, (lo, hi) in zip(groups, bounds)])
-        return None, gk if _live(kernels) else None, gp if _live(pool_kernels) else None
+        gk, gp = np.empty((n, 2, width), dtype=vk.dtype), np.zeros(vp.shape, dtype=dtype)
+        workers.run([functools.partial(_backward_group, *group, g[:, lo:hi], gk.swapaxes(0, 1)[:, lo:hi],
+                                       gp[lo:hi]) for group, (lo, hi) in zip(groups, bounds)])
+        return None, gk.reshape(vk.shape) if _live(kernels) else None, gp if _live(pool_kernels) else None
 
-    weakref.finalize(vjp, _give_back, key, spaces)
+    weakref.finalize(vjp, _swap_spare, (key, spaces))
     return _node(out, (x, kernels, pool_kernels), vjp)
 
 
@@ -469,34 +472,32 @@ def _workspace(n, chunk, kernel_dtype, dtype, items, size, span, pool_width, liv
     the [lo, hi) bounds of the chunks, ``chunk`` wide but the last.  Full
     chunks, not even ones: scipy's FFT runs rows a SIMD vector's worth at a
     time, so leftover rows cost more (float32, 16200 samples: 60 us a row
-    in a 7-channel chunk, 47 in an 8-channel one).  ``shifted`` is written
-    only where kernels go, so the rest stays zero from call to call.
+    in a 7-channel chunk, 47 in an 8-channel one).
     """
     chunk = min(chunk, n)
     return SimpleNamespace(
         spectra=np.empty((2, n, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
         held=np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype),
         corr=np.empty((items, 2, n, size), dtype=dtype) if live else None,
-        shifted=np.zeros((2, chunk, size), dtype=kernel_dtype),
+        shifted=np.empty((2, chunk, size), dtype=kernel_dtype),
         prod=np.empty((2, chunk, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
         scratch=np.empty((2, chunk, size), dtype=dtype),
         chunks=[(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)])
 
 
-def _take_spare(key):
-    """The spare group workspaces if they were made for calls shaped
-    ``key``, else None; either way no spare is left."""
+def _swap_spare(new):
+    """Leave ``new``, (key, group workspaces) or None, as the spare and
+    return the spare it replaces."""
     global _spare
     with _spare_lock:
-        spare, _spare = _spare, None
-    return spare[1] if spare is not None and spare[0] == key else None
+        old, _spare = _spare, new
+    return old
 
 
-def _give_back(key, spaces):
-    """Keep ``spaces``, made for calls shaped ``key``, as the spare."""
-    global _spare
-    with _spare_lock:
-        _spare = key, spaces
+def _taps(width, size):
+    """Where tap j of a centered ``width``-tap kernel goes in a circular
+    buffer of ``size`` samples: (j - h) mod size."""
+    return (np.arange(width) - (width - 1) // 2) % size
 
 
 def _block_spectrum(row, start, half, block):
@@ -514,9 +515,9 @@ def _block_spectrum(row, start, half, block):
 
 
 def _walk(ws, vx, block, vk, vp, stride, transform):
-    """The streaming walk of one channel group, with (2n, W) ``vk`` and
-    (n, P) ``vp``, over the rows and blocks of the signal ``vx``, in the
-    group's workspace ``ws``.
+    """The streaming walk of one channel group, with (2, n, W) ``vk``
+    pairs and (n, P) ``vp``, over the rows and blocks of the signal
+    ``vx``, in the group's workspace ``ws``.
 
     The per-channel work runs over the chunks ``ws.chunks`` of the group's
     channels, each in (2, C, ...) chunk buffers, [real; imaginary], whose C
@@ -537,7 +538,7 @@ def _walk(ws, vx, block, vk, vp, stride, transform):
     can run on threads of their own.
     """
     batch, n_samples = vx.shape
-    width, pool_width = vk.shape[1], vp.shape[1]
+    width, pool_width = vk.shape[-1], vp.shape[1]
     pool_half = (pool_width - 1) // 2
     n_frames = -(-n_samples // stride)
     size, span, n_blocks = _block_layout(n_samples, width)
@@ -592,12 +593,12 @@ def _forward_group(ws, vx, block, vk, vp, stride, out):
 
 def _backward_group(ws, vx, block, vk, vp, stride, g, gk, gp):
     """:func:`filter_pool`'s adjoint on one channel group: for its (B, n, M)
-    frame gradient ``g``, its (2n, W) ``vk``'s gradient written into ``gk``
-    and its (n, P) ``vp``'s added into the zeroed ``gp``, on the same walk
-    as the forward, over the correlations that it kept."""
-    n_samples, width = vx.shape[1], vk.shape[1]
-    half = (width - 1) // 2
+    frame gradient ``g``, the gradient of its (2, n, W) ``vk`` pairs written
+    into ``gk`` and its (n, P) ``vp``'s added into the zeroed ``gp``, on the
+    same walk as the forward, over the correlations that it kept."""
+    n_samples = vx.shape[1]
     size = ws.scratch.shape[-1]
+    taps = _taps(vk.shape[-1], size)
     chunks = ws.chunks
     d_corr, spec = ws.scratch, ws.spectra
     # the kernel gradient's spectrum is the sum over rows and blocks
@@ -619,27 +620,20 @@ def _backward_group(ws, vx, block, vk, vp, stride, g, gk, gp):
     for lo, hi in chunks:
         dk = np.fft.irfft(np.conjugate(spec[:, lo:hi], out=spec[:, lo:hi]), size, axis=-1,
                           out=d_corr[:, : hi - lo])
-        gk[2 * lo: 2 * hi: 2], gk[2 * lo + 1: 2 * hi: 2] = np.concatenate(
-            [dk[..., size - half:], dk[..., : width - half]], axis=-1)
+        gk[:, lo:hi] = dk[..., taps]
 
 
 def _kernel_spectra(kernels, shifted, spectra, chunks):
-    """Fill ``spectra`` (2, n, F) with the conjugate spectra of (2n, W)
-    kernels for correlation at the length of ``shifted``, chunk by chunk
-    of ``chunks`` in ``shifted``, a (2, C, size) buffer that is zero but
-    where kernels go.
-
-    The real rows go to ``shifted[0]`` and the imaginary ones to
-    ``shifted[1]``, and each kernel is laid out circularly with its center
-    at index 0.
+    """Fill ``spectra`` (2, n, F) with the conjugate spectra of (2, n, W)
+    kernel pairs for correlation at the length of ``shifted``, chunk by
+    chunk of ``chunks`` in ``shifted``, a (2, C, size) scratch buffer that
+    it zeroes first.  Each kernel is laid out circularly with its center at
+    index 0 (see :func:`_taps`).
     """
-    width = kernels.shape[1]
-    half = (width - 1) // 2
-    size = shifted.shape[-1]
+    taps = _taps(kernels.shape[-1], shifted.shape[-1])
+    shifted[...] = 0.0  # only the taps are written below
     for lo, hi in chunks:
-        for rows, part in zip(shifted[:, : hi - lo], (kernels[2 * lo: 2 * hi: 2], kernels[2 * lo + 1: 2 * hi: 2])):
-            rows[:, : width - half] = part[:, half:]
-            rows[:, size - half:] = part[:, :half]
+        shifted[:, : hi - lo, taps] = kernels[:, lo:hi]
         np.conjugate(_fft.rfft(shifted[:, : hi - lo], axis=-1), out=spectra[:, lo:hi])
 
 

@@ -77,11 +77,14 @@ class TestExtract:
             "leafaudio: error: extract --compare cannot be combined with --model or --out")
         assert not paths["--out"].exists()
 
-    def test_out_refuses_a_frame_rate_that_is_not_whole_hz(self, tone_wav, tmp_path, capsys):
+    def test_out_refuses_a_frame_rate_that_is_not_whole_hz(self, tone_wav, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "frontend_forward", no_frontend)
         out = tmp_path / "f.leaf"
         code = main(["extract", "--input", str(tone_wav), "--stride", "150", "--out", str(out)])
         assert code == 1
-        assert capsys.readouterr().err == (
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
             f"ValueError: {out}: frame rate 106.66666666666667 Hz is not a whole number; "
             "a feature file stores whole Hz\n")
         assert not out.exists()

@@ -15,7 +15,6 @@ from leafaudio.frontend import (
     gabor_kernel_graph,
     log_graph,
     mel_power_features,
-    param_count,
     pcen_graph,
     pool_kernel_graph,
     pooled_graph,
@@ -24,7 +23,7 @@ from leafaudio.frontend import (
     variant_config,
 )
 from leafaudio.gabor import gabor_impulse_response, mel_matrix
-from leafaudio.params import class_counts, frontend_param_values, init_multitask_params, init_params
+from leafaudio.params import class_counts, frontend_param_values, init_multitask_params, init_params, param_count
 from leafaudio.signal import Waveform, synth_tones
 from leafaudio.tasks import make_task, sample_batch
 from leafaudio.training import multitask_loss_and_grad
@@ -315,7 +314,9 @@ class TestFrontendForward:
         # one block's spectrum, then the frame arrays of pooling and PCEN,
         # which grow with the frames: 24.0 / 30.2 / 39.4 MiB at 10 / 60 /
         # 120 s, bounded here with 8 MiB to spare.  Whole-clip full-rate
-        # arrays would add ~5 MiB per second
+        # arrays would add ~5 MiB per second.  The groups are fixed at two, as
+        # the spare sizes below: each group adds its own chunk buffers
+        monkeypatch.setattr(tape, "GROUPS", 2)
         monkeypatch.setattr(tape, "_spare", None)
         params = frontend_param_values(CFG)
         x = Waveform(0.1 * np.random.default_rng(0).standard_normal(16000 * seconds), 16000)
@@ -329,6 +330,7 @@ class TestFrontendForward:
         # pooling buffers (2.5 MiB) and chunk buffers (5.9 MiB), not the
         # (B, N, T) energy of the batch: a 104.2 MiB peak, bounded with 8 MiB
         # to spare
+        monkeypatch.setattr(tape, "GROUPS", 2)
         monkeypatch.setattr(tape, "_spare", None)
         cfg = variant_config("leaf")
         batch = sample_batch([make_task("pitch")], 16, seed=0, step=0)

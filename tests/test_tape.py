@@ -637,7 +637,7 @@ class TestWorkspaces:
             tape.filter_pool(x, kernels, pool_kernels, 3)
         size = tape._block_layout(96, 9)[0]
         key, spaces = tape._spare
-        assert key[0] == (2, 96)
+        assert key[0][3:5] == (2, size)  # the recipe's item count and FFT size
         assert [ws.spectra.shape for ws in spaces] == [(2, 1, size // 2 + 1), (2, 2, size // 2 + 1)]
         assert all(ws.corr is None for ws in spaces)  # the last call had nothing to differentiate
         # a node that dies after a later call hands back the last workspaces
@@ -646,9 +646,21 @@ class TestWorkspaces:
         tape.filter_pool(x[:, :96], kernels, pool_kernels, 3)
         del loss
         key, spaces = tape._spare
-        assert key[0] == (2, 420)
         size = tape._block_layout(420, 9)[0]
+        assert key[0][3:5] == (2, size)
         assert [ws.corr.shape for ws in spaces] == [(2, 2, 1, size), (2, 2, 2, size)]
+
+    def test_a_narrower_kernel_reads_no_taps_of_a_wider_one(self, monkeypatch):
+        # W = 9 and W = 7 at 300 samples both take FFT size 320 and span 300,
+        # so their calls may share a spare; the W = 7 call must not see the
+        # outer taps that the W = 9 call laid out
+        monkeypatch.setattr(tape, "_spare", None)
+        rng = np.random.default_rng(9)
+        for width in (9, 7, 9):
+            assert tape._block_layout(300, width)[:2] == (320, 300)
+            x, kernels, pool_kernels = filter_pool_inputs(rng, 300, width, 5, n=3)
+            got = tape.filter_pool(x, kernels, pool_kernels, 3).value
+            np.testing.assert_allclose(got, direct_filter_pool(x, kernels, pool_kernels, 3), atol=1e-12)
 
     def test_spare_holds_one_workspace_per_group(self, monkeypatch):
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
