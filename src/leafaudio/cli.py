@@ -146,6 +146,8 @@ def cmd_extract(args) -> int:
     cfg = build_config(args)
     if args.out:  # a rate the file cannot store, before any work is done
         leafio.whole_hz(args.out, cfg.frame_rate)
+    # a bad snapshot is refused before the WAV is read; --compare loads none
+    params = None if args.compare else _load_or_init_params(args, cfg)
     wav = load_wav(args.input)
     if args.compare:
         correlations = mel_equivalence_correlations(cfg, wav)
@@ -153,7 +155,6 @@ def cmd_extract(args) -> int:
         for ch, r in enumerate(correlations):
             print(f"{ch},{r:.6f}")
         return 0
-    params = _load_or_init_params(args, cfg)
     fm = frontend_forward(wav, params, cfg)
     print(f"frontend={variant_name(cfg)} n_filters={cfg.n_filters} "
           f"learnable_params={param_count(cfg)} frames={fm.n_frames} channels={fm.n_channels}")

@@ -69,8 +69,8 @@ workspaces back as it returns.  A differentiable node keeps them, with
 their correlations, until it dies: a finalizer on the node's adjoint then
 hands them back.  So two live graphs never share a buffer, ``backward``
 may run twice on one graph, and each training step reuses the last one's
-memory instead of taking fresh pages from the system (92.5 MiB a step at
-B=16, 1 s, float32, 79.1 MiB of it correlations; 21.1 MiB for a
+memory instead of taking fresh pages from the system (90.5 MiB a step at
+B=16, 1 s, float32, 79.1 MiB of it correlations; 19.1 MiB for a
 forward-only float64 call of ``FFT_BLOCK`` samples a block).
 """
 
@@ -422,19 +422,13 @@ def filter_pool(x, kernels, pool_kernels, stride):
     size, span, n_blocks = _block_layout(n_samples, width)
     chunk = max(1, _CHUNK_BYTES // (2 * size * dtype.itemsize))
     bounds = _channel_groups(n, batch * n_blocks * size * n)
-    recipe = (chunk, vk.dtype, dtype, batch * n_blocks, size, span, pool_width, live)
+    recipe = (chunk, dtype, batch * n_blocks, size, span, pool_width, live)
     key = recipe, tuple(bounds)
     spare = _swap_spare(None)
     spaces = spare[1] if spare and spare[0] == key else [_workspace(hi - lo, *recipe) for lo, hi in bounds]
-    # each group also works in a row of ``blocks``, made here because an
-    # array made and freed in a pool thread costs page faults, and per call:
-    # kept in the workspaces, it raised an extract's peak RSS by ~1.2 MB,
-    # since glibc's mmap threshold follows what the process frees
-    blocks = np.empty((len(bounds), size), dtype=vx.dtype)
     # the bank as (2, N, W) [real; imaginary] pairs, the layout of the chunk buffers
     pairs = vk.reshape(n, 2, width).swapaxes(0, 1)
-    groups = [(ws, vx, block, pairs[:, lo:hi], vp[lo:hi], stride)
-              for ws, block, (lo, hi) in zip(spaces, blocks, bounds)]
+    groups = [(ws, vx, pairs[:, lo:hi], vp[lo:hi], stride) for ws, (lo, hi) in zip(spaces, bounds)]
     workers.run([functools.partial(_forward_group, *group, out[:, lo:hi])
                  for group, (lo, hi) in zip(groups, bounds)])
     if not live:
@@ -458,7 +452,7 @@ def _channel_groups(n, work):
     return workers.bounds(n, max(1, min(GROUPS, n, work // MIN_GROUP_WORK)))
 
 
-def _workspace(n, chunk, kernel_dtype, dtype, items, size, span, pool_width, live):
+def _workspace(n, chunk, dtype, items, size, span, pool_width, live):
     """Every buffer of one :func:`filter_pool` channel group of ``n``
     channels, in a namespace, for ``items`` blocks of ``size`` samples with
     ``span`` of output each.  None holds a block spectrum: the group makes
@@ -467,9 +461,9 @@ def _workspace(n, chunk, kernel_dtype, dtype, items, size, span, pool_width, liv
     Three hold all n channels: ``spectra``, the conjugate kernel spectra,
     which the backward reuses as its spectrum accumulator, ``held``, the
     haloed pooling buffer, and ``corr``, with ``live`` every item's and
-    block's correlations, else None.  ``shifted``, ``prod`` and ``scratch``
-    hold one chunk of channels (see :func:`_walk`), and ``chunks`` gives
-    the [lo, hi) bounds of the chunks, ``chunk`` wide but the last.  Full
+    block's correlations, else None.  ``prod`` and ``scratch`` hold one
+    chunk of channels (see :func:`_walk`), and ``chunks`` gives the
+    [lo, hi) bounds of the chunks, ``chunk`` wide but the last.  Full
     chunks, not even ones: scipy's FFT runs rows a SIMD vector's worth at a
     time, so leftover rows cost more (float32, 16200 samples: 60 us a row
     in a 7-channel chunk, 47 in an 8-channel one).
@@ -479,7 +473,6 @@ def _workspace(n, chunk, kernel_dtype, dtype, items, size, span, pool_width, liv
         spectra=np.empty((2, n, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
         held=np.empty((n, pool_width - 1 + span + (pool_width - 1) // 2), dtype=dtype),
         corr=np.empty((items, 2, n, size), dtype=dtype) if live else None,
-        shifted=np.empty((2, chunk, size), dtype=kernel_dtype),
         prod=np.empty((2, chunk, size // 2 + 1), dtype=np.result_type(dtype, np.complex64)),
         scratch=np.empty((2, chunk, size), dtype=dtype),
         chunks=[(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)])
@@ -514,28 +507,30 @@ def _block_spectrum(row, start, half, block):
     return _fft.rfft(block)
 
 
-def _walk(ws, vx, block, vk, vp, stride, transform):
+def _walk(ws, vx, vk, vp, stride, transform):
     """The streaming walk of one channel group, with (2, n, W) ``vk``
     pairs and (n, P) ``vp``, over the rows and blocks of the signal
     ``vx``, in the group's workspace ``ws``.
 
     The per-channel work runs over the chunks ``ws.chunks`` of the group's
     channels, each in (2, C, ...) chunk buffers, [real; imaginary], whose C
-    channels' correlations take about ``_CHUNK_BYTES``: ``shifted`` for the
-    padded kernels, ``prod`` for the spectrum product and ``scratch`` for
-    the correlations when they are not kept, else for the backward's
-    ``d_corr``; its imaginary half holds the square-sum temporary.
+    channels' correlations take about ``_CHUNK_BYTES``: ``prod`` for the
+    spectrum product and ``scratch`` for the correlations when they are not
+    kept, else for the backward's ``d_corr``; its imaginary half holds the
+    square-sum temporary.  Before that, ``scratch``, viewed in the kernels'
+    and then the signal's dtype, neither wider than its own, lays out the
+    padded kernels and then each block until its spectrum is made.
 
     With ``transform`` it first fills ``ws.spectra`` with the kernels'
-    conjugate spectra.  Per block it makes the signal's spectrum, in
-    ``block``, and the correlations: with ``transform`` by inverse FFT
-    (into ``ws.corr``, kept for every block, unless it is None), else it
-    reads the kept ones.  It squares them into ``ws.held`` and yields (row,
-    start, keep, spectrum, correlations, frames, windows): the block's
-    first sample and length, its kept correlations or None, the slice of
-    the frames whose window the block completes and their (n, frames, P)
-    windows, valid until the next block.  Plain numpy only, so that groups
-    can run on threads of their own.
+    conjugate spectra.  Per block it makes the signal's spectrum and the
+    correlations: with ``transform`` by inverse FFT (into ``ws.corr``, kept
+    for every block, unless it is None), else it reads the kept ones.  It
+    squares them into ``ws.held`` and yields (row, start, keep, spectrum,
+    correlations, frames, windows): the block's first sample and length,
+    its kept correlations or None, the slice of the frames whose window the
+    block completes and their (n, frames, P) windows, valid until the next
+    block.  Plain numpy only, so that groups can run on threads of their
+    own.
     """
     batch, n_samples = vx.shape
     width, pool_width = vk.shape[-1], vp.shape[1]
@@ -544,12 +539,13 @@ def _walk(ws, vx, block, vk, vp, stride, transform):
     size, span, n_blocks = _block_layout(n_samples, width)
     chunks = ws.chunks
     if transform:
-        _kernel_spectra(vk, ws.shifted, ws.spectra, chunks)
+        _kernel_spectra(vk, ws.scratch.view(vk.dtype)[..., :size], ws.spectra, chunks)
     kept = ws.corr is not None
     # the haloed energy samples [lo, lo + filled) of one row: the unfinished
     # tail of the last frame window (< P), one block's span and the right halo
     held = ws.held
     every_window = sliding_window_view(held, pool_width, axis=1)
+    block = ws.scratch.view(vx.dtype)[0, 0, :size]
     for b in range(batch):
         held[:, :pool_half] = 0.0
         lo, filled, done = 0, pool_half, 0
@@ -584,14 +580,14 @@ def _walk(ws, vx, block, vk, vp, stride, transform):
             lo, filled = lo + cut, filled - cut
 
 
-def _forward_group(ws, vx, block, vk, vp, stride, out):
+def _forward_group(ws, vx, vk, vp, stride, out):
     """:func:`filter_pool`'s forward on one channel group: each frame of
     the (B, n, M) view ``out`` pooled from its window on the walk."""
-    for b, _, _, _, _, frames, windows in _walk(ws, vx, block, vk, vp, stride, transform=True):
+    for b, _, _, _, _, frames, windows in _walk(ws, vx, vk, vp, stride, transform=True):
         out[b, :, frames] = np.einsum("nmp,np->nm", windows, vp)
 
 
-def _backward_group(ws, vx, block, vk, vp, stride, g, gk, gp):
+def _backward_group(ws, vx, vk, vp, stride, g, gk, gp):
     """:func:`filter_pool`'s adjoint on one channel group: for its (B, n, M)
     frame gradient ``g``, the gradient of its (2, n, W) ``vk`` pairs written
     into ``gk`` and its (n, P) ``vp``'s added into the zeroed ``gp``, on the
@@ -605,9 +601,9 @@ def _backward_group(ws, vx, block, vk, vp, stride, g, gk, gp):
     # of xf conj(rfft(d corr)), accumulated as its conjugate:
     # conj(a) b = conj(a conj(b)) exactly
     spec[...] = 0.0
-    for b, start, keep, xf, corr, frames, windows in _walk(ws, vx, block, vk, vp, stride, transform=False):
+    for b, start, keep, xf, corr, frames, windows in _walk(ws, vx, vk, vp, stride, transform=False):
         if not start:  # d corr = 2 d_energy corr; the 2 is folded into g (exact)
-            d_energy = _transposed_pool(2.0 * g[b: b + 1], vp, stride, n_samples, d_corr.dtype)[0]
+            d_energy = _transposed_pool(2.0 * g[b], vp, stride, n_samples, d_corr.dtype)
         d_corr[..., keep:] = 0.0  # the rfft reads it all: clear what a longer block or an irfft left
         np.conjugate(xf, out=xf)
         for lo, hi in chunks:
@@ -626,9 +622,10 @@ def _backward_group(ws, vx, block, vk, vp, stride, g, gk, gp):
 def _kernel_spectra(kernels, shifted, spectra, chunks):
     """Fill ``spectra`` (2, n, F) with the conjugate spectra of (2, n, W)
     kernel pairs for correlation at the length of ``shifted``, chunk by
-    chunk of ``chunks`` in ``shifted``, a (2, C, size) scratch buffer that
-    it zeroes first.  Each kernel is laid out circularly with its center at
-    index 0 (see :func:`_taps`).
+    chunk of ``chunks`` in ``shifted``, a (2, C, size) view of the chunk
+    scratch, which holds a previous block's correlations, so it is zeroed
+    first.  Each kernel is laid out circularly with its center at index 0
+    (see :func:`_taps`).
     """
     taps = _taps(kernels.shape[-1], shifted.shape[-1])
     shifted[...] = 0.0  # only the taps are written below
@@ -638,28 +635,28 @@ def _kernel_spectra(kernels, shifted, spectra, chunks):
 
 
 def _transposed_pool(g, pool_kernels, stride, n_samples, dtype):
-    """Adjoint of strided pooling: (B, N, M) frame grads to (B, N, T).
+    """Adjoint of strided pooling: (N, M) frame grads to (N, T).
 
     Frame m reads haloed energy m*stride + p, so position c*stride + r
     takes sum_j g[c - j] * k[j*stride + r], with the kernel zero-padded to
     J = ceil(P / stride) panels of ``stride`` taps.  Each stride-wide
     output panel c is the lag window (g[c], g[c-1], ..., g[c-J+1]) times
-    the (J, stride) kernel panels: one batched (B, N, Q, J) @ (N, J, stride)
+    the (J, stride) kernel panels: one batched (N, Q, J) @ (N, J, stride)
     matmul.  The Q panels cover both the last frame's reach, M + J - 1,
     and the haloed signal, which is the longer one when P < stride.
     """
-    batch, n_channels, n_frames = g.shape
+    n_channels, n_frames = g.shape
     width = pool_kernels.shape[1]
     half = (width - 1) // 2
     taps = -(-width // stride)
     n_panels = max(n_frames + taps - 1, -(-(n_samples + half) // stride))
-    lagged = np.zeros((batch, n_channels, n_panels + taps - 1), dtype=dtype)
-    lagged[..., taps - 1: taps - 1 + n_frames] = g
-    lags = np.ascontiguousarray(sliding_window_view(lagged, taps, axis=2)[..., ::-1])
+    lagged = np.zeros((n_channels, n_panels + taps - 1), dtype=dtype)
+    lagged[:, taps - 1: taps - 1 + n_frames] = g
+    lags = np.ascontiguousarray(sliding_window_view(lagged, taps, axis=1)[..., ::-1])
     panels = np.zeros((n_channels, taps * stride), dtype=dtype)
     panels[:, :width] = pool_kernels
     d_energy = np.matmul(lags, panels.reshape(n_channels, taps, stride))
-    return d_energy.reshape(batch, n_channels, -1)[..., half: half + n_samples]
+    return d_energy.reshape(n_channels, -1)[:, half: half + n_samples]
 
 
 def ema(feats, smooth):

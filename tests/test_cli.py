@@ -183,7 +183,8 @@ class TestSnapshots:
         assert capsys.readouterr().err.startswith("ShapeMismatch:")
 
     @pytest.mark.parametrize("command", ["extract", "eval", "inspect"])
-    def test_nan_parameter_is_corrupt_snapshot(self, command, leaf6, tone_wav, capsys):
+    def test_nan_parameter_is_corrupt_snapshot(self, command, leaf6, tone_wav, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "load_wav", no_wav)  # extract refuses the snapshot before reading the clip
         values = dict(load_params(leaf6))
         values["pcen_delta"] = np.where(np.arange(6) == 2, np.nan, values["pcen_delta"])
         save_params(leaf6, ParamSet(values))
@@ -381,6 +382,10 @@ def no_batch(*args, **kwargs):
 
 def no_frontend(*args, **kwargs):
     raise AssertionError("the frontend ran before the refusal")
+
+
+def no_wav(*args, **kwargs):
+    raise AssertionError("the WAV was read before the refusal")
 
 
 def no_training(*args, **kwargs):

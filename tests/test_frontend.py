@@ -310,10 +310,10 @@ class TestFrontendForward:
                                               pytest.param(120, 48, id="120")])
     def test_extract_peak_memory_is_independent_of_length(self, monkeypatch, seconds, mib):
         # float64, from cold workspaces: two groups' kernel spectra (10.0
-        # MiB), pooling buffers (5.1 MiB) and chunk buffers (6.0 MiB), and
+        # MiB), pooling buffers (5.1 MiB) and chunk buffers (4.0 MiB), and
         # one block's spectrum, then the frame arrays of pooling and PCEN,
-        # which grow with the frames: 24.0 / 30.2 / 39.4 MiB at 10 / 60 /
-        # 120 s, bounded here with 8 MiB to spare.  Whole-clip full-rate
+        # which grow with the frames: 21.9 / 28.2 / 37.4 MiB at 10 / 60 /
+        # 120 s, bounded here with ~10 MiB to spare.  Whole-clip full-rate
         # arrays would add ~5 MiB per second.  The groups are fixed at two, as
         # the spare sizes below: each group adds its own chunk buffers
         monkeypatch.setattr(tape, "GROUPS", 2)
@@ -327,8 +327,8 @@ class TestFrontendForward:
     def test_train_step_holds_no_batch_energy(self, monkeypatch):
         # one leaf step, B=16, 1 s, float32, from cold workspaces: two
         # groups' kept correlations (79.1 MiB), kernel spectra (4.9 MiB),
-        # pooling buffers (2.5 MiB) and chunk buffers (5.9 MiB), not the
-        # (B, N, T) energy of the batch: a 104.2 MiB peak, bounded with 8 MiB
+        # pooling buffers (2.5 MiB) and chunk buffers (4.0 MiB), not the
+        # (B, N, T) energy of the batch: a 102.2 MiB peak, bounded with ~10 MiB
         # to spare
         monkeypatch.setattr(tape, "GROUPS", 2)
         monkeypatch.setattr(tape, "_spare", None)
@@ -347,14 +347,15 @@ class TestFrontendForward:
     def test_extract_spare_size(self, monkeypatch):
         # the forward-only float64 spare of a 10 s clip in two groups, as the
         # tape docstring, the README and ROADMAP item 4 state it; the rest of
-        # it is chunk buffers (6.0 MiB)
+        # it is chunk buffers (4.0 MiB)
         monkeypatch.setattr(tape, "GROUPS", 2)
         monkeypatch.setattr(tape, "_spare", None)
         x = Waveform(0.1 * np.random.default_rng(0).standard_normal(16000 * 10), 16000)
         frontend_forward(x, frontend_param_values(CFG), CFG)
-        assert self.spare_mib() == pytest.approx(21.06, abs=0.05)
+        assert self.spare_mib() == pytest.approx(19.06, abs=0.05)
         assert self.spare_mib("spectra") == pytest.approx(10.0, abs=0.05)
         assert self.spare_mib("held") == pytest.approx(5.06, abs=0.05)
+        assert self.spare_mib("prod", "scratch") == pytest.approx(4.0, abs=0.05)
 
     def test_train_step_spare_size(self, monkeypatch):
         # the spare of a learned B=16, 1 s, float32 two-task step in two
@@ -366,15 +367,15 @@ class TestFrontendForward:
         batch = sample_batch(task_list, 16, seed=0, step=0)
         params = init_multitask_params(cfg, [t.num_classes for t in task_list], dtype=np.float32)
         multitask_loss_and_grad(batch, params, cfg, 2)
-        assert self.spare_mib() == pytest.approx(92.51, abs=0.05)
+        assert self.spare_mib() == pytest.approx(90.53, abs=0.05)
         assert self.spare_mib("corr") == pytest.approx(79.1, abs=0.05)
 
     @pytest.mark.parametrize("seconds", [10, 60])
     def test_warm_extract_call_makes_no_channel_wide_buffer(self, monkeypatch, seconds):
         # only the spare holds channel-wide buffers: a warm forward-only call
-        # at the extract shape makes its output, a block row per group and
-        # one block's temporaries, 2.26 MiB above its output at 10 and 60 s;
-        # the pooling buffer alone is 5.1 MiB, two groups' chunk buffers 6.0
+        # at the extract shape makes its output and one block's
+        # temporaries, 2.02 MiB above its output at 10 and 60 s; the pooling
+        # buffer alone is 5.1 MiB, two groups' chunk buffers 4.0
         monkeypatch.setattr(tape, "GROUPS", 2)
         rng = np.random.default_rng(seconds)
         x = 0.1 * rng.standard_normal((1, 16000 * seconds))

@@ -524,20 +524,28 @@ class TestChannelGroups:
 
 class TestChannelChunks:
     """filter_pool's values and gradients do not depend on how many
-    channels a chunk of a group holds, bit for bit."""
+    channels a chunk of a group holds, bit for bit, whether the signal and
+    the bank share a dtype or not."""
 
     @pytest.mark.parametrize("groups", [1, 2, 3])
     @pytest.mark.parametrize("live", [True, False], ids=["live", "forward-only"])
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("signal_dtype, bank_dtype", [
+        pytest.param(np.float32, np.float32, id="float32"),
+        pytest.param(np.float64, np.float64, id="float64"),
+        pytest.param(np.float64, np.float32, id="float64-float32"),  # extract --model, float32 snapshot
+        pytest.param(np.float32, np.float64, id="float32-float64"),  # a float32 batch, float64 parameters
+    ])
     @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
     def test_one_two_and_all_channels_a_chunk(self, monkeypatch, n_samples, pool_width, stride, fft_block,
-                                              dtype, live, groups):
+                                              signal_dtype, bank_dtype, live, groups):
         # N = 5: chunks of 2 leave a 1-channel chunk in a group of 3 or 5
         monkeypatch.setattr(tape, "FFT_BLOCK", fft_block)
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
         monkeypatch.setattr(tape, "GROUPS", groups)
         rng = np.random.default_rng(n_samples + stride)
-        x, kernels, pool_kernels = (a.astype(dtype) for a in filter_pool_inputs(rng, n_samples, 9, pool_width, n=5))
+        x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width, n=5)
+        x, kernels, pool_kernels = x.astype(signal_dtype), kernels.astype(bank_dtype), pool_kernels.astype(bank_dtype)
+        dtype = np.result_type(signal_dtype, bank_dtype)
         weights = rng.standard_normal((2, 5, -(-n_samples // stride))).astype(dtype)
         chunk_bytes = 2 * tape._block_layout(n_samples, 9)[0] * np.dtype(dtype).itemsize
         results = []
@@ -549,9 +557,13 @@ class TestChannelChunks:
             else:
                 results.append((tape.filter_pool(x, kernels, pool_kernels, stride).value,))
             assert all(ws.scratch.shape[1] == min(channels, len(ws.held)) for ws in tape._spare[1])
+        value = results[0][0]
+        assert value.dtype == dtype
+        expected = direct_filter_pool(*(a.astype(np.float64) for a in (x, kernels, pool_kernels)), stride)
+        assert np.abs(value - expected).max() <= 1e-6 * np.abs(expected).max()
         for got in results[1:]:
             for a, b in zip(got, results[0]):
-                assert a.dtype == b.dtype == dtype
+                assert a.dtype == b.dtype
                 assert np.array_equal(a, b)
 
 
@@ -637,7 +649,7 @@ class TestWorkspaces:
             tape.filter_pool(x, kernels, pool_kernels, 3)
         size = tape._block_layout(96, 9)[0]
         key, spaces = tape._spare
-        assert key[0][3:5] == (2, size)  # the recipe's item count and FFT size
+        assert key[0][2:4] == (2, size)  # the recipe's item count and FFT size
         assert [ws.spectra.shape for ws in spaces] == [(2, 1, size // 2 + 1), (2, 2, size // 2 + 1)]
         assert all(ws.corr is None for ws in spaces)  # the last call had nothing to differentiate
         # a node that dies after a later call hands back the last workspaces
@@ -647,7 +659,7 @@ class TestWorkspaces:
         del loss
         key, spaces = tape._spare
         size = tape._block_layout(420, 9)[0]
-        assert key[0][3:5] == (2, size)
+        assert key[0][2:4] == (2, size)
         assert [ws.corr.shape for ws in spaces] == [(2, 2, 1, size), (2, 2, 2, size)]
 
     def test_a_narrower_kernel_reads_no_taps_of_a_wider_one(self, monkeypatch):
@@ -698,10 +710,11 @@ class TestTransposedPool:
         (401, 160, 16000),
     ])
     def test_matches_scatter_oracle(self, pool_width, stride, n_samples):
+        # one (N, M) row of frame gradients a call, against the batched oracle
         rng = np.random.default_rng(pool_width)
         g = rng.standard_normal((2, 3, -(-n_samples // stride)))
         k = rng.standard_normal((3, pool_width))
-        out = tape._transposed_pool(g, k, stride, n_samples, np.float64)
+        out = np.stack([tape._transposed_pool(row, k, stride, n_samples, np.float64) for row in g])
         np.testing.assert_allclose(out, scatter_transposed_pool(g, k, stride, n_samples), rtol=0, atol=1e-12)
 
 
