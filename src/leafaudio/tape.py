@@ -27,7 +27,11 @@ block's correlations with the bank, squares them into a small haloed
 energy buffer, yields the windows of the frames that the block completes
 and carries the unfinished tail into the next block.  No full-rate array
 outlives its block; the block's correlations are kept only while a kernel
-is differentiated, and its spectrum is never kept.
+is differentiated, and its spectrum is never kept.  A signal that fits
+one block of ``FFT_BLOCK`` samples is one block; a longer one is cut
+into blocks of ``FFT_BLOCK`` samples if the call keeps its correlations,
+else into shorter ones of ``FORWARD_BLOCK``, whose kernel spectra and
+chunk buffers stay in cache (see :func:`_block_layout`).
 
 The forward and the adjoint are two consumers of that walk.  The forward
 makes each block's correlations by inverse FFT and pools its frames from
@@ -52,8 +56,8 @@ the output or its own kernels' gradients.  With one group it runs in the
 calling thread.  Inside a block, a group runs its per-channel work, from
 the spectrum product to the squared energy forward and from ``d_corr`` to
 the spectrum accumulator backward, over chunks of channels whose
-correlations take about ``_CHUNK_BYTES`` (1 MiB: 4 channels of a float64
-``FFT_BLOCK``, 8 of a float32 1 s clip), in chunk-sized buffers.  Every
+correlations take about ``_CHUNK_BYTES`` (1 MiB: 10 channels of a float64
+``FORWARD_BLOCK``, 8 of a float32 1 s clip), in chunk-sized buffers.  Every
 number is computed by the same operations whatever the grouping and the
 chunking, so values and gradients depend on neither, bit for bit.
 
@@ -70,8 +74,8 @@ their correlations, until it dies: a finalizer on the node's adjoint then
 hands them back.  So two live graphs never share a buffer, ``backward``
 may run twice on one graph, and each training step reuses the last one's
 memory instead of taking fresh pages from the system (90.5 MiB a step at
-B=16, 1 s, float32, 79.1 MiB of it correlations; 19.1 MiB for a
-forward-only float64 call of ``FFT_BLOCK`` samples a block).
+B=16, 1 s, float32, 79.1 MiB of it correlations; 9.2 MiB for a 10 s
+forward-only float64 call, in blocks of ``FORWARD_BLOCK`` samples).
 """
 
 from __future__ import annotations
@@ -88,10 +92,29 @@ from scipy import fft as _fft
 
 from . import workers
 
+# filter_pool's overlap-save block lengths.  A signal that fits one
+# FFT_BLOCK is one block, whatever the call.  A longer one is cut into
+# FFT_BLOCK samples if the call keeps its correlations for an adjoint: what
+# it keeps grows with T whatever the block, and shorter blocks would keep
+# each block's overlap as well.  A forward-only call cuts it into
+# FORWARD_BLOCK: at FFT_BLOCK a float64 channel group's kernel spectra
+# (~5 MiB) and chunk buffers overflow a 2 MiB per-core L2 cache, and
+# shorter blocks cost less per output sample even after their extra
+# overlap.  Only that traffic was measured, so a clip of up to ~1 s (the
+# clips of evaluate and noise-sweep) stays one block.  The harness sweep
+# (extract-long, a 10 s float64 leaf extract, 2 CPUs, 10 s runs;
+# audio_s_per_s over the same round's FFT_BLOCK run, median of 7 rounds,
+# 3 where marked *; peak RSS, median):
+#     block   4000*  4500  4800  5120  6000  6144*  6400  7200  8000  8192*  12000  16384
+#     speed   1.07   1.11  1.12  1.08  1.15  1.09   1.18  1.02  1.09  1.06   1.10   1
+#     RSS MB  78.5   78.6  78.6  78.7  79.4  79.7   80.2  81.1  81.7  82.1   85.2   90.1
+# 6000 and 6400 are within one round's spread of each other (0.98-1.34
+# and 0.87-1.43); 6000 holds less
 FFT_BLOCK = 16384
+FORWARD_BLOCK = 6000
 # filter_pool runs each group's per-channel work over chunks of channels
-# whose correlations take about this many bytes (4 channels of a float64
-# FFT_BLOCK, 8 of a float32 1 s clip), in chunk-sized buffers: channel-wide
+# whose correlations take about this many bytes (10 channels of a float64
+# FORWARD_BLOCK, 8 of a float32 1 s clip), in chunk-sized buffers: channel-wide
 # ones would set the memory of every call
 _CHUNK_BYTES = 2 ** 20
 
@@ -347,20 +370,24 @@ def matmul(a, b):
 # -- DSP primitives -------------------------------------------------------
 
 
-def _block_layout(n_samples, width):
+def _block_layout(n_samples, width, live):
     """(FFT length, output span per block, block count) for overlap-save.
 
     A signal that fits ``FFT_BLOCK`` is one block at the shortest fast
     length that keeps the circular correlation free of wrap-around.  A
-    longer one is cut into blocks of ``FFT_BLOCK`` samples whose spans of
-    valid output tile the signal; each block carries its own halos.
+    longer one is cut into blocks whose spans of valid output tile the
+    signal, each with its own halos: blocks of ``FFT_BLOCK`` samples if
+    the call keeps its correlations for an adjoint (``live``), else
+    shorter ones of ``FORWARD_BLOCK``, in which a group's kernel spectra
+    and chunk buffers stay in cache.
     """
     half = (width - 1) // 2
     size = _fft.next_fast_len(max(n_samples + half, width), real=True)
     # a kernel wider than half a block gets a longer block, so spans stay > W
-    block = max(FFT_BLOCK, _fft.next_fast_len(2 * width, real=True))
-    if size <= block:
+    shortest = _fft.next_fast_len(2 * width, real=True)
+    if size <= max(FFT_BLOCK, shortest):
         return size, n_samples, 1
+    block = max(FFT_BLOCK if live else FORWARD_BLOCK, shortest)
     span = block - (width - 1)
     return block, span, -(-n_samples // span)
 
@@ -379,12 +406,15 @@ def filter_pool(x, kernels, pool_kernels, stride):
 
     for m < M = ceil(T / stride); the result has shape (B, N, M).  The
     correlation is an FFT product, exact up to rounding, taken block by
-    block (overlap-save) when T exceeds ``FFT_BLOCK``; each frame is pooled
-    as soon as the block that completes its window is made.  The channels
-    run as up to ``GROUPS`` contiguous groups, each one task on the worker
-    pool, forward and backward, that makes the signal's block spectra
-    itself, and a group's per-channel work runs over chunks of a few
-    channels; the result depends on neither.  Only ``kernels`` and
+    block (overlap-save) when T exceeds ``FFT_BLOCK``, in blocks of
+    ``FFT_BLOCK`` samples if a kernel is live, else of ``FORWARD_BLOCK``;
+    each frame is pooled as soon as the block that completes its window is
+    made.  The call transforms in its result dtype, whatever its operands'
+    dtypes.
+    The channels run as up to ``GROUPS`` contiguous groups, each one task
+    on the worker pool, forward and backward, that makes the signal's
+    block spectra itself, and a group's per-channel work runs over chunks
+    of a few channels; the result depends on neither.  Only ``kernels`` and
     ``pool_kernels`` are differentiated; the adjoint computes both
     gradients whenever either is live and returns None for a constant one.
     ``x``, ``kernels`` and ``pool_kernels`` must be 2-D and ``stride`` an
@@ -419,7 +449,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
     dtype = np.result_type(vx.dtype, vk.dtype, np.float32)
     out = np.empty((batch, n, -(-n_samples // stride)), dtype=dtype)
     live = _live(kernels) or _live(pool_kernels)
-    size, span, n_blocks = _block_layout(n_samples, width)
+    layout = size, span, n_blocks = _block_layout(n_samples, width, live)
     chunk = max(1, _CHUNK_BYTES // (2 * size * dtype.itemsize))
     bounds = _channel_groups(n, batch * n_blocks * size * n)
     recipe = (chunk, dtype, batch * n_blocks, size, span, pool_width, live)
@@ -428,7 +458,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
     spaces = spare[1] if spare and spare[0] == key else [_workspace(hi - lo, *recipe) for lo, hi in bounds]
     # the bank as (2, N, W) [real; imaginary] pairs, the layout of the chunk buffers
     pairs = vk.reshape(n, 2, width).swapaxes(0, 1)
-    groups = [(ws, vx, pairs[:, lo:hi], vp[lo:hi], stride) for ws, (lo, hi) in zip(spaces, bounds)]
+    groups = [(ws, vx, pairs[:, lo:hi], vp[lo:hi], stride, layout) for ws, (lo, hi) in zip(spaces, bounds)]
     workers.run([functools.partial(_forward_group, *group, out[:, lo:hi])
                  for group, (lo, hi) in zip(groups, bounds)])
     if not live:
@@ -507,19 +537,21 @@ def _block_spectrum(row, start, half, block):
     return _fft.rfft(block)
 
 
-def _walk(ws, vx, vk, vp, stride, transform):
+def _walk(ws, vx, vk, vp, stride, layout, transform):
     """The streaming walk of one channel group, with (2, n, W) ``vk``
     pairs and (n, P) ``vp``, over the rows and blocks of the signal
-    ``vx``, in the group's workspace ``ws``.
+    ``vx``, cut by the call's ``layout`` (see :func:`_block_layout`), in
+    the group's workspace ``ws``.
 
     The per-channel work runs over the chunks ``ws.chunks`` of the group's
     channels, each in (2, C, ...) chunk buffers, [real; imaginary], whose C
     channels' correlations take about ``_CHUNK_BYTES``: ``prod`` for the
     spectrum product and ``scratch`` for the correlations when they are not
     kept, else for the backward's ``d_corr``; its imaginary half holds the
-    square-sum temporary.  Before that, ``scratch``, viewed in the kernels'
-    and then the signal's dtype, neither wider than its own, lays out the
-    padded kernels and then each block until its spectrum is made.
+    square-sum temporary.  Before that, ``scratch`` lays out the padded
+    kernels and then each block until its spectrum is made, in the call's
+    dtype: a call transforms in its result dtype, whatever the dtypes of
+    its signal and bank.
 
     With ``transform`` it first fills ``ws.spectra`` with the kernels'
     conjugate spectra.  Per block it makes the signal's spectrum and the
@@ -536,16 +568,16 @@ def _walk(ws, vx, vk, vp, stride, transform):
     width, pool_width = vk.shape[-1], vp.shape[1]
     pool_half = (pool_width - 1) // 2
     n_frames = -(-n_samples // stride)
-    size, span, n_blocks = _block_layout(n_samples, width)
+    size, span, n_blocks = layout
     chunks = ws.chunks
     if transform:
-        _kernel_spectra(vk, ws.scratch.view(vk.dtype)[..., :size], ws.spectra, chunks)
+        _kernel_spectra(vk, ws.scratch, ws.spectra, chunks)
     kept = ws.corr is not None
     # the haloed energy samples [lo, lo + filled) of one row: the unfinished
     # tail of the last frame window (< P), one block's span and the right halo
     held = ws.held
     every_window = sliding_window_view(held, pool_width, axis=1)
-    block = ws.scratch.view(vx.dtype)[0, 0, :size]
+    block = ws.scratch[0, 0]
     for b in range(batch):
         held[:, :pool_half] = 0.0
         lo, filled, done = 0, pool_half, 0
@@ -580,20 +612,20 @@ def _walk(ws, vx, vk, vp, stride, transform):
             lo, filled = lo + cut, filled - cut
 
 
-def _forward_group(ws, vx, vk, vp, stride, out):
+def _forward_group(ws, vx, vk, vp, stride, layout, out):
     """:func:`filter_pool`'s forward on one channel group: each frame of
     the (B, n, M) view ``out`` pooled from its window on the walk."""
-    for b, _, _, _, _, frames, windows in _walk(ws, vx, vk, vp, stride, transform=True):
+    for b, _, _, _, _, frames, windows in _walk(ws, vx, vk, vp, stride, layout, transform=True):
         out[b, :, frames] = np.einsum("nmp,np->nm", windows, vp)
 
 
-def _backward_group(ws, vx, vk, vp, stride, g, gk, gp):
+def _backward_group(ws, vx, vk, vp, stride, layout, g, gk, gp):
     """:func:`filter_pool`'s adjoint on one channel group: for its (B, n, M)
     frame gradient ``g``, the gradient of its (2, n, W) ``vk`` pairs written
     into ``gk`` and its (n, P) ``vp``'s added into the zeroed ``gp``, on the
     same walk as the forward, over the correlations that it kept."""
     n_samples = vx.shape[1]
-    size = ws.scratch.shape[-1]
+    size = layout[0]
     taps = _taps(vk.shape[-1], size)
     chunks = ws.chunks
     d_corr, spec = ws.scratch, ws.spectra
@@ -601,7 +633,7 @@ def _backward_group(ws, vx, vk, vp, stride, g, gk, gp):
     # of xf conj(rfft(d corr)), accumulated as its conjugate:
     # conj(a) b = conj(a conj(b)) exactly
     spec[...] = 0.0
-    for b, start, keep, xf, corr, frames, windows in _walk(ws, vx, vk, vp, stride, transform=False):
+    for b, start, keep, xf, corr, frames, windows in _walk(ws, vx, vk, vp, stride, layout, transform=False):
         if not start:  # d corr = 2 d_energy corr; the 2 is folded into g (exact)
             d_energy = _transposed_pool(2.0 * g[b], vp, stride, n_samples, d_corr.dtype)
         d_corr[..., keep:] = 0.0  # the rfft reads it all: clear what a longer block or an irfft left
@@ -622,10 +654,10 @@ def _backward_group(ws, vx, vk, vp, stride, g, gk, gp):
 def _kernel_spectra(kernels, shifted, spectra, chunks):
     """Fill ``spectra`` (2, n, F) with the conjugate spectra of (2, n, W)
     kernel pairs for correlation at the length of ``shifted``, chunk by
-    chunk of ``chunks`` in ``shifted``, a (2, C, size) view of the chunk
-    scratch, which holds a previous block's correlations, so it is zeroed
-    first.  Each kernel is laid out circularly with its center at index 0
-    (see :func:`_taps`).
+    chunk of ``chunks`` in ``shifted``, the (2, C, size) chunk scratch,
+    which holds a previous block's correlations, so it is zeroed first.
+    Each kernel is laid out circularly with its center at index 0 (see
+    :func:`_taps`).
     """
     taps = _taps(kernels.shape[-1], shifted.shape[-1])
     shifted[...] = 0.0  # only the taps are written below

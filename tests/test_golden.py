@@ -40,7 +40,9 @@ GOLDEN = Path(__file__).parent / "data" / "golden.json"
 VARIANTS = tuple(VARIANT_NAMES.values())
 DTYPES = (np.float32, np.float64)
 # a 1 s clip, and one of 3 overlap-save spans of 16384 - 400 samples plus
-# a 17-sample last block at the default 401-tap filters
+# a 17-sample last block at the default 401-tap filters, the block of a
+# differentiated call (a forward-only one cuts 8 spans of 6000 - 400 and
+# one of 3169)
 CLIP_LENGTHS = (16000, 3 * (16384 - 400) + 17)
 CLI_VARIANTS = ("leaf", "mel-pcen")
 

@@ -306,7 +306,7 @@ def filter_pool_inputs(rng, n_samples, width, pool_width, n=2, batch=2):
     return x, unit_rows(rng, (2 * n, width)), pool_kernels / pool_kernels.sum(axis=1, keepdims=True)
 
 
-# streaming edge cases at FFT_BLOCK = 32 and W = 9: blocks of 24 samples
+# streaming edge cases at 32-sample blocks and W = 9: spans of 24 samples
 STREAMING_EDGES = [
     pytest.param(200, 61, 5, id="window-spans-two-boundaries"),
     # frame 1 is complete after block 2; blocks 1, 3 and 4 pool nothing
@@ -315,30 +315,65 @@ STREAMING_EDGES = [
     pytest.param(100, 5, 7, id="window-ends-on-boundary"),
     pytest.param(5, 3, 2, id="shorter-than-kernel"),
 ]
-# (n_samples, pool_width, stride, FFT_BLOCK): one block, and the streaming edges
+# (n_samples, pool_width, stride, block): one block, and the streaming edges
 ONE_BLOCK_AND_STREAMING_EDGES = [
-    pytest.param(300, 5, 3, tape.FFT_BLOCK, id="one-block"),
+    pytest.param(300, 5, 3, 16384, id="one-block"),
     *[pytest.param(*case.values, 32, id=case.id) for case in STREAMING_EDGES],
 ]
+# a call that keeps its correlations for an adjoint, and one that does not
+LAYOUTS = [pytest.param(True, id="differentiated"), pytest.param(False, id="forward-only")]
+
+
+def stream_in(monkeypatch, live, block):
+    """Cut the layout under test into ``block``-sample blocks: a live call
+    cuts FFT_BLOCK ones, a forward-only one FORWARD_BLOCK ones once its
+    signal outgrows one FFT_BLOCK."""
+    monkeypatch.setattr(tape, "FFT_BLOCK", block)
+    if not live:
+        monkeypatch.setattr(tape, "FORWARD_BLOCK", block)
 
 
 class TestFilterPool:
-    SPAN = tape.FFT_BLOCK - 400  # output samples per block at W = 401
+    # at W = 401 a signal of up to FFT_BLOCK - 200 samples is one block in
+    # either layout; a longer one is cut into spans of FFT_BLOCK - 400
+    # samples if live, else of FORWARD_BLOCK - 400
+    FITS = tape.FFT_BLOCK - 200
+    SPAN, FORWARD_SPAN = tape.FFT_BLOCK - 400, tape.FORWARD_BLOCK - 400
 
-    @pytest.mark.parametrize("n_samples, n_blocks", [
-        (150, 1),  # shorter than the kernel
-        (16000, 1),
-        (tape.FFT_BLOCK - 200 - 1, 1),
-        (tape.FFT_BLOCK - 200, 1),
-        (tape.FFT_BLOCK - 200 + 1, 2),
-        (3 * SPAN + 17, 4),
+    @pytest.mark.parametrize("live", LAYOUTS)
+    @pytest.mark.parametrize("n_samples, live_blocks, forward_blocks", [
+        pytest.param(150, 1, 1, id="shorter-than-kernel"),
+        pytest.param(16000, 1, 1, id="16000"),
+        pytest.param(FITS - 1, 1, 1, id="fits-1"),
+        pytest.param(FITS, 1, 1, id="fits"),
+        pytest.param(FITS + 1, 2, 3, id="fits+1"),
+        pytest.param(3 * FORWARD_SPAN + 1, 2, 4, id="three-forward-spans-and-1"),
+        pytest.param(3 * SPAN + 17, 4, 9, id="three-spans-and-17"),
     ])
-    def test_matches_direct_oracle(self, n_samples, n_blocks):
-        assert tape._block_layout(n_samples, 401)[2] == n_blocks
+    def test_matches_direct_oracle(self, live, n_samples, live_blocks, forward_blocks):
+        assert tape._block_layout(n_samples, 401, live)[2] == (live_blocks if live else forward_blocks)
         x, kernels, pool_kernels = filter_pool_inputs(np.random.default_rng(n_samples), n_samples, 401, 401)
-        out = tape.filter_pool(x, kernels, pool_kernels, 160).value
+        out = tape.filter_pool(x, tape.leaf(kernels) if live else kernels, pool_kernels, 160).value
         assert out.shape == (2, 2, -(-n_samples // 160))
-        np.testing.assert_allclose(out, direct_filter_pool(x, kernels, pool_kernels, 160), atol=1e-12)
+        np.testing.assert_allclose(out, direct_filter_pool(x, kernels, pool_kernels, 160), rtol=0, atol=1e-12)
+
+    def test_block_length_follows_liveness(self, monkeypatch):
+        # a differentiated call keeps 16384-sample blocks, so training steps
+        # keep their bits (the golden clip lengths at W = 401); a
+        # forward-only one keeps a 1 s clip one block and streams a longer
+        # one in shorter blocks
+        assert tape._block_layout(16000, 401, True) == (16200, 16000, 1)
+        assert tape._block_layout(47969, 401, True) == (16384, 15984, 4)
+        assert tape._block_layout(16000, 401, False) == (16200, 16000, 1)
+        assert tape._block_layout(47969, 401, False) == (6000, 5600, 9)
+        monkeypatch.setattr(tape, "_spare", None)
+        x, kernels, pool_kernels = filter_pool_inputs(RNG, 47969, 401, 401, n=1, batch=1)
+        expected = direct_filter_pool(x, kernels, pool_kernels, 160)
+        for live, layout in ((False, (9, 6000)), (True, (4, 16384))):
+            node = tape.filter_pool(x, tape.leaf(kernels) if live else kernels, pool_kernels, 160)
+            np.testing.assert_allclose(node.value, expected, rtol=0, atol=1e-12)
+            del node  # a live node hands its workspaces back as it dies
+            assert tape._spare[0][0][2:4] == layout  # the recipe's block count and FFT size
 
     @pytest.mark.parametrize("n_samples, pool_width, stride", [
         pytest.param(300, 5, 3, id="300"),
@@ -363,13 +398,17 @@ class TestFilterPool:
             numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), value)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
+    @pytest.mark.parametrize("live", LAYOUTS)
     @pytest.mark.parametrize("n_samples, pool_width, stride", STREAMING_EDGES)
-    def test_streaming_edges(self, monkeypatch, n_samples, pool_width, stride):
-        monkeypatch.setattr(tape, "FFT_BLOCK", 32)
-        assert tape._block_layout(1000, 9)[1] == 24
+    def test_streaming_edges(self, monkeypatch, n_samples, pool_width, stride, live):
+        # in the differentiated layout the forward-only calls of the
+        # numeric gradients stay one FORWARD_BLOCK, so a streamed call is
+        # compared with one-block calls; in the forward-only one all stream
+        stream_in(monkeypatch, live, 32)
+        assert tape._block_layout(1000, 9, live)[1] == 24
         rng = np.random.default_rng(pool_width + stride)
         x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width, n=1)
-        out = tape.filter_pool(x, kernels, pool_kernels, stride).value
+        out = tape.filter_pool(x, tape.leaf(kernels) if live else kernels, pool_kernels, stride).value
         np.testing.assert_allclose(out, direct_filter_pool(x, kernels, pool_kernels, stride), rtol=0, atol=1e-12)
         weights = rng.standard_normal(out.shape)
 
@@ -473,11 +512,12 @@ class TestChannelGroups:
         tape.backward(tape.reduce_sum(out * weights))
         return out.value, kv.grad, pv.grad
 
+    @pytest.mark.parametrize("live", LAYOUTS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
-    def test_three_channels(self, monkeypatch, dtype, n_samples, pool_width, stride, fft_block):
+    def test_three_channels(self, monkeypatch, dtype, n_samples, pool_width, stride, fft_block, live):
         # N = 3: two groups split it 1 + 2, three or four give one channel each
-        monkeypatch.setattr(tape, "FFT_BLOCK", fft_block)
+        stream_in(monkeypatch, live, fft_block)
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
         rng = np.random.default_rng(n_samples + stride)
         inputs = [a.astype(dtype) for a in filter_pool_inputs(rng, n_samples, 9, pool_width, n=3)]
@@ -485,7 +525,8 @@ class TestChannelGroups:
         results = []
         for groups in (1, 2, 3, 4):
             monkeypatch.setattr(tape, "GROUPS", groups)
-            results.append(self.values_and_grads(*inputs, stride, weights))
+            results.append(self.values_and_grads(*inputs, stride, weights) if live
+                           else (tape.filter_pool(*inputs, stride).value,))
         for got in results[1:]:
             for a, b in zip(got, results[0]):
                 assert a.dtype == b.dtype == dtype
@@ -539,7 +580,7 @@ class TestChannelChunks:
     def test_one_two_and_all_channels_a_chunk(self, monkeypatch, n_samples, pool_width, stride, fft_block,
                                               signal_dtype, bank_dtype, live, groups):
         # N = 5: chunks of 2 leave a 1-channel chunk in a group of 3 or 5
-        monkeypatch.setattr(tape, "FFT_BLOCK", fft_block)
+        stream_in(monkeypatch, live, fft_block)
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
         monkeypatch.setattr(tape, "GROUPS", groups)
         rng = np.random.default_rng(n_samples + stride)
@@ -547,7 +588,7 @@ class TestChannelChunks:
         x, kernels, pool_kernels = x.astype(signal_dtype), kernels.astype(bank_dtype), pool_kernels.astype(bank_dtype)
         dtype = np.result_type(signal_dtype, bank_dtype)
         weights = rng.standard_normal((2, 5, -(-n_samples // stride))).astype(dtype)
-        chunk_bytes = 2 * tape._block_layout(n_samples, 9)[0] * np.dtype(dtype).itemsize
+        chunk_bytes = 2 * tape._block_layout(n_samples, 9, live)[0] * np.dtype(dtype).itemsize
         results = []
         for channels in (1, 2, 5):
             monkeypatch.setattr(tape, "_CHUNK_BYTES", channels * chunk_bytes)
@@ -559,8 +600,11 @@ class TestChannelChunks:
             assert all(ws.scratch.shape[1] == min(channels, len(ws.held)) for ws in tape._spare[1])
         value = results[0][0]
         assert value.dtype == dtype
+        # a call transforms in its result dtype: a float64 result is within
+        # float64 rounding of the oracle whichever operand was float32
         expected = direct_filter_pool(*(a.astype(np.float64) for a in (x, kernels, pool_kernels)), stride)
-        assert np.abs(value - expected).max() <= 1e-6 * np.abs(expected).max()
+        tolerance = 1e-12 if dtype == np.float64 else 1e-6
+        assert np.abs(value - expected).max() <= tolerance * np.abs(expected).max()
         for got in results[1:]:
             for a, b in zip(got, results[0]):
                 assert a.dtype == b.dtype
@@ -647,7 +691,7 @@ class TestWorkspaces:
             tape.backward(loss)
             del loss
             tape.filter_pool(x, kernels, pool_kernels, 3)
-        size = tape._block_layout(96, 9)[0]
+        size = tape._block_layout(96, 9, False)[0]
         key, spaces = tape._spare
         assert key[0][2:4] == (2, size)  # the recipe's item count and FFT size
         assert [ws.spectra.shape for ws in spaces] == [(2, 1, size // 2 + 1), (2, 2, size // 2 + 1)]
@@ -658,7 +702,7 @@ class TestWorkspaces:
         tape.filter_pool(x[:, :96], kernels, pool_kernels, 3)
         del loss
         key, spaces = tape._spare
-        size = tape._block_layout(420, 9)[0]
+        size = tape._block_layout(420, 9, True)[0]
         assert key[0][2:4] == (2, size)
         assert [ws.corr.shape for ws in spaces] == [(2, 2, 1, size), (2, 2, 2, size)]
 
@@ -669,7 +713,7 @@ class TestWorkspaces:
         monkeypatch.setattr(tape, "_spare", None)
         rng = np.random.default_rng(9)
         for width in (9, 7, 9):
-            assert tape._block_layout(300, width)[:2] == (320, 300)
+            assert tape._block_layout(300, width, False)[:2] == (320, 300)
             x, kernels, pool_kernels = filter_pool_inputs(rng, 300, width, 5, n=3)
             got = tape.filter_pool(x, kernels, pool_kernels, 3).value
             np.testing.assert_allclose(got, direct_filter_pool(x, kernels, pool_kernels, 3), atol=1e-12)
