@@ -119,5 +119,7 @@ def add_noise_snr(x: Waveform, snr_db: float, seed: int | np.random.Generator) -
     if power == 0.0:
         raise SilentInput("cannot set a finite SNR against a silent signal")
     gain = math.sqrt(power * 10.0 ** (-snr_db / 10.0))
-    noise = np.random.default_rng(seed).standard_normal(len(x.samples))
-    return Waveform(x.samples + gain * noise, x.sample_rate)
+    mixed = np.random.default_rng(seed).standard_normal(len(x.samples))
+    mixed *= gain
+    mixed += x.samples
+    return Waveform(mixed, x.sample_rate)

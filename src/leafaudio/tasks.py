@@ -16,6 +16,7 @@ about a second and ~49 MB of start-up.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,13 +77,40 @@ def _pitch_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Wave
 def _am_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Waveform:
     # full-depth modulation so pooling and PCEN dynamics see rate contrast
     n = round(task.duration_s * FRONTEND_RATE)
-    t = np.arange(n) / FRONTEND_RATE
     amp = rng.uniform(0.25, 1.0)
     mod_phase = rng.uniform(0.0, 2.0 * np.pi)
     car_phase = rng.uniform(0.0, 2.0 * np.pi)
-    envelope = 0.5 * (1.0 + np.cos(2.0 * np.pi * AM_RATES[label] * t + mod_phase))
-    carrier = np.cos(2.0 * np.pi * AM_CARRIER * t + car_phase)
-    return Waveform(amp * envelope * carrier, FRONTEND_RATE)
+    clip = _cosine(AM_RATES[label], n, mod_phase)
+    clip += 1.0
+    clip *= 0.5 * amp  # a power-of-two scale: amp * (0.5 * (1 + cos)) to the bit
+    clip *= _cosine(AM_CARRIER, n, car_phase)
+    return Waveform(clip, FRONTEND_RATE)
+
+
+def _cosine(frequency: float, n: int, phase: float) -> np.ndarray:
+    """cos(2 pi f k / FRONTEND_RATE + phase) for k < n, a new array: the
+    cached phasor rotated by the phase, cos a cos p - sin a sin p.
+
+    It differs from ``np.cos`` of the summed argument by rounding only,
+    within one spacing of that argument (9.1e-13 at 1 kHz over 1 s; seen
+    up to 4.2e-13), the size of the rounding of the sum itself.
+    """
+    cos, sin = _phasor(frequency, n)
+    out = cos * math.cos(phase)
+    out -= sin * math.sin(phase)
+    return out
+
+
+# two clip lengths' tables of every AM frequency: 1 MB (4 x 2 x 16000
+# float64) at 1 s
+@functools.lru_cache(maxsize=2 * (len(AM_RATES) + 1))
+def _phasor(frequency: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (cos, sin) of 2 pi f k / FRONTEND_RATE for k < n."""
+    arg = 2.0 * np.pi * frequency * (np.arange(n) / FRONTEND_RATE)
+    tables = np.cos(arg), np.sin(arg)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
 
 
 def _noise_color_example(task: TaskSpec, label: int, rng: np.random.Generator) -> Waveform:

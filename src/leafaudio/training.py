@@ -237,13 +237,12 @@ def _split_windows(samples: np.ndarray, window: int) -> list[np.ndarray]:
     return [samples[w * window: (w + 1) * window] for w in range(len(samples) // window)]
 
 
-def _mean_window_logits(model: MultiHead, clips, task_index: int, start: int = 0) -> np.ndarray:
-    """(clips, classes) head logits, each clip's averaged over its
-    one-second windows.
+def _window_batch(model: MultiHead, clips, task_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one-second windows of ``clips`` stacked in the head's dtype,
+    (windows, T), and the index of each window's clip.
 
-    Every window of every clip goes through ``task_logits`` in one batch,
-    in the head's dtype.  A clip not at the frontend's rate raises BadRate;
-    non-finite logits raise NonFiniteFeatures naming clip ``start + i``.
+    The stack is cast as it is made, so no float64 copy of the batch is
+    held.  A clip not at the frontend's rate raises BadRate.
     """
     windows, owners = [], []
     for i, wav in enumerate(clips):
@@ -251,10 +250,20 @@ def _mean_window_logits(model: MultiHead, clips, task_index: int, start: int = 0
         pieces = _split_windows(wav.samples, round(WINDOW_S * wav.sample_rate))
         windows += pieces
         owners += [i] * len(pieces)
-    xs = np.stack(windows).astype(model.params[f"head{task_index}_weights"].dtype)
+    return np.stack(windows, dtype=model.params[f"head{task_index}_weights"].dtype), np.asarray(owners)
+
+
+def _mean_window_logits(model: MultiHead, xs: np.ndarray, owners: np.ndarray, task_index: int,
+                        start: int = 0) -> np.ndarray:
+    """(clips, classes) head logits of a ``_window_batch``, each clip's
+    averaged over its windows.
+
+    Every window goes through ``task_logits`` in one batch.  The clips
+    themselves are not needed, so a caller may drop them first.  Non-finite
+    logits raise NonFiniteFeatures naming clip ``start + i``.
+    """
     logits = task_logits(xs, np.full(len(xs), task_index), model.params, model.cfg)[task_index][1].value
-    owners = np.asarray(owners)
-    means = np.stack([logits[owners == i].mean(axis=0) for i in range(len(clips))])
+    means = np.stack([logits[owners == i].mean(axis=0) for i in range(owners[-1] + 1)])
     bad = np.flatnonzero(~np.isfinite(means).all(axis=1))
     if bad.size:
         raise NonFiniteFeatures(f"clip {start + bad[0]} has non-finite logits {means[bad[0]]}")
@@ -263,7 +272,8 @@ def _mean_window_logits(model: MultiHead, clips, task_index: int, start: int = 0
 
 def clip_logits(model: MultiHead, waveform, task_index: int = 0) -> np.ndarray:
     """Head logits for one clip, averaged over its one-second windows."""
-    return _mean_window_logits(model, [waveform], task_index)[0]
+    xs, owners = _window_batch(model, [waveform], task_index)
+    return _mean_window_logits(model, xs, owners, task_index)[0]
 
 
 def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
@@ -273,8 +283,10 @@ def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
     Clips longer than one second are split into consecutive non-overlapping
     one-second windows whose logits are averaged before the argmax.  The
     clip count and the head are checked before any clip is made.  Each
-    chunk of ``EVAL_BATCH_CLIPS`` clips is made just before it runs, so
-    memory does not grow with ``n_examples``.
+    chunk of ``EVAL_BATCH_CLIPS`` clips is made just before it runs, and
+    its clips are dropped once their windows are stacked in the head's
+    dtype, before the features are made, so memory does not grow with
+    ``n_examples``.
     """
     if n_examples < 1:
         raise ValueError(f"evaluation needs at least 1 clip, got n_examples={n_examples}")
@@ -285,14 +297,24 @@ def evaluate(model: MultiHead, task: TaskSpec, n_examples: int, seed: int,
     if bias.size != task.num_classes:
         raise ShapeMismatch(f"head {task_index} has {bias.size} classes, "
                             f"task {task.name!r} has {task.num_classes}")
-    correct = 0
-    for start in range(0, n_examples, EVAL_BATCH_CLIPS):
-        chunk = test_set(task, min(EVAL_BATCH_CLIPS, n_examples - start), seed, start)
-        logits = _mean_window_logits(model, [wav for wav, _ in chunk], task_index, start)
-        correct += int(np.sum(logits.argmax(axis=1) == [label for _, label in chunk]))
+    correct = sum(_chunk_correct(model, task, min(EVAL_BATCH_CLIPS, n_examples - start), seed, start,
+                                 task_index)
+                  for start in range(0, n_examples, EVAL_BATCH_CLIPS))
     p = correct / n_examples
     ci = 1.96 * np.sqrt(p * (1.0 - p) / n_examples)
     return EvalResult(p, float(ci), n_examples)
+
+
+def _chunk_correct(model: MultiHead, task: TaskSpec, n_clips: int, seed: int, start: int,
+                   task_index: int) -> int:
+    """How many of held-out clips ``start`` .. ``start + n_clips - 1`` the
+    head classifies correctly."""
+    chunk = test_set(task, n_clips, seed, start)
+    labels = [label for _, label in chunk]
+    xs, owners = _window_batch(model, [wav for wav, _ in chunk], task_index)
+    del chunk  # the float64 clips go before the features are made
+    logits = _mean_window_logits(model, xs, owners, task_index, start)
+    return int(np.sum(logits.argmax(axis=1) == labels))
 
 
 def bootstrap_diff(acc_a, acc_b, iters: int = 100_000, seed: int = 0) -> tuple[float, float]:

@@ -438,13 +438,14 @@ class TestMelFrontend:
 
     @pytest.mark.parametrize("shards", [1, 2, 3, 5])
     def test_row_shards_equal_the_whole_batch(self, monkeypatch, shards):
-        # rows of 11, 1 and 100 frames, and one longer than the 800-frame
-        # chunk budget; batches on both sides of the chunk edges (eight 1 s
-        # rows per chunk); oracle: the whole batch in one STFT and one matmul
+        # rows of 11, 1 and 100 frames, and one longer than the 400-frame
+        # chunk budget; batches on both sides of the chunk edges (36 rows
+        # of 1700 samples or four 1 s rows per chunk); oracle: the whole
+        # batch in one STFT and one matmul
         monkeypatch.setattr(workers, "CPUS", shards)
         rng = np.random.default_rng(shards)
-        for n_samples, batches in ((1700, (1, 2, 3, 63, 64, 70)), (100, (7, 8, 9, 16, 17, 65)),
-                                   (16000, (7, 8, 9, 16, 17, 65)), (144000, (1, 2, 3))):
+        for n_samples, batches in ((1700, (1, 2, 3, 35, 36, 37, 72, 73)), (100, (7, 8, 9, 16, 17, 65)),
+                                   (16000, (3, 4, 5, 7, 8, 9, 16, 17, 65)), (144000, (1, 2, 3))):
             for batch in batches:
                 xs = rng.standard_normal((batch, n_samples))
                 serial = stft_power(xs, MEL.n_fft, MEL.pool_stride) @ mel_matrix(MEL).T
@@ -452,8 +453,8 @@ class TestMelFrontend:
 
     @pytest.mark.parametrize("shards", [1, 2])
     def test_memory_does_not_grow_with_the_batch(self, monkeypatch, shards):
-        # one chunk of eight 1 s rows holds ~6.6 MiB of STFT temporaries; on
-        # two shards the slack is one chunk more, as the shards of a B=16
+        # one chunk of four 1 s rows peaks at 2.8 MiB of STFT temporaries;
+        # on two shards the slack is one chunk more, as the shards of a B=16
         # call may or may not overlap
         monkeypatch.setattr(workers, "CPUS", shards)
         extra = {}
@@ -461,7 +462,7 @@ class TestMelFrontend:
             xs = np.random.default_rng(batch).standard_normal((batch, 16000))
             out, peak = traced_peak(lambda: mel_power_features(xs, MEL))
             extra[batch] = peak - out.nbytes
-        assert abs(extra[256] - extra[16]) <= (shards - 1) * 7 * 2 ** 20 + 2 ** 20, extra
+        assert abs(extra[256] - extra[16]) <= (shards - 1) * 3 * 2 ** 20 + 2 ** 20, extra
 
 
 class TestParamCount:

@@ -13,10 +13,14 @@ import pytest
 from leafaudio import workers
 from leafaudio.errors import UnknownTask
 from leafaudio.frontend import FrontendConfig, mel_power_features
+from leafaudio.signal import FRONTEND_RATE
 from leafaudio.tasks import (
+    AM_CARRIER,
     AM_RATES,
     PITCH_FREQS,
     TaskSpec,
+    _am_example,
+    _phasor,
     generate_example,
     make_task,
     sample_batch,
@@ -114,7 +118,29 @@ class TestGenerateExample:
     def test_noisy_clip_is_pinned(self):
         samples = generate_example(make_task("am", snr_db=5.0), 1, seed=7).samples
         assert hashlib.sha256(samples.tobytes()).hexdigest() == (
-            "2c4a1b560435d4b1a690596c3318e10031e3fe1d74cc363969965479d6f6a8e5")
+            "522e0f23b08da93034e47f254d499d418d0110036755f430c73c34a9ad5e4100")
+
+    @pytest.mark.parametrize("duration_s", [0.1, 0.25, 1.0])
+    def test_am_clips_match_the_direct_formula(self, duration_s):
+        # a clip rotates cached phasors by its phases; np.cos of the summed
+        # argument differs by rounding only, within one spacing of the
+        # largest carrier argument: the rounding of that sum itself
+        task = TaskSpec(0, "am", 3, np.inf, duration_s=duration_s)
+        t = np.arange(round(duration_s * FRONTEND_RATE)) / FRONTEND_RATE
+        bound = np.spacing(2 * np.pi * AM_CARRIER * duration_s + 2 * np.pi) + 4 * np.finfo(float).eps
+        for label, rate in enumerate(AM_RATES):
+            for seed in range(10):
+                clip = _am_example(task, label, np.random.default_rng(seed)).samples
+                rng = np.random.default_rng(seed)
+                amp, mod_phase, car_phase = rng.uniform(0.25, 1.0), *rng.uniform(0.0, 2.0 * np.pi, 2)
+                envelope = 0.5 * (1.0 + np.cos(2.0 * np.pi * rate * t + mod_phase))
+                direct = amp * envelope * np.cos(2.0 * np.pi * AM_CARRIER * t + car_phase)
+                assert np.max(np.abs(clip - direct)) <= bound, (label, seed)
+            for table in _phasor(rate, len(t)):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    table[0] = 0.0
+        assert _phasor(AM_CARRIER, len(t))[0] is _phasor(AM_CARRIER, len(t))[0]
 
     def test_snr_applied(self):
         clean = generate_example(make_task("pitch"), 0, seed=4)

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from leafaudio import tape
+from leafaudio import tape, workers
 from leafaudio.autodiff import perturbed_params
 from leafaudio.errors import (
     BadRate,
@@ -39,6 +39,7 @@ from leafaudio.training import (
     task_logits,
     train,
 )
+from test_frontend import traced_peak
 
 MICRO = variant_config("leaf", n_filters=6, filter_len=65, pool_len=65, pool_stride=80)
 
@@ -348,12 +349,12 @@ class TestEvaluate:
         assert evaluate(model, task, 70, seed=42).accuracy == np.mean(hits)
 
 
-def seeded_mel_pcen_model(task, seed):
+def seeded_mel_pcen_model(task, seed, n_filters=8):
     """A float32 mel-pcen model with a seeded head, so accuracy depends on the features."""
-    cfg = variant_config("mel-pcen", n_filters=8)
+    cfg = variant_config("mel-pcen", n_filters=n_filters)
     values = dict(init_multitask_params(cfg, [task.num_classes], dtype=np.float32))
     rng = np.random.default_rng(seed)
-    values["head0_weights"] = rng.standard_normal((8, task.num_classes)).astype(np.float32)
+    values["head0_weights"] = rng.standard_normal((n_filters, task.num_classes)).astype(np.float32)
     values["head0_bias"] = (0.1 * rng.standard_normal(task.num_classes)).astype(np.float32)
     return MultiHead(ParamSet(values), cfg, (task.num_classes,))
 
@@ -380,20 +381,33 @@ class TestNonFiniteLogits:
 class TestEvaluateChunks:
     TASK = TaskSpec(0, "am", 3, 5.0, duration_s=0.25)
 
-    def test_memory_does_not_grow_with_clip_count(self):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_memory_does_not_grow_with_clip_count(self, monkeypatch, shards):
         # each chunk's clips are made just before it runs: 640 clips of
-        # 0.25 s are 20 MB of samples, ~3x one chunk's peak
+        # 0.25 s are 20 MB of samples, ~3x one chunk's peak.  Both counts
+        # run on one pinned shard count; on two shards the slack is one
+        # STFT chunk (400 frames, 2.8 MiB), as the shards of either count
+        # may or may not overlap
+        monkeypatch.setattr(workers, "CPUS", shards)
         model = seeded_mel_pcen_model(self.TASK, 43)
-        evaluate(model, self.TASK, 1, seed=0)  # first-use allocations out of the peaks
+        evaluate(model, self.TASK, 3, seed=0)  # first-use allocations (each label's phasors) out of the peaks
         peaks = {}
         for n in (64, 640):
-            tracemalloc.start()
-            try:
-                evaluate(model, self.TASK, n, seed=1)
-                peaks[n] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-        assert peaks[640] <= 1.25 * peaks[64], peaks
+            _, peaks[n] = traced_peak(lambda: evaluate(model, self.TASK, n, seed=1))
+        assert peaks[640] <= 1.25 * peaks[64] + (shards - 1) * 3 * 2 ** 20, peaks
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_clips_go_before_the_features(self, monkeypatch, shards):
+        # the peak is where 64 one-second clips (7.8 MiB of float64) meet
+        # their float32 batch (3.9 MiB); the clips are dropped before the
+        # mel step, whose batch, one 2.8 MiB STFT chunk per shard and
+        # features stay below that
+        monkeypatch.setattr(workers, "CPUS", shards)
+        task = make_task("am", snr_db=5.0)
+        model = seeded_mel_pcen_model(task, 41, n_filters=40)
+        evaluate(model, task, 3, seed=0)
+        _, peak = traced_peak(lambda: evaluate(model, task, 64, seed=2))
+        assert peak <= 13.75 * 2 ** 20, peak / 2 ** 20
 
     def test_concurrent_callers_get_the_serial_result(self):
         model = seeded_mel_pcen_model(self.TASK, 47)
