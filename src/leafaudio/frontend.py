@@ -71,6 +71,9 @@ class FrontendConfig:
             raise ValueError("filter_len must be odd")
         if self.pool_len % 2 != 1:
             raise ValueError("pool_len must be odd")
+        for name, least in (("filter_len", 3), ("pool_len", 5)):
+            if getattr(self, name) < least:  # else sigma's or pool_widths' range is empty
+                raise ValueError(f"{name} must be >= {least}")
         if self.pool_stride < 1:
             raise ValueError("pool_stride must be >= 1")
         if self.compression not in COMPRESSIONS:

@@ -29,9 +29,8 @@ and carries the unfinished tail into the next block.  No full-rate array
 outlives its block; the block's correlations are kept only while a kernel
 is differentiated, and its spectrum is never kept.  A signal that fits
 one block of ``FFT_BLOCK`` samples is one block; a longer one is cut
-into blocks of ``FFT_BLOCK`` samples if the call keeps its correlations,
-else into shorter ones of ``FORWARD_BLOCK``, whose kernel spectra and
-chunk buffers stay in cache (see :func:`_block_layout`).
+into shorter blocks of ``STREAM_BLOCK`` samples, whose kernel spectra and
+chunk buffers stay in cache, whatever the call (see :func:`_block_layout`).
 
 The forward and the adjoint are two consumers of that walk.  The forward
 makes each block's correlations by inverse FFT and pools its frames from
@@ -57,7 +56,7 @@ calling thread.  Inside a block, a group runs its per-channel work, from
 the spectrum product to the squared energy forward and from ``d_corr`` to
 the spectrum accumulator backward, over chunks of channels whose
 correlations take about ``_CHUNK_BYTES`` (1 MiB: 10 channels of a float64
-``FORWARD_BLOCK``, 8 of a float32 1 s clip), in chunk-sized buffers.  Every
+``STREAM_BLOCK``, 8 of a float32 1 s clip), in chunk-sized buffers.  Every
 number is computed by the same operations whatever the grouping and the
 chunking, so values and gradients depend on neither, bit for bit.
 
@@ -75,7 +74,7 @@ hands them back.  So two live graphs never share a buffer, ``backward``
 may run twice on one graph, and each training step reuses the last one's
 memory instead of taking fresh pages from the system (90.5 MiB a step at
 B=16, 1 s, float32, 79.1 MiB of it correlations; 9.2 MiB for a 10 s
-forward-only float64 call, in blocks of ``FORWARD_BLOCK`` samples).
+forward-only float64 call, in blocks of ``STREAM_BLOCK`` samples).
 """
 
 from __future__ import annotations
@@ -93,28 +92,28 @@ from scipy import fft as _fft
 from . import workers
 
 # filter_pool's overlap-save block lengths.  A signal that fits one
-# FFT_BLOCK is one block, whatever the call.  A longer one is cut into
-# FFT_BLOCK samples if the call keeps its correlations for an adjoint: what
-# it keeps grows with T whatever the block, and shorter blocks would keep
-# each block's overlap as well.  A forward-only call cuts it into
-# FORWARD_BLOCK: at FFT_BLOCK a float64 channel group's kernel spectra
+# FFT_BLOCK is one block.  A longer one is cut into STREAM_BLOCK samples,
+# whatever the call: at FFT_BLOCK a float64 channel group's kernel spectra
 # (~5 MiB) and chunk buffers overflow a 2 MiB per-core L2 cache, and
 # shorter blocks cost less per output sample even after their extra
-# overlap.  Only that traffic was measured, so a clip of up to ~1 s (the
-# clips of evaluate and noise-sweep) stays one block.  The harness sweep
-# (extract-long, a 10 s float64 leaf extract, 2 CPUs, 10 s runs;
-# audio_s_per_s over the same round's FFT_BLOCK run, median of 7 rounds,
-# 3 where marked *; peak RSS, median):
+# overlap.  A call that keeps its correlations for an adjoint keeps that
+# overlap too, and still holds less: a float32 40-channel forward and
+# backward traced a cold peak of 88 MiB against 96 at FFT_BLOCK (10 s,
+# B=1), and 61 against 82 (2 s, B=4).  Only long clips were measured, so
+# a clip of up to ~1 s (training's, evaluate's) stays one block.  The
+# harness sweep (extract-long, a 10 s float64 leaf extract, 2 CPUs, 10 s
+# runs; audio_s_per_s over the same round's FFT_BLOCK run, median of 7
+# rounds, 3 where marked *; peak RSS, median):
 #     block   4000*  4500  4800  5120  6000  6144*  6400  7200  8000  8192*  12000  16384
 #     speed   1.07   1.11  1.12  1.08  1.15  1.09   1.18  1.02  1.09  1.06   1.10   1
 #     RSS MB  78.5   78.6  78.6  78.7  79.4  79.7   80.2  81.1  81.7  82.1   85.2   90.1
 # 6000 and 6400 are within one round's spread of each other (0.98-1.34
 # and 0.87-1.43); 6000 holds less
 FFT_BLOCK = 16384
-FORWARD_BLOCK = 6000
+STREAM_BLOCK = 6000
 # filter_pool runs each group's per-channel work over chunks of channels
 # whose correlations take about this many bytes (10 channels of a float64
-# FORWARD_BLOCK, 8 of a float32 1 s clip), in chunk-sized buffers: channel-wide
+# STREAM_BLOCK, 8 of a float32 1 s clip), in chunk-sized buffers: channel-wide
 # ones would set the memory of every call
 _CHUNK_BYTES = 2 ** 20
 
@@ -370,16 +369,14 @@ def matmul(a, b):
 # -- DSP primitives -------------------------------------------------------
 
 
-def _block_layout(n_samples, width, live):
+def _block_layout(n_samples, width):
     """(FFT length, output span per block, block count) for overlap-save.
 
     A signal that fits ``FFT_BLOCK`` is one block at the shortest fast
     length that keeps the circular correlation free of wrap-around.  A
-    longer one is cut into blocks whose spans of valid output tile the
-    signal, each with its own halos: blocks of ``FFT_BLOCK`` samples if
-    the call keeps its correlations for an adjoint (``live``), else
-    shorter ones of ``FORWARD_BLOCK``, in which a group's kernel spectra
-    and chunk buffers stay in cache.
+    longer one is cut into blocks of ``STREAM_BLOCK`` samples, in which a
+    group's kernel spectra and chunk buffers stay in cache, whose spans of
+    valid output tile the signal, each with its own halos.
     """
     half = (width - 1) // 2
     size = _fft.next_fast_len(max(n_samples + half, width), real=True)
@@ -387,7 +384,7 @@ def _block_layout(n_samples, width, live):
     shortest = _fft.next_fast_len(2 * width, real=True)
     if size <= max(FFT_BLOCK, shortest):
         return size, n_samples, 1
-    block = max(FFT_BLOCK if live else FORWARD_BLOCK, shortest)
+    block = max(STREAM_BLOCK, shortest)
     span = block - (width - 1)
     return block, span, -(-n_samples // span)
 
@@ -406,11 +403,10 @@ def filter_pool(x, kernels, pool_kernels, stride):
 
     for m < M = ceil(T / stride); the result has shape (B, N, M).  The
     correlation is an FFT product, exact up to rounding, taken block by
-    block (overlap-save) when T exceeds ``FFT_BLOCK``, in blocks of
-    ``FFT_BLOCK`` samples if a kernel is live, else of ``FORWARD_BLOCK``;
-    each frame is pooled as soon as the block that completes its window is
-    made.  The call transforms in its result dtype, whatever its operands'
-    dtypes.
+    block (overlap-save) in blocks of ``STREAM_BLOCK`` samples when T
+    exceeds ``FFT_BLOCK``; each frame is pooled as soon as the block that
+    completes its window is made.  The call transforms in its result dtype,
+    whatever its operands' dtypes.
     The channels run as up to ``GROUPS`` contiguous groups, each one task
     on the worker pool, forward and backward, that makes the signal's
     block spectra itself, and a group's per-channel work runs over chunks
@@ -449,7 +445,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
     dtype = np.result_type(vx.dtype, vk.dtype, np.float32)
     out = np.empty((batch, n, -(-n_samples // stride)), dtype=dtype)
     live = _live(kernels) or _live(pool_kernels)
-    layout = size, span, n_blocks = _block_layout(n_samples, width, live)
+    layout = size, span, n_blocks = _block_layout(n_samples, width)
     chunk = max(1, _CHUNK_BYTES // (2 * size * dtype.itemsize))
     bounds = _channel_groups(n, batch * n_blocks * size * n)
     recipe = (chunk, dtype, batch * n_blocks, size, span, pool_width, live)

@@ -139,7 +139,7 @@ def stack_batch(batch, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError("batch waveforms must share one length")
     for x, _, _ in batch:
         require_frontend_rate(x)
-    xs = np.stack([x.samples for x, _, _ in batch]).astype(dtype)
+    xs = np.stack([x.samples for x, _, _ in batch], dtype=dtype)
     labels = np.asarray([y for _, y, _ in batch])
     task_ids = np.asarray([k for _, _, k in batch])
     return xs, labels, task_ids

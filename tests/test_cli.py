@@ -589,6 +589,21 @@ class TestSizeSettings:
         assert main(["extract", "--input", str(tone_wav), "--config", str(path)]) == 1
         assert capsys.readouterr().err == "ValueError: pool_len must be >= 1\n"
 
+    # below these lengths pool_widths' or sigma's constraint range is empty
+    @pytest.mark.parametrize("pool_len", [1, 3])
+    def test_config_pool_len_below_5_exits_1_and_names_it(self, pool_len, tone_wav, tmp_path, capsys):
+        path, out = tmp_path / "short.txt", tmp_path / "out.leaf"
+        path.write_text(f"pool_len={pool_len}\n")
+        assert main(["extract", "--input", str(tone_wav), "--config", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "ValueError: pool_len must be >= 5\n")
+        assert not out.exists()
+
+    def test_filter_len_1_exits_1_and_names_it(self, tone_wav, tmp_path, capsys):
+        out = tmp_path / "out.leaf"
+        assert main(["extract", "--input", str(tone_wav), "--filter-len", "1", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", "ValueError: filter_len must be >= 3\n")
+        assert not out.exists()
+
 
 class TestNoiseSweepConfig:
     """noise-sweep builds each variant from --config and the size flags."""

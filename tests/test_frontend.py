@@ -348,7 +348,7 @@ class TestFrontendForward:
 
     def test_extract_spare_size(self, monkeypatch):
         # the forward-only float64 spare of a 10 s clip in two groups, at
-        # FORWARD_BLOCK samples a block, as the tape docstring, the README
+        # STREAM_BLOCK samples a block, as the tape docstring, the README
         # and ROADMAP item 4 state it
         monkeypatch.setattr(tape, "GROUPS", 2)
         monkeypatch.setattr(tape, "_spare", None)
@@ -399,11 +399,14 @@ class TestMelFrontend:
                                              (dict(fmax=8001.0), "fmax"), (dict(n_fft=500), "n_fft"),
                                              (dict(n_fft=0), "n_fft"), (dict(n_fft=256), "n_fft"),
                                              (dict(pool_len=400), "^pool_len must be odd$"),
+                                             (dict(pool_len=3), "^pool_len must be >= 5$"),
+                                             (dict(filter_len=1), "^filter_len must be >= 3$"),
                                              (dict(pool_stride=0), "^pool_stride must be >= 1$"),
                                              (dict(compression="sqrt"), "^compression must be one of"),
                                              (dict(filtering="sinc"), "^filtering must be one of")],
                              ids=["fmin<0", "fmin=fmax", "fmax>nyquist", "n_fft=500", "n_fft=0", "n_fft=256",
-                                  "pool_len=400", "pool_stride=0", "compression", "filtering"])
+                                  "pool_len=400", "pool_len=3", "filter_len=1", "pool_stride=0", "compression",
+                                  "filtering"])
     def test_bad_design_grid(self, grid, match):
         # n_fft=256 is a power of two, but shorter than the 400-sample analysis window
         with pytest.raises(ValueError, match=match):

@@ -1,6 +1,8 @@
 """Tests for the Gabor filterbank and its mel initialization."""
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from leafaudio.gabor import (
     sigma_max,
 )
 from leafaudio.frontend import FrontendConfig, gabor_kernel_graph
-from leafaudio.params import ParamSet, project_params
+from leafaudio.params import ParamSet, constraint_bounds, project_params
 
 
 def mel_oracle_breakpoints(n_filters, fmin, fmax):
@@ -157,6 +159,21 @@ class TestProjectConstraints:
         out_eta, out_sigma = project_bank(eta[:n], sigma[:n])
         assert np.all((out_eta >= 0.0) & (out_eta <= 0.5))
         assert np.all((out_sigma >= SIGMA_MIN) & (out_sigma <= sigma_max(401)))
+
+    @pytest.mark.parametrize("field", ["filter_len", "pool_len"])
+    def test_config_accepts_exactly_the_lengths_with_non_empty_ranges(self, field):
+        # constraint_bounds reads only the two kernel lengths
+        for length in (*range(1, 42, 2), 401):
+            lengths = {"filter_len": 401, "pool_len": 401, field: length}
+            non_empty = all(high is None or low <= high
+                            for low, high in constraint_bounds(SimpleNamespace(**lengths)).values())
+            try:
+                FrontendConfig(**lengths)
+            except ValueError as error:
+                assert not non_empty, length
+                assert re.fullmatch(f"{field} must be >= [35]", str(error)), error
+            else:
+                assert non_empty, length
 
 
 class TestFrequencyResponse:

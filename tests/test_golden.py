@@ -39,10 +39,10 @@ from leafaudio.training import multitask_loss_and_grad
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 VARIANTS = tuple(VARIANT_NAMES.values())
 DTYPES = (np.float32, np.float64)
-# a 1 s clip, and one of 3 overlap-save spans of 16384 - 400 samples plus
-# a 17-sample last block at the default 401-tap filters, the block of a
-# differentiated call (a forward-only one cuts 8 spans of 6000 - 400 and
-# one of 3169)
+# forward-only feature calls at the default 401-tap filters: a 1 s clip,
+# one block, and a longer one that filter_pool cuts into 8 overlap-save
+# spans of 6000 - 400 samples and one of 3169 (its length, 3 spans of
+# 16384 - 400 plus 17, is kept so that no digest moves)
 CLIP_LENGTHS = (16000, 3 * (16384 - 400) + 17)
 CLI_VARIANTS = ("leaf", "mel-pcen")
 

@@ -324,61 +324,56 @@ ONE_BLOCK_AND_STREAMING_EDGES = [
 LAYOUTS = [pytest.param(True, id="differentiated"), pytest.param(False, id="forward-only")]
 
 
-def stream_in(monkeypatch, live, block):
-    """Cut the layout under test into ``block``-sample blocks: a live call
-    cuts FFT_BLOCK ones, a forward-only one FORWARD_BLOCK ones once its
-    signal outgrows one FFT_BLOCK."""
+def stream_in(monkeypatch, block):
+    """Cut every call into ``block``-sample blocks once its signal
+    outgrows one block."""
     monkeypatch.setattr(tape, "FFT_BLOCK", block)
-    if not live:
-        monkeypatch.setattr(tape, "FORWARD_BLOCK", block)
+    monkeypatch.setattr(tape, "STREAM_BLOCK", block)
 
 
 class TestFilterPool:
-    # at W = 401 a signal of up to FFT_BLOCK - 200 samples is one block in
-    # either layout; a longer one is cut into spans of FFT_BLOCK - 400
-    # samples if live, else of FORWARD_BLOCK - 400
+    # at W = 401 a signal of up to FFT_BLOCK - 200 samples is one block; a
+    # longer one is cut into spans of STREAM_BLOCK - 400 samples
     FITS = tape.FFT_BLOCK - 200
-    SPAN, FORWARD_SPAN = tape.FFT_BLOCK - 400, tape.FORWARD_BLOCK - 400
+    SPAN = tape.STREAM_BLOCK - 400
 
     @pytest.mark.parametrize("live", LAYOUTS)
-    @pytest.mark.parametrize("n_samples, live_blocks, forward_blocks", [
-        pytest.param(150, 1, 1, id="shorter-than-kernel"),
-        pytest.param(16000, 1, 1, id="16000"),
-        pytest.param(FITS - 1, 1, 1, id="fits-1"),
-        pytest.param(FITS, 1, 1, id="fits"),
-        pytest.param(FITS + 1, 2, 3, id="fits+1"),
-        pytest.param(3 * FORWARD_SPAN + 1, 2, 4, id="three-forward-spans-and-1"),
-        pytest.param(3 * SPAN + 17, 4, 9, id="three-spans-and-17"),
+    @pytest.mark.parametrize("n_samples, blocks", [
+        pytest.param(150, 1, id="shorter-than-kernel"),
+        pytest.param(16000, 1, id="16000"),
+        pytest.param(FITS - 1, 1, id="fits-1"),
+        pytest.param(FITS, 1, id="fits"),
+        pytest.param(FITS + 1, 3, id="fits+1"),
+        pytest.param(3 * SPAN + 1, 4, id="three-spans-and-1"),
+        pytest.param(3 * (tape.FFT_BLOCK - 400) + 17, 9, id="47969"),
     ])
-    def test_matches_direct_oracle(self, live, n_samples, live_blocks, forward_blocks):
-        assert tape._block_layout(n_samples, 401, live)[2] == (live_blocks if live else forward_blocks)
+    def test_matches_direct_oracle(self, live, n_samples, blocks):
+        assert tape._block_layout(n_samples, 401)[2] == blocks
         x, kernels, pool_kernels = filter_pool_inputs(np.random.default_rng(n_samples), n_samples, 401, 401)
         out = tape.filter_pool(x, tape.leaf(kernels) if live else kernels, pool_kernels, 160).value
         assert out.shape == (2, 2, -(-n_samples // 160))
         np.testing.assert_allclose(out, direct_filter_pool(x, kernels, pool_kernels, 160), rtol=0, atol=1e-12)
 
-    def test_block_length_follows_liveness(self, monkeypatch):
-        # a differentiated call keeps 16384-sample blocks, so training steps
-        # keep their bits (the golden clip lengths at W = 401); a
-        # forward-only one keeps a 1 s clip one block and streams a longer
-        # one in shorter blocks
-        assert tape._block_layout(16000, 401, True) == (16200, 16000, 1)
-        assert tape._block_layout(47969, 401, True) == (16384, 15984, 4)
-        assert tape._block_layout(16000, 401, False) == (16200, 16000, 1)
-        assert tape._block_layout(47969, 401, False) == (6000, 5600, 9)
+    def test_block_length_ignores_liveness(self, monkeypatch):
+        # a 1 s clip is one block and a longer one streams in shorter
+        # blocks, whether the call differentiates a kernel or not (the
+        # golden clip lengths at W = 401)
         monkeypatch.setattr(tape, "_spare", None)
-        x, kernels, pool_kernels = filter_pool_inputs(RNG, 47969, 401, 401, n=1, batch=1)
-        expected = direct_filter_pool(x, kernels, pool_kernels, 160)
-        for live, layout in ((False, (9, 6000)), (True, (4, 16384))):
-            node = tape.filter_pool(x, tape.leaf(kernels) if live else kernels, pool_kernels, 160)
-            np.testing.assert_allclose(node.value, expected, rtol=0, atol=1e-12)
-            del node  # a live node hands its workspaces back as it dies
-            assert tape._spare[0][0][2:4] == layout  # the recipe's block count and FFT size
+        for n_samples, layout in ((16000, (16200, 16000, 1)), (47969, (6000, 5600, 9))):
+            assert tape._block_layout(n_samples, 401) == layout
+            x, kernels, pool_kernels = filter_pool_inputs(RNG, n_samples, 401, 401, n=1, batch=1)
+            expected = direct_filter_pool(x, kernels, pool_kernels, 160)
+            for live in (False, True):
+                node = tape.filter_pool(x, tape.leaf(kernels) if live else kernels, pool_kernels, 160)
+                np.testing.assert_allclose(node.value, expected, rtol=0, atol=1e-12)
+                del node  # a live node hands its workspaces back as it dies
+                # the recipe's block count and FFT size
+                assert tape._spare[0][0][2:4] == (layout[2], layout[0])
 
     @pytest.mark.parametrize("n_samples, pool_width, stride", [
         pytest.param(300, 5, 3, id="300"),
-        # three blocks, the last keeping 17 samples: a stale backward tail shows
-        pytest.param(2 * (tape.FFT_BLOCK - 8) + 17, 5, 3, id="32769"),
+        # four blocks, the last keeping 17 samples: a stale backward tail shows
+        pytest.param(3 * (tape.STREAM_BLOCK - 8) + 17, 5, 3, id="17993"),
         # the haloed signal reaches past the last frame's pooling window
         pytest.param(96, 3, 8, id="pool-narrower-than-stride"),
     ])
@@ -401,11 +396,9 @@ class TestFilterPool:
     @pytest.mark.parametrize("live", LAYOUTS)
     @pytest.mark.parametrize("n_samples, pool_width, stride", STREAMING_EDGES)
     def test_streaming_edges(self, monkeypatch, n_samples, pool_width, stride, live):
-        # in the differentiated layout the forward-only calls of the
-        # numeric gradients stay one FORWARD_BLOCK, so a streamed call is
-        # compared with one-block calls; in the forward-only one all stream
-        stream_in(monkeypatch, live, 32)
-        assert tape._block_layout(1000, 9, live)[1] == 24
+        # the checked call and the numeric gradients' calls all stream
+        stream_in(monkeypatch, 32)
+        assert tape._block_layout(1000, 9)[1] == 24
         rng = np.random.default_rng(pool_width + stride)
         x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width, n=1)
         out = tape.filter_pool(x, tape.leaf(kernels) if live else kernels, pool_kernels, stride).value
@@ -426,7 +419,7 @@ class TestFilterPool:
     @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
     def test_pool_kernel_gradient_matches_direct_oracle(self, monkeypatch, n_samples, pool_width, stride,
                                                          fft_block):
-        monkeypatch.setattr(tape, "FFT_BLOCK", fft_block)
+        stream_in(monkeypatch, fft_block)
         rng = np.random.default_rng(n_samples + pool_width)
         x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width)
         node = tape.filter_pool(x, kernels, tape.leaf(pool_kernels), stride)
@@ -517,7 +510,7 @@ class TestChannelGroups:
     @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
     def test_three_channels(self, monkeypatch, dtype, n_samples, pool_width, stride, fft_block, live):
         # N = 3: two groups split it 1 + 2, three or four give one channel each
-        stream_in(monkeypatch, live, fft_block)
+        stream_in(monkeypatch, fft_block)
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
         rng = np.random.default_rng(n_samples + stride)
         inputs = [a.astype(dtype) for a in filter_pool_inputs(rng, n_samples, 9, pool_width, n=3)]
@@ -580,7 +573,7 @@ class TestChannelChunks:
     def test_one_two_and_all_channels_a_chunk(self, monkeypatch, n_samples, pool_width, stride, fft_block,
                                               signal_dtype, bank_dtype, live, groups):
         # N = 5: chunks of 2 leave a 1-channel chunk in a group of 3 or 5
-        stream_in(monkeypatch, live, fft_block)
+        stream_in(monkeypatch, fft_block)
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
         monkeypatch.setattr(tape, "GROUPS", groups)
         rng = np.random.default_rng(n_samples + stride)
@@ -588,7 +581,7 @@ class TestChannelChunks:
         x, kernels, pool_kernels = x.astype(signal_dtype), kernels.astype(bank_dtype), pool_kernels.astype(bank_dtype)
         dtype = np.result_type(signal_dtype, bank_dtype)
         weights = rng.standard_normal((2, 5, -(-n_samples // stride))).astype(dtype)
-        chunk_bytes = 2 * tape._block_layout(n_samples, 9, live)[0] * np.dtype(dtype).itemsize
+        chunk_bytes = 2 * tape._block_layout(n_samples, 9)[0] * np.dtype(dtype).itemsize
         results = []
         for channels in (1, 2, 5):
             monkeypatch.setattr(tape, "_CHUNK_BYTES", channels * chunk_bytes)
@@ -691,7 +684,7 @@ class TestWorkspaces:
             tape.backward(loss)
             del loss
             tape.filter_pool(x, kernels, pool_kernels, 3)
-        size = tape._block_layout(96, 9, False)[0]
+        size = tape._block_layout(96, 9)[0]
         key, spaces = tape._spare
         assert key[0][2:4] == (2, size)  # the recipe's item count and FFT size
         assert [ws.spectra.shape for ws in spaces] == [(2, 1, size // 2 + 1), (2, 2, size // 2 + 1)]
@@ -702,7 +695,7 @@ class TestWorkspaces:
         tape.filter_pool(x[:, :96], kernels, pool_kernels, 3)
         del loss
         key, spaces = tape._spare
-        size = tape._block_layout(420, 9, True)[0]
+        size = tape._block_layout(420, 9)[0]
         assert key[0][2:4] == (2, size)
         assert [ws.corr.shape for ws in spaces] == [(2, 2, 1, size), (2, 2, 2, size)]
 
@@ -713,7 +706,7 @@ class TestWorkspaces:
         monkeypatch.setattr(tape, "_spare", None)
         rng = np.random.default_rng(9)
         for width in (9, 7, 9):
-            assert tape._block_layout(300, width, False)[:2] == (320, 300)
+            assert tape._block_layout(300, width)[:2] == (320, 300)
             x, kernels, pool_kernels = filter_pool_inputs(rng, 300, width, 5, n=3)
             got = tape.filter_pool(x, kernels, pool_kernels, 3).value
             np.testing.assert_allclose(got, direct_filter_pool(x, kernels, pool_kernels, 3), atol=1e-12)

@@ -159,6 +159,14 @@ class TestMultitaskLoss:
         assert np.all(grads["head1_weights"] == 0.0)
         assert np.all(grads["head1_bias"] == 0.0)
 
+    def test_stack_batch_makes_no_float64_copy(self):
+        # a float32 batch is stacked in float32, with the bits of a cast float64 stack
+        batch = sample_batch([make_task("pitch")], 16, seed=0, step=0)
+        (xs, _, _), peak = traced_peak(lambda: stack_batch(batch, np.float32))
+        assert xs.dtype == np.float32
+        assert np.array_equal(xs, np.stack([x.samples for x, _, _ in batch]).astype(np.float32))
+        assert peak <= 1.25 * xs.nbytes
+
     def test_unknown_task(self):
         t0 = micro_task()
         params = init_multitask_params(MICRO, [t0.num_classes])
