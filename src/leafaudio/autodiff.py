@@ -100,8 +100,7 @@ def grad_check_report(seed: int = 0) -> list[dict]:
         variant_cfg = variant_config(name, **GRADCHECK_SIZES)
         params = perturbed_params(variant_cfg, num_classes=3, seed=seed)
         batch = synthetic_batch(seed + 1)
-        _, analytic, _, _ = multitask_loss_and_grad(batch, params, variant_cfg, n_tasks=1,
-                                                    dtype=np.float64)
+        _, analytic, _, _ = multitask_loss_and_grad(batch, params, variant_cfg, n_tasks=1)
         numeric = finite_diff(lambda p: multitask_loss(batch, MultiHead(p, variant_cfg, (3,))),
                               params, h_rel=1e-5)
         errors = relative_errors(analytic, numeric)

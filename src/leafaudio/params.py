@@ -20,6 +20,7 @@ from .frontend import (
     FrontendConfig,
     PCEN_ALPHA_INIT,
     PCEN_DELTA_INIT,
+    PCEN_EPS,
     PCEN_ROOT_INIT,
     PCEN_SMOOTH_INIT,
     gabor_kernel_graph,
@@ -123,7 +124,7 @@ def constraint_bounds(cfg: FrontendConfig) -> dict[str, tuple[float, float | Non
         "sigma": (SIGMA_MIN, sigma_max(cfg.filter_len)),
         "pool_widths": (2.0 / cfg.pool_len, 0.5),
         "pcen_alpha": (0.0, 1.0),
-        "pcen_delta": (0.0, None),
+        "pcen_delta": (PCEN_EPS, None),  # at 0, d/d delta of delta ** (1 / root) is infinite
         "pcen_root": (1.0, None),
         "pcen_smooth": (0.0, 1.0),
     }

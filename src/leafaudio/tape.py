@@ -28,9 +28,9 @@ energy buffer, yields the windows of the frames that the block completes
 and carries the unfinished tail into the next block.  No full-rate array
 outlives its block; the block's correlations are kept only while a kernel
 is differentiated, and its spectrum is never kept.  A signal that fits
-one block of ``FFT_BLOCK`` samples is one block; a longer one is cut
-into shorter blocks of ``STREAM_BLOCK`` samples, whose kernel spectra and
-chunk buffers stay in cache, whatever the call (see :func:`_block_layout`).
+one block of ``STREAM_BLOCK`` samples is one block; a longer one is cut
+into blocks of that length, whose kernel spectra and chunk buffers stay
+in cache, whatever the call (see :func:`_block_layout`).
 
 The forward and the adjoint are two consumers of that walk.  The forward
 makes each block's correlations by inverse FFT and pools its frames from
@@ -56,7 +56,7 @@ calling thread.  Inside a block, a group runs its per-channel work, from
 the spectrum product to the squared energy forward and from ``d_corr`` to
 the spectrum accumulator backward, over chunks of channels whose
 correlations take about ``_CHUNK_BYTES`` (1 MiB: 10 channels of a float64
-``STREAM_BLOCK``, 8 of a float32 1 s clip), in chunk-sized buffers.  Every
+``STREAM_BLOCK``, 21 of a float32 one), in chunk-sized buffers.  Every
 number is computed by the same operations whatever the grouping and the
 chunking, so values and gradients depend on neither, bit for bit.
 
@@ -72,8 +72,8 @@ workspaces back as it returns.  A differentiable node keeps them, with
 their correlations, until it dies: a finalizer on the node's adjoint then
 hands them back.  So two live graphs never share a buffer, ``backward``
 may run twice on one graph, and each training step reuses the last one's
-memory instead of taking fresh pages from the system (90.5 MiB a step at
-B=16, 1 s, float32, 79.1 MiB of it correlations; 9.2 MiB for a 10 s
+memory instead of taking fresh pages from the system (94.3 MiB a step at
+B=16, 1 s, float32, 87.9 MiB of it correlations; 9.2 MiB for a 10 s
 forward-only float64 call, in blocks of ``STREAM_BLOCK`` samples).
 """
 
@@ -91,29 +91,28 @@ from scipy import fft as _fft
 
 from . import workers
 
-# filter_pool's overlap-save block lengths.  A signal that fits one
-# FFT_BLOCK is one block.  A longer one is cut into STREAM_BLOCK samples,
-# whatever the call: at FFT_BLOCK a float64 channel group's kernel spectra
-# (~5 MiB) and chunk buffers overflow a 2 MiB per-core L2 cache, and
-# shorter blocks cost less per output sample even after their extra
-# overlap.  A call that keeps its correlations for an adjoint keeps that
-# overlap too, and still holds less: a float32 40-channel forward and
-# backward traced a cold peak of 88 MiB against 96 at FFT_BLOCK (10 s,
-# B=1), and 61 against 82 (2 s, B=4).  Only long clips were measured, so
-# a clip of up to ~1 s (training's, evaluate's) stays one block.  The
-# harness sweep (extract-long, a 10 s float64 leaf extract, 2 CPUs, 10 s
-# runs; audio_s_per_s over the same round's FFT_BLOCK run, median of 7
-# rounds, 3 where marked *; peak RSS, median):
+# filter_pool's overlap-save block length: a longer signal is cut into
+# STREAM_BLOCK samples, whatever the call.  At 16384 a float64 channel
+# group's kernel spectra (~5 MiB) and chunk buffers overflow a 2 MiB
+# per-core L2 cache, and shorter blocks cost less per output sample even
+# after their extra overlap; kept correlations hold less too (float32, 40
+# channels, learned, cold traced peak: 88 against 96 MiB at 10 s, B=1; 61
+# against 82 at 2 s, B=4).  A 1 s clip's three blocks do the FFT work of one
+# 16200-sample block, and a float32 group's 20 channels still fit one chunk:
+# streamed against one block, a learned B=16 float32 two-task step took 157.4
+# against 157.3 ms, a 64-clip float32 leaf evaluate 295 against 326 ms
+# (in-process, 2 CPUs, median of 10 alternating rounds).  The harness sweep (extract-long, a 10 s float64 leaf
+# extract, 2 CPUs, 10 s runs; audio_s_per_s over the same round's 16384 run,
+# median of 7 rounds, 3 where marked *; peak RSS, median):
 #     block   4000*  4500  4800  5120  6000  6144*  6400  7200  8000  8192*  12000  16384
 #     speed   1.07   1.11  1.12  1.08  1.15  1.09   1.18  1.02  1.09  1.06   1.10   1
 #     RSS MB  78.5   78.6  78.6  78.7  79.4  79.7   80.2  81.1  81.7  82.1   85.2   90.1
 # 6000 and 6400 are within one round's spread of each other (0.98-1.34
 # and 0.87-1.43); 6000 holds less
-FFT_BLOCK = 16384
 STREAM_BLOCK = 6000
 # filter_pool runs each group's per-channel work over chunks of channels
 # whose correlations take about this many bytes (10 channels of a float64
-# STREAM_BLOCK, 8 of a float32 1 s clip), in chunk-sized buffers: channel-wide
+# STREAM_BLOCK, 21 of a float32 one), in chunk-sized buffers: channel-wide
 # ones would set the memory of every call
 _CHUNK_BYTES = 2 ** 20
 
@@ -372,19 +371,18 @@ def matmul(a, b):
 def _block_layout(n_samples, width):
     """(FFT length, output span per block, block count) for overlap-save.
 
-    A signal that fits ``FFT_BLOCK`` is one block at the shortest fast
-    length that keeps the circular correlation free of wrap-around.  A
-    longer one is cut into blocks of ``STREAM_BLOCK`` samples, in which a
-    group's kernel spectra and chunk buffers stay in cache, whose spans of
-    valid output tile the signal, each with its own halos.
+    A signal that fits one block is one block at the shortest fast length
+    that keeps the circular correlation free of wrap-around.  A longer one
+    is cut into blocks of ``STREAM_BLOCK`` samples, in which a group's
+    kernel spectra and chunk buffers stay in cache, whose spans of valid
+    output tile the signal, each with its own halos.
     """
     half = (width - 1) // 2
     size = _fft.next_fast_len(max(n_samples + half, width), real=True)
     # a kernel wider than half a block gets a longer block, so spans stay > W
-    shortest = _fft.next_fast_len(2 * width, real=True)
-    if size <= max(FFT_BLOCK, shortest):
+    block = max(STREAM_BLOCK, _fft.next_fast_len(2 * width, real=True))
+    if size <= block:
         return size, n_samples, 1
-    block = max(STREAM_BLOCK, shortest)
     span = block - (width - 1)
     return block, span, -(-n_samples // span)
 
@@ -404,7 +402,7 @@ def filter_pool(x, kernels, pool_kernels, stride):
     for m < M = ceil(T / stride); the result has shape (B, N, M).  The
     correlation is an FFT product, exact up to rounding, taken block by
     block (overlap-save) in blocks of ``STREAM_BLOCK`` samples when T
-    exceeds ``FFT_BLOCK``; each frame is pooled as soon as the block that
+    outgrows one; each frame is pooled as soon as the block that
     completes its window is made.  The call transforms in its result dtype,
     whatever its operands' dtypes.
     The channels run as up to ``GROUPS`` contiguous groups, each one task

@@ -147,22 +147,22 @@ def stack_batch(batch, dtype) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def multitask_loss(batch, model: MultiHead) -> float:
     """Float64 batch loss of (Waveform, label, task_id) triples under the
-    model: ``multitask_loss_and_grad`` with every parameter a constant, so
-    no graph is kept for a backward pass."""
-    constants = {name: tape.constant(value) for name, value in model.params.items()}
-    return multitask_loss_and_grad(batch, constants, model.cfg, model.n_tasks, dtype=np.float64)[0]
+    model: ``multitask_loss_and_grad`` with every parameter a float64
+    constant, so no graph is kept for a backward pass."""
+    constants = {name: tape.constant(np.asarray(value, dtype=np.float64)) for name, value in model.params.items()}
+    return multitask_loss_and_grad(batch, constants, model.cfg, model.n_tasks)[0]
 
 
-def multitask_loss_and_grad(batch, params, cfg: FrontendConfig, n_tasks: int,
-                            dtype=np.float32):
+def multitask_loss_and_grad(batch, params, cfg: FrontendConfig, n_tasks: int):
     """``(loss, grads, correct, task_ids)``: the batch loss, its exact
     reverse-mode gradient and ``multitask_graph``'s ``correct``.
 
     ``params`` maps names to arrays or Vars.  A name given as a
     ``tape.constant`` gets a zero gradient, and no part of the graph that
-    only it reaches is differentiated.
+    only it reaches is differentiated.  The batch is stacked in the dtype
+    of the head weights, as ``evaluate`` stacks its windows.
     """
-    xs, labels, task_ids = stack_batch(batch, dtype)
+    xs, labels, task_ids = stack_batch(batch, params["head0_weights"].dtype)
     loss, leaves, correct = multitask_graph(xs, labels, task_ids, params, cfg, n_tasks)
     value = float(loss.value)
     if not np.isfinite(value):

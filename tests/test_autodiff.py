@@ -25,7 +25,7 @@ def small_batch(seed=7, n=4, num_classes=3):
 
 def loss_and_grad(batch, params):
     """Single-task loss and gradient in float64."""
-    loss, grads, _, _ = multitask_loss_and_grad(batch, params, CFG, 1, dtype=np.float64)
+    loss, grads, _, _ = multitask_loss_and_grad(batch, params, CFG, 1)
     return loss, grads
 
 

@@ -328,10 +328,10 @@ class TestFrontendForward:
 
     def test_train_step_holds_no_batch_energy(self, monkeypatch):
         # one leaf step, B=16, 1 s, float32, from cold workspaces: two
-        # groups' kept correlations (79.1 MiB), kernel spectra (4.9 MiB),
-        # pooling buffers (2.5 MiB) and chunk buffers (4.0 MiB), not the
-        # (B, N, T) energy of the batch: a 102.2 MiB peak, bounded with ~10 MiB
-        # to spare
+        # groups' kept correlations of three STREAM_BLOCK blocks a row (87.9
+        # MiB), kernel spectra (1.8 MiB), pooling buffers (1.0 MiB) and chunk
+        # buffers (3.7 MiB), not the (B, N, T) energy of the batch: a
+        # 106.0-106.4 MiB peak, bounded with ~6 MiB to spare
         monkeypatch.setattr(tape, "GROUPS", 2)
         monkeypatch.setattr(tape, "_spare", None)
         cfg = variant_config("leaf")
@@ -369,8 +369,8 @@ class TestFrontendForward:
         batch = sample_batch(task_list, 16, seed=0, step=0)
         params = init_multitask_params(cfg, [t.num_classes for t in task_list], dtype=np.float32)
         multitask_loss_and_grad(batch, params, cfg, 2)
-        assert self.spare_mib() == pytest.approx(90.53, abs=0.05)
-        assert self.spare_mib("corr") == pytest.approx(79.1, abs=0.05)
+        assert self.spare_mib() == pytest.approx(94.33, abs=0.05)
+        assert self.spare_mib("corr") == pytest.approx(87.9, abs=0.05)
 
     @pytest.mark.parametrize("seconds", [10, 60])
     def test_warm_extract_call_makes_no_channel_wide_buffer(self, monkeypatch, seconds):

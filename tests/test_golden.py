@@ -39,11 +39,11 @@ from leafaudio.training import multitask_loss_and_grad
 GOLDEN = Path(__file__).parent / "data" / "golden.json"
 VARIANTS = tuple(VARIANT_NAMES.values())
 DTYPES = (np.float32, np.float64)
-# forward-only feature calls at the default 401-tap filters: a 1 s clip,
-# one block, and a longer one that filter_pool cuts into 8 overlap-save
-# spans of 6000 - 400 samples and one of 3169 (its length, 3 spans of
-# 16384 - 400 plus 17, is kept so that no digest moves)
-CLIP_LENGTHS = (16000, 3 * (16384 - 400) + 17)
+# forward-only feature calls at the default 401-tap filters, whose
+# overlap-save spans are 6000 - 400 samples: 4000 samples, one block; a 1 s
+# clip, two spans and 4800 samples; and a longer one, 8 spans and 3169
+# samples (its length is kept so that its digests do not move)
+CLIP_LENGTHS = (4000, 16000, 47969)
 CLI_VARIANTS = ("leaf", "mel-pcen")
 
 
@@ -114,7 +114,7 @@ def compute_digests():
                 feats = features_graph(clip[None, :n].astype(dtype), params, cfg).value
                 out[f"features/{name}/{dname}/{n}"] = _digest(feats)
             batch, params = _step_inputs(cfg, dtype)
-            loss, grads = multitask_loss_and_grad(batch, params, cfg, 2, dtype=dtype)[:2]
+            loss, grads = multitask_loss_and_grad(batch, params, cfg, 2)[:2]
             assert all(np.any(g != 0) for g in grads.values()), name
             out[f"step/{name}/{dname}"] = _digest(np.float64(loss), *(grads[k] for k in sorted(grads)))
     return out

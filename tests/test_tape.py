@@ -317,35 +317,28 @@ STREAMING_EDGES = [
 ]
 # (n_samples, pool_width, stride, block): one block, and the streaming edges
 ONE_BLOCK_AND_STREAMING_EDGES = [
-    pytest.param(300, 5, 3, 16384, id="one-block"),
+    pytest.param(300, 5, 3, tape.STREAM_BLOCK, id="one-block"),
     *[pytest.param(*case.values, 32, id=case.id) for case in STREAMING_EDGES],
 ]
 # a call that keeps its correlations for an adjoint, and one that does not
 LAYOUTS = [pytest.param(True, id="differentiated"), pytest.param(False, id="forward-only")]
 
 
-def stream_in(monkeypatch, block):
-    """Cut every call into ``block``-sample blocks once its signal
-    outgrows one block."""
-    monkeypatch.setattr(tape, "FFT_BLOCK", block)
-    monkeypatch.setattr(tape, "STREAM_BLOCK", block)
-
-
 class TestFilterPool:
-    # at W = 401 a signal of up to FFT_BLOCK - 200 samples is one block; a
-    # longer one is cut into spans of STREAM_BLOCK - 400 samples
-    FITS = tape.FFT_BLOCK - 200
+    # at W = 401 a signal of up to STREAM_BLOCK - 200 samples is one block;
+    # a longer one is cut into spans of STREAM_BLOCK - 400 samples
+    FITS = tape.STREAM_BLOCK - 200
     SPAN = tape.STREAM_BLOCK - 400
 
     @pytest.mark.parametrize("live", LAYOUTS)
     @pytest.mark.parametrize("n_samples, blocks", [
         pytest.param(150, 1, id="shorter-than-kernel"),
-        pytest.param(16000, 1, id="16000"),
+        pytest.param(16000, 3, id="16000"),
         pytest.param(FITS - 1, 1, id="fits-1"),
         pytest.param(FITS, 1, id="fits"),
-        pytest.param(FITS + 1, 3, id="fits+1"),
+        pytest.param(FITS + 1, 2, id="fits+1"),
         pytest.param(3 * SPAN + 1, 4, id="three-spans-and-1"),
-        pytest.param(3 * (tape.FFT_BLOCK - 400) + 17, 9, id="47969"),
+        pytest.param(47969, 9, id="47969"),
     ])
     def test_matches_direct_oracle(self, live, n_samples, blocks):
         assert tape._block_layout(n_samples, 401)[2] == blocks
@@ -355,11 +348,11 @@ class TestFilterPool:
         np.testing.assert_allclose(out, direct_filter_pool(x, kernels, pool_kernels, 160), rtol=0, atol=1e-12)
 
     def test_block_length_ignores_liveness(self, monkeypatch):
-        # a 1 s clip is one block and a longer one streams in shorter
-        # blocks, whether the call differentiates a kernel or not (the
-        # golden clip lengths at W = 401)
+        # at W = 401 a signal that fits one STREAM_BLOCK is one block and a
+        # longer one, a 1 s clip too, streams in STREAM_BLOCK-sample blocks,
+        # whether the call differentiates a kernel or not
         monkeypatch.setattr(tape, "_spare", None)
-        for n_samples, layout in ((16000, (16200, 16000, 1)), (47969, (6000, 5600, 9))):
+        for n_samples, layout in ((5800, (6000, 5800, 1)), (16000, (6000, 5600, 3)), (47969, (6000, 5600, 9))):
             assert tape._block_layout(n_samples, 401) == layout
             x, kernels, pool_kernels = filter_pool_inputs(RNG, n_samples, 401, 401, n=1, batch=1)
             expected = direct_filter_pool(x, kernels, pool_kernels, 160)
@@ -397,7 +390,7 @@ class TestFilterPool:
     @pytest.mark.parametrize("n_samples, pool_width, stride", STREAMING_EDGES)
     def test_streaming_edges(self, monkeypatch, n_samples, pool_width, stride, live):
         # the checked call and the numeric gradients' calls all stream
-        stream_in(monkeypatch, 32)
+        monkeypatch.setattr(tape, "STREAM_BLOCK", 32)
         assert tape._block_layout(1000, 9)[1] == 24
         rng = np.random.default_rng(pool_width + stride)
         x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width, n=1)
@@ -416,10 +409,10 @@ class TestFilterPool:
             numeric = numeric_grad(lambda a: float(loss(tape.constant(a)).value), value)
             np.testing.assert_allclose(analytic, numeric, rtol=1e-6, atol=1e-8)
 
-    @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
+    @pytest.mark.parametrize("n_samples, pool_width, stride, block", ONE_BLOCK_AND_STREAMING_EDGES)
     def test_pool_kernel_gradient_matches_direct_oracle(self, monkeypatch, n_samples, pool_width, stride,
-                                                         fft_block):
-        stream_in(monkeypatch, fft_block)
+                                                         block):
+        monkeypatch.setattr(tape, "STREAM_BLOCK", block)
         rng = np.random.default_rng(n_samples + pool_width)
         x, kernels, pool_kernels = filter_pool_inputs(rng, n_samples, 9, pool_width)
         node = tape.filter_pool(x, kernels, tape.leaf(pool_kernels), stride)
@@ -507,10 +500,10 @@ class TestChannelGroups:
 
     @pytest.mark.parametrize("live", LAYOUTS)
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
-    def test_three_channels(self, monkeypatch, dtype, n_samples, pool_width, stride, fft_block, live):
+    @pytest.mark.parametrize("n_samples, pool_width, stride, block", ONE_BLOCK_AND_STREAMING_EDGES)
+    def test_three_channels(self, monkeypatch, dtype, n_samples, pool_width, stride, block, live):
         # N = 3: two groups split it 1 + 2, three or four give one channel each
-        stream_in(monkeypatch, fft_block)
+        monkeypatch.setattr(tape, "STREAM_BLOCK", block)
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
         rng = np.random.default_rng(n_samples + stride)
         inputs = [a.astype(dtype) for a in filter_pool_inputs(rng, n_samples, 9, pool_width, n=3)]
@@ -569,11 +562,11 @@ class TestChannelChunks:
         pytest.param(np.float64, np.float32, id="float64-float32"),  # extract --model, float32 snapshot
         pytest.param(np.float32, np.float64, id="float32-float64"),  # a float32 batch, float64 parameters
     ])
-    @pytest.mark.parametrize("n_samples, pool_width, stride, fft_block", ONE_BLOCK_AND_STREAMING_EDGES)
-    def test_one_two_and_all_channels_a_chunk(self, monkeypatch, n_samples, pool_width, stride, fft_block,
+    @pytest.mark.parametrize("n_samples, pool_width, stride, block", ONE_BLOCK_AND_STREAMING_EDGES)
+    def test_one_two_and_all_channels_a_chunk(self, monkeypatch, n_samples, pool_width, stride, block,
                                               signal_dtype, bank_dtype, live, groups):
         # N = 5: chunks of 2 leave a 1-channel chunk in a group of 3 or 5
-        stream_in(monkeypatch, fft_block)
+        monkeypatch.setattr(tape, "STREAM_BLOCK", block)
         monkeypatch.setattr(tape, "MIN_GROUP_WORK", 1)
         monkeypatch.setattr(tape, "GROUPS", groups)
         rng = np.random.default_rng(n_samples + stride)
@@ -658,7 +651,7 @@ class TestWorkspaces:
 
     def test_second_step_reuses_the_workspaces(self, monkeypatch):
         # B=16, 1 s, float32: the first step makes the kept correlations
-        # (~80 MiB) and the other buffers, the second takes them back
+        # (~88 MiB) and the other buffers, the second takes them back
         monkeypatch.setattr(tape, "_spare", None)
         cfg = variant_config("leaf")
         batch = sample_batch([make_task("pitch")], 16, seed=0, step=0)

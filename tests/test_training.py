@@ -19,7 +19,7 @@ from leafaudio.errors import (
     UnknownTask,
 )
 from leafaudio.frontend import FrontendConfig, variant_config
-from leafaudio.params import ParamSet, init_multitask_params
+from leafaudio.params import ParamSet, constraint_bounds, init_multitask_params, project_params
 from leafaudio.signal import Waveform
 from leafaudio.tasks import TaskSpec, generate_example, make_task, sample_batch
 from leafaudio.tasks import test_set as held_out_set
@@ -155,9 +155,23 @@ class TestMultitaskLoss:
         t1 = micro_task("am", task_id=1)
         params = init_multitask_params(MICRO, [t0.num_classes, t1.num_classes], dtype=np.float64)
         batch = triples(t0, 4, seed=6, task_index=0)  # only task 0
-        _, grads, _, _ = multitask_loss_and_grad(batch, params, MICRO, 2, dtype=np.float64)
+        _, grads, _, _ = multitask_loss_and_grad(batch, params, MICRO, 2)
         assert np.all(grads["head1_weights"] == 0.0)
         assert np.all(grads["head1_bias"] == 0.0)
+
+    @pytest.mark.parametrize("variant", ["leaf", "leaf-pcen", "mel-pcen"])
+    def test_delta_at_its_floor_gives_finite_gradients(self, variant):
+        # a step may clamp pcen_delta onto its floor; at 0 the gradient of
+        # delta ** (1 / root) is infinite, and ADAM would write NaN into delta
+        cfg = variant_config(variant, n_filters=6, filter_len=65, pool_len=65, pool_stride=80)
+        params = dict(perturbed_params(cfg, num_classes=3, seed=0))
+        params["pcen_delta"] = np.full(cfg.n_filters, -1.0)
+        params = project_params(ParamSet({k: v.astype(np.float32) for k, v in params.items()}), cfg)
+        assert np.all(params["pcen_delta"] == np.float32(constraint_bounds(cfg)["pcen_delta"][0]))
+        loss, grads, _, _ = multitask_loss_and_grad(triples(micro_task(num_classes=3), 4, seed=9), params, cfg, 1)
+        assert np.isfinite(loss)
+        for name, grad in grads.items():
+            assert grad.dtype == np.float32 and np.all(np.isfinite(grad)), name
 
     def test_stack_batch_makes_no_float64_copy(self):
         # a float32 batch is stacked in float32, with the bits of a cast float64 stack
