@@ -203,28 +203,28 @@ def stft_power(xs: np.ndarray, n_fft: int, hop: int) -> np.ndarray:
 
 
 def mel_power_features(xs: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
-    """STFT power at hop ``pool_stride`` projected on the mel filterbank, (B, M, N).
+    """STFT power at hop ``pool_stride`` projected on the mel filterbank,
+    (B, N, M) in the batch's dtype.
 
-    Every row depends only on its own samples, so contiguous row shards
-    run on the worker pool, each writing its rows of the one output. A
-    shard runs as consecutive chunks of whole rows, each of at most
-    ``_CHUNK_FRAMES`` STFT frames (a longer row is a chunk of its own), so
-    the STFT temporaries are bounded by one chunk per shard, not by the
-    batch: 2.8 MiB for a chunk of four 1 s rows. The result does not depend on the shard or chunk count, bit for
-    bit.
+    Every row depends only on its own samples, so the batch runs as chunks
+    of whole rows, each of at most ``_CHUNK_FRAMES`` STFT frames (a longer
+    row is a chunk of its own), one pool task each.  A chunk's projection
+    is made in float64 and written transposed and cast into its rows of
+    the one output, so the STFT temporaries are bounded by one chunk per
+    pool thread, not by the batch: 2.8 MiB for a chunk of four 1 s rows.
+    The result does not depend on the chunk or thread count, bit for bit.
     """
     batch, n_samples = xs.shape
     mel = mel_matrix(cfg).T
     n_frames = -(-n_samples // cfg.pool_stride)
-    out = np.empty((batch, n_frames, cfg.n_filters))
+    out = np.empty((batch, cfg.n_filters, n_frames), dtype=xs.dtype)
     rows = max(1, _CHUNK_FRAMES // max(n_frames, 1))
 
-    def project(lo, hi):
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            np.matmul(stft_power(xs[start:stop], cfg.n_fft, cfg.pool_stride), mel, out=out[start:stop])
+    def project(start):
+        stop = min(start + rows, batch)
+        out[start:stop] = (stft_power(xs[start:stop], cfg.n_fft, cfg.pool_stride) @ mel).transpose(0, 2, 1)
 
-    workers.run([functools.partial(project, lo, hi) for lo, hi in workers.shards(batch)])
+    workers.run([functools.partial(project, start) for start in range(0, batch, rows)])
     return out
 
 
@@ -232,8 +232,7 @@ def pooled_graph(xs: np.ndarray, leaves: Mapping, cfg: FrontendConfig):
     """Pre-compression energies (B, N, M): filtering and pooling, or the mel
     projection at the same frame rate."""
     if cfg.filtering == "mel":
-        feats = mel_power_features(xs, cfg)  # stft_power pads the samples in float64
-        return tape.constant(feats.transpose(0, 2, 1).astype(xs.dtype, order="C"))
+        return tape.constant(mel_power_features(xs, cfg))
     if cfg.filtering == "gabor":
         kernels = gabor_kernel_graph(leaves["eta"], leaves["sigma"], cfg.filter_len)
     else:

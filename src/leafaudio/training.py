@@ -99,10 +99,13 @@ def multitask_graph(xs: np.ndarray, labels: np.ndarray, task_ids: np.ndarray,
     The total is the batch mean of per-example own-head cross-entropies;
     with one task it is the plain mean cross-entropy of head 0.  Returns
     ``(loss, leaves, correct)``, ``correct[b]`` whether example b's
-    own-head argmax is its label.
+    own-head argmax is its label.  A task id outside ``range(n_tasks)``, or
+    one whose ``head{k}_weights`` and ``head{k}_bias`` are not both in
+    ``params``, raises UnknownTask before any feature is made.
     """
-    if np.any(task_ids >= n_tasks) or np.any(task_ids < 0):
-        raise UnknownTask("batch contains a task id with no head")
+    for k in np.unique(task_ids):
+        if not (0 <= k < n_tasks and f"head{k}_weights" in params and f"head{k}_bias" in params):
+            raise UnknownTask(f"batch contains task id {k}, which has no head")
     leaves = {
         name: value if isinstance(value, tape.Var) else tape.leaf(value)
         for name, value in params.items()
@@ -230,26 +233,22 @@ class EvalResult:
     n_examples: int
 
 
-def _split_windows(samples: np.ndarray, window: int) -> list[np.ndarray]:
-    """Consecutive non-overlapping windows; a short clip is one window."""
-    if len(samples) < window:
-        return [samples]
-    return [samples[w * window: (w + 1) * window] for w in range(len(samples) // window)]
-
-
 def _window_batch(model: MultiHead, clips, task_index: int) -> tuple[np.ndarray, np.ndarray]:
     """The one-second windows of ``clips`` stacked in the head's dtype,
     (windows, T), and the index of each window's clip.
 
-    The stack is cast as it is made, so no float64 copy of the batch is
-    held.  A clip not at the frontend's rate raises BadRate.
+    A clip gives ``max(1, len // size)`` consecutive non-overlapping windows
+    of ``size`` samples; one shorter than a window is its own window.  The
+    stack is cast as it is made, so no float64 copy of the batch is held.
+    A clip not at the frontend's rate raises BadRate.
     """
     windows, owners = [], []
     for i, wav in enumerate(clips):
         require_frontend_rate(wav)
-        pieces = _split_windows(wav.samples, round(WINDOW_S * wav.sample_rate))
-        windows += pieces
-        owners += [i] * len(pieces)
+        size = round(WINDOW_S * wav.sample_rate)
+        count = max(1, len(wav.samples) // size)
+        windows += [wav.samples[w * size: (w + 1) * size] for w in range(count)]
+        owners += [i] * count
     return np.stack(windows, dtype=model.params[f"head{task_index}_weights"].dtype), np.asarray(owners)
 
 

@@ -1,14 +1,15 @@
 """The process's one thread pool, shared by every data-parallel loop.
 
 ``tape.filter_pool`` runs its channel groups here, ``tasks.test_set`` its
-clip shards and ``frontend.mel_power_features`` its STFT row shards.  Each
-of them splits its work into contiguous parts with :func:`bounds`, computes
-every part by the same operations whatever the split, and writes or
-returns the parts in order, so results do not depend on the part count,
-bit for bit.  A mel row shard runs as consecutive chunks of whole rows, so
-its memory is one chunk's, not its share of the batch.  numpy and scipy
-release the interpreter lock in their array loops and FFTs, so the parts
-run on separate cores.
+clip shards (:func:`shards`) and ``frontend.mel_power_features`` its STFT
+row chunks, one task each, pulled by the pool's threads as they come
+free.  Each of them splits its work into contiguous parts, computes every
+part by the same operations whatever the split, and writes or returns the
+parts in order, so results do not depend on the part or thread count, bit
+for bit.  A mel chunk is a few whole rows, so a mel call holds one
+chunk's STFT per pool thread, not its share of the batch.  numpy and
+scipy release the interpreter lock in their array loops and FFTs, so the
+parts run on separate cores.
 
 A task run on the pool never submits to the pool: a worker waiting on the
 pool could wait on itself.  The pool is made on first use, not at import.

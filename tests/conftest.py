@@ -2,11 +2,27 @@
 
 import contextlib
 import io
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import pytest
 
-from leafaudio import cli
+from leafaudio import cli, workers
+
+
+@pytest.fixture
+def pool_threads(monkeypatch):
+    """``pool_threads(n)`` gives the package's thread pool n threads for
+    the rest of the test: a fresh pool, shut down when the test ends."""
+    pools = []
+
+    def resize(n):
+        pools.append(ThreadPoolExecutor(max_workers=n, thread_name_prefix="leafaudio"))
+        monkeypatch.setattr(workers, "_pool", pools[-1])
+
+    yield resize
+    for pool in pools:
+        pool.shutdown()
 
 
 @pytest.fixture(scope="session")

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from leafaudio import tape, workers
+from leafaudio import tape
 from leafaudio.errors import BadRate, NonFiniteFeatures, ShapeMismatch, ZeroFilter
 from leafaudio.frontend import (
     FeatureMap,
@@ -435,37 +435,38 @@ class TestMelFrontend:
         # (B, N, M), C-ordered, in the batch's dtype
         xs = np.random.default_rng(4).standard_normal((2, 1700)).astype(np.float32)
         out = pooled_graph(xs, {}, MEL).value
-        expected = mel_power_features(xs.astype(np.float64), MEL).transpose(0, 2, 1).astype(np.float32)
+        projection = stft_power(xs.astype(np.float64), MEL.n_fft, MEL.pool_stride) @ mel_matrix(MEL).T
+        expected = projection.transpose(0, 2, 1).astype(np.float32)
         assert out.dtype == np.float32 and out.flags.c_contiguous
         assert np.array_equal(out, expected)
 
-    @pytest.mark.parametrize("shards", [1, 2, 3, 5])
-    def test_row_shards_equal_the_whole_batch(self, monkeypatch, shards):
+    @pytest.mark.parametrize("threads", [1, 2, 3, 5])
+    def test_row_shards_equal_the_whole_batch(self, pool_threads, threads):
         # rows of 11, 1 and 100 frames, and one longer than the 400-frame
         # chunk budget; batches on both sides of the chunk edges (36 rows
         # of 1700 samples or four 1 s rows per chunk); oracle: the whole
         # batch in one STFT and one matmul
-        monkeypatch.setattr(workers, "CPUS", shards)
-        rng = np.random.default_rng(shards)
+        pool_threads(threads)
+        rng = np.random.default_rng(threads)
         for n_samples, batches in ((1700, (1, 2, 3, 35, 36, 37, 72, 73)), (100, (7, 8, 9, 16, 17, 65)),
                                    (16000, (3, 4, 5, 7, 8, 9, 16, 17, 65)), (144000, (1, 2, 3))):
             for batch in batches:
                 xs = rng.standard_normal((batch, n_samples))
                 serial = stft_power(xs, MEL.n_fft, MEL.pool_stride) @ mel_matrix(MEL).T
-                assert np.array_equal(mel_power_features(xs, MEL), serial), (n_samples, batch)
+                assert np.array_equal(mel_power_features(xs, MEL), serial.transpose(0, 2, 1)), (n_samples, batch)
 
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_memory_does_not_grow_with_the_batch(self, monkeypatch, shards):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_memory_does_not_grow_with_the_batch(self, pool_threads, threads):
         # one chunk of four 1 s rows peaks at 2.8 MiB of STFT temporaries;
-        # on two shards the slack is one chunk more, as the shards of a B=16
-        # call may or may not overlap
-        monkeypatch.setattr(workers, "CPUS", shards)
+        # on two threads the slack is one chunk more, as the chunks of a
+        # B=16 call may or may not overlap
+        pool_threads(threads)
         extra = {}
         for batch in (16, 256):
             xs = np.random.default_rng(batch).standard_normal((batch, 16000))
             out, peak = traced_peak(lambda: mel_power_features(xs, MEL))
             extra[batch] = peak - out.nbytes
-        assert abs(extra[256] - extra[16]) <= (shards - 1) * 3 * 2 ** 20 + 2 ** 20, extra
+        assert abs(extra[256] - extra[16]) <= (threads - 1) * 3 * 2 ** 20 + 2 ** 20, extra
 
 
 class TestParamCount:

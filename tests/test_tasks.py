@@ -97,7 +97,7 @@ class TestGenerateExample:
         profiles = []
         for label in range(3):
             wav = generate_example(task, label, seed=8)
-            feats = mel_power_features(wav.samples[None], cfg)[0].mean(axis=0)
+            feats = mel_power_features(wav.samples[None], cfg)[0].mean(axis=-1)
             profiles.append(np.log(feats + 1e-9))
         # lowpass tilts down, highpass tilts up relative to white
         white, low, high = profiles

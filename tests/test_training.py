@@ -188,6 +188,20 @@ class TestMultitaskLoss:
         with pytest.raises(UnknownTask):
             multitask_loss_and_grad(batch, params, MICRO, 1)
 
+    def test_task_id_without_a_head(self):
+        # two tasks in the batch, one head in the parameters: refused by
+        # name, not by a KeyError from the second head's lookup
+        cfg = variant_config("mel")
+        tasks = [micro_task("pitch"), micro_task("am", task_id=1)]
+        batch = sample_batch(tasks, 8, seed=0, step=0)
+        assert {k for _, _, k in batch} == {0, 1}
+        params = init_multitask_params(cfg, [tasks[0].num_classes])
+        message = "^batch contains task id 1, which has no head$"
+        with pytest.raises(UnknownTask, match=message):
+            multitask_loss_and_grad(batch, params, cfg, 2)
+        with pytest.raises(UnknownTask, match=message):
+            multitask_loss(batch, MultiHead(params, cfg, tuple(t.num_classes for t in tasks)))
+
     @pytest.mark.parametrize("case, error", [
         ("empty", ValueError),
         ("unequal_lengths", ValueError),
@@ -404,13 +418,14 @@ class TestEvaluateChunks:
     TASK = TaskSpec(0, "am", 3, 5.0, duration_s=0.25)
 
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_memory_does_not_grow_with_clip_count(self, monkeypatch, shards):
+    def test_memory_does_not_grow_with_clip_count(self, monkeypatch, pool_threads, shards):
         # each chunk's clips are made just before it runs: 640 clips of
         # 0.25 s are 20 MB of samples, ~3x one chunk's peak.  Both counts
-        # run on one pinned shard count; on two shards the slack is one
-        # STFT chunk (400 frames, 2.8 MiB), as the shards of either count
-        # may or may not overlap
+        # run on one pinned shard and thread count; on two the slack is one
+        # STFT chunk (400 frames, 2.8 MiB), as the shards and chunks of
+        # either count may or may not overlap
         monkeypatch.setattr(workers, "CPUS", shards)
+        pool_threads(shards)
         model = seeded_mel_pcen_model(self.TASK, 43)
         evaluate(model, self.TASK, 3, seed=0)  # first-use allocations (each label's phasors) out of the peaks
         peaks = {}
@@ -419,12 +434,13 @@ class TestEvaluateChunks:
         assert peaks[640] <= 1.25 * peaks[64] + (shards - 1) * 3 * 2 ** 20, peaks
 
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_clips_go_before_the_features(self, monkeypatch, shards):
+    def test_clips_go_before_the_features(self, monkeypatch, pool_threads, shards):
         # the peak is where 64 one-second clips (7.8 MiB of float64) meet
         # their float32 batch (3.9 MiB); the clips are dropped before the
-        # mel step, whose batch, one 2.8 MiB STFT chunk per shard and
+        # mel step, whose batch, one 2.8 MiB STFT chunk per pool thread and
         # features stay below that
         monkeypatch.setattr(workers, "CPUS", shards)
+        pool_threads(shards)
         task = make_task("am", snr_db=5.0)
         model = seeded_mel_pcen_model(task, 41, n_filters=40)
         evaluate(model, task, 3, seed=0)
